@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConjugateMismatch, NonPositiveInput
-from .measure import MeasureSpace, Partition, as_values, cond_exp, domination_constant
+from .measure import MeasureSpace, Partition, as_values, block_mean, cond_exp, domination_constant
 from .sampling import signed_log_uniform
-from .young import YoungFunction, conjugate_numeric, evaluate, inverse
+from .young import YoungFunction, conjugate_error, evaluate, inverse
 
 __all__ = [
     "HolderReport",
@@ -27,6 +27,7 @@ __all__ = [
     "empirical_holder_constant",
     "normalization_constants",
     "product_bound_check",
+    "domination_holder_constant",
     "holder_from_domination",
 ]
 
@@ -62,13 +63,9 @@ def verify_conjugate_pair(
     tol: float = 1e-4,
 ) -> None:
     """Spot-check that psi agrees with the numeric conjugate of phi at a few points."""
-    for y in probes:
-        want = conjugate_numeric(phi, y, xmax_hint=1.0, tol=1e-10)
-        got = evaluate(psi, y)
-        if abs(got - want) > tol * max(1.0, abs(want)):
-            raise ConjugateMismatch(
-                f"psi({y}) = {got:.6g} but the conjugate of phi gives {want:.6g}"
-            )
+    err = conjugate_error(phi, psi, probes, tol=1e-10)
+    if not err <= tol:
+        raise ConjugateMismatch(f"psi is off the numeric conjugate of phi by {err:.3g} at {probes}")
 
 
 def _rhs_factors(
@@ -138,18 +135,10 @@ def empirical_holder_constant(
     fs = signed_log_uniform(rng, (budget, n))
     gs = signed_log_uniform(rng, (budget, n))
 
-    w = space.weights
     lab = partition.labels
-    mass = partition.block_measures(space)
-
-    def block_avg(batch: np.ndarray) -> np.ndarray:
-        sums = np.zeros((batch.shape[0], partition.n_blocks))
-        np.add.at(sums.T, lab, (batch * w).T)
-        return (sums / mass)[:, lab]
-
-    lhs = block_avg(np.abs(fs * gs))
-    df = inverse(phi, block_avg(evaluate(phi, fs)))
-    dg = inverse(psi, block_avg(evaluate(psi, gs)))
+    lhs = block_mean(space, partition, np.abs(fs * gs))[:, lab]
+    df = inverse(phi, block_mean(space, partition, evaluate(phi, fs))[:, lab])
+    dg = inverse(psi, block_mean(space, partition, evaluate(psi, gs))[:, lab])
     ratios = _ratio_atoms(lhs, df * dg)
     flat = int(np.argmax(ratios))
     k, atom = divmod(flat, n)
@@ -174,20 +163,12 @@ def normalization_constants(
     x*y <= phi(x) + psi(y) applied to the normalized factors.
     """
     rng = np.random.default_rng(seed)
-    n = space.n_atoms
 
     def sup_for(theta: YoungFunction) -> float:
-        batch = signed_log_uniform(rng, (sample_budget, n))
-        w = space.weights
-        lab = partition.labels
-        mass = partition.block_measures(space)
-        sums = np.zeros((sample_budget, partition.n_blocks))
-        np.add.at(sums.T, lab, (evaluate(theta, batch) * w).T)
-        denom = inverse(theta, (sums / mass)[:, lab])
-        normalized = evaluate(theta, batch / denom)
-        sums2 = np.zeros((sample_budget, partition.n_blocks))
-        np.add.at(sums2.T, lab, (normalized * w).T)
-        return float(np.max(sums2 / mass))
+        batch = signed_log_uniform(rng, (sample_budget, space.n_atoms))
+        means = block_mean(space, partition, evaluate(theta, batch))
+        denom = inverse(theta, means[:, partition.labels])
+        return float(np.max(block_mean(space, partition, evaluate(theta, batch / denom))))
 
     return sup_for(phi), sup_for(psi)
 
@@ -223,6 +204,12 @@ def product_bound_check(
     return report
 
 
+def domination_holder_constant(space: MeasureSpace, partition: Partition) -> float:
+    """C0**2, the Hölder constant certified by pointwise domination (proof below)."""
+    c0 = domination_constant(space, partition)
+    return c0 * c0
+
+
 def holder_from_domination(
     space: MeasureSpace,
     partition: Partition,
@@ -240,8 +227,7 @@ def holder_from_domination(
     side is now block-constant) yields the claimed constant C0**2 for every
     conjugate pair.  The claim is then stress-tested by randomized search.
     """
-    c0 = domination_constant(space, partition)
-    claimed = c0 * c0
+    claimed = domination_holder_constant(space, partition)
     return empirical_holder_constant(
         space, partition, phi, psi, budget=budget, seed=seed, claimed_C=claimed
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import young
 from .measure import MeasureSpace, Partition
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "signed_log_uniform",
     "random_space",
     "random_partition",
-    "random_young_pair",
 ]
 
 LOG_LO = 1e-3
@@ -47,19 +45,3 @@ def random_partition(rng: np.random.Generator, n_atoms: int) -> Partition:
     raw[rng.permutation(n_atoms)[:n_blocks]] = np.arange(n_blocks)  # no empty block
     _, dense = np.unique(raw, return_inverse=True)
     return Partition(dense)
-
-
-_PAIR_POOL = (
-    lambda: young.scaled_power(1.5),
-    lambda: young.scaled_power(2.0),
-    lambda: young.scaled_power(3.0),
-    lambda: young.power(2.0),
-    lambda: young.power(3.0),
-    young.exp_type,
-)
-
-
-def random_young_pair(rng: np.random.Generator):
-    """A conjugate pair (phi, psi) drawn from the closed-form pool."""
-    phi = _PAIR_POOL[int(rng.integers(0, len(_PAIR_POOL)))]()
-    return phi, young.conjugate_closed_form(phi)

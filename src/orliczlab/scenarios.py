@@ -1,26 +1,29 @@
 """Scenario schema: config parsing, builtin catalog, and materialization.
 
 A scenario bundles one measure-space setup (or a refinement family), one
-Young-function pair, one multiplier, and the seeds/budgets/tolerances the
+Young-function pair, one multiplier, and the seed and search budget the
 suites should use.  Configs are plain JSON-compatible dicts; every parse
 failure names the offending field.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import young as young_mod
 from .errors import ConfigError
+from .holder import domination_holder_constant
 from .measure import (
     MeasureSpace,
     Partition,
     build_rotation_space,
     build_symmetric_space,
 )
-from .operators import RefinementFamily, WeightedConditionalExpectation
+from .operators import RefinementFamily, WeightedConditionalExpectation, boundedness_classifier
 from .young import YoungFunction
 
 __all__ = [
@@ -32,8 +35,6 @@ __all__ = [
     "to_config",
     "materialize",
 ]
-
-_FAMILY_LAWS = ("reciprocal", "flat", "log_growth")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class Scenario:
     conjugate_mode: str = "closed_form"
     seed: int = 0
     budget: int = 10_000
-    tolerance: float = 1e-9
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -62,6 +62,14 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _as_float(value, where: str) -> float:
+    # The int/float comparison is exact: it rejects NaN, infinities and too large ints.
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not numeric or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_positive_int(value, where: str) -> int:
@@ -89,7 +97,7 @@ def _parse_space(cfg, where: str = "scenario.space") -> dict:
         weights = _require(cfg, "weights", where)
         if not isinstance(weights, list) or not weights:
             raise ConfigError(f"{where}.weights: expected a nonempty list")
-        return {"type": "explicit", "weights": [float(w) for w in weights]}
+        return {"type": "explicit", "weights": [_as_float(w, f"{where}.weights") for w in weights]}
     if kind == "family":
         sizes = _require(cfg, "sizes", where)
         if not isinstance(sizes, list) or not sizes:
@@ -112,11 +120,13 @@ def _parse_u(cfg, where: str = "scenario.u") -> dict:
         values = _require(cfg, "values", where)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}.values: expected a nonempty list")
-        return {"type": "explicit", "values": [float(v) for v in values]}
+        return {"type": "explicit", "values": [_as_float(v, f"{where}.values") for v in values]}
     if kind == "law":
         name = _require(cfg, "name", where)
-        if name not in _FAMILY_LAWS:
-            raise ConfigError(f"{where}.name: unknown law {name!r}; choose from {_FAMILY_LAWS}")
+        if name not in RefinementFamily.LAWS:
+            raise ConfigError(
+                f"{where}.name: unknown law {name!r}; choose from {tuple(RefinementFamily.LAWS)}"
+            )
         return {"type": "law", "name": name}
     if kind == "generator":
         name = _require(cfg, "name", where)
@@ -139,6 +149,8 @@ def from_config(cfg: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario.name: expected a nonempty string")
     young_cfg = _require(cfg, "young", "scenario")
+    if isinstance(young_cfg, dict) and "p" in young_cfg:
+        _as_float(young_cfg["p"], "scenario.young.p")
     try:
         young_mod.from_config(young_cfg)
     except ConfigError as exc:
@@ -148,12 +160,9 @@ def from_config(cfg: dict) -> Scenario:
         raise ConfigError(f"scenario.conjugate_mode: expected closed_form or numeric, got {mode!r}")
     partition = cfg.get("partition")
     if partition is not None:
-        if not isinstance(partition, dict) or "labels" not in partition:
+        if not isinstance(partition, dict) or not isinstance(partition.get("labels"), list):
             raise ConfigError("scenario.partition: expected an object with a 'labels' list")
         partition = {"labels": [_as_int(l, "scenario.partition.labels") for l in partition["labels"]]}
-    tolerance = float(cfg.get("tolerance", 1e-9))
-    if tolerance <= 0:
-        raise ConfigError("scenario.tolerance: must be positive")
     return Scenario(
         name=name,
         description=str(cfg.get("description", "")),
@@ -164,7 +173,6 @@ def from_config(cfg: dict) -> Scenario:
         conjugate_mode=mode,
         seed=_as_int(cfg.get("seed", 0), "scenario.seed"),
         budget=_as_positive_int(cfg.get("budget", 10_000), "scenario.budget"),
-        tolerance=tolerance,
     )
 
 
@@ -179,7 +187,6 @@ def to_config(scenario: Scenario) -> dict:
         "conjugate_mode": scenario.conjugate_mode,
         "seed": scenario.seed,
         "budget": scenario.budget,
-        "tolerance": scenario.tolerance,
     }
     if scenario.partition is not None:
         out["partition"] = dict(scenario.partition)
@@ -210,6 +217,14 @@ class Materialized:
         sizes = self.family.sizes
         return self.family.member(sizes[len(sizes) // 2])
 
+    @cached_property
+    def trend_verdict(self) -> dict:
+        """The family's classifier verdict, shared by the suites that report it."""
+        first = self.family.member(self.family.sizes[0])
+        flags = {"gcthi": True, "delta_prime": young_mod.check_delta_prime(self.phi) is not None}
+        C = domination_holder_constant(first.space, first.partition)
+        return boundedness_classifier(self.family, self.phi, self.psi, C, flags)
+
 
 def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition) -> np.ndarray:
     spec = scenario.u
@@ -221,14 +236,8 @@ def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition
             )
         return values
     if spec["type"] == "law":
-        laws = {
-            "reciprocal": lambda j: 1.0 / j,
-            "flat": lambda j: 1.0,
-            "log_growth": lambda j: np.log1p(j),
-        }
-        fn = laws[spec["name"]]
-        per_block = np.asarray([fn(j) for j in range(1, partition.n_blocks + 1)])
-        return per_block[partition.labels]
+        family = RefinementFamily(spec["name"], (partition.n_blocks,))
+        return family.law_values(partition.n_blocks)[partition.labels]
     name = spec["name"]
     if name == "identity":
         if space.labels is not None:
@@ -256,13 +265,11 @@ def materialize(scenario: Scenario) -> Materialized:
         )
     if scenario.conjugate_mode == "numeric":
         # Stricter cross-validation of the pair on a small log grid.
-        for y in np.logspace(-2, 2, 9):
-            want = young_mod.conjugate_numeric(phi, float(y), tol=1e-10)
-            got = young_mod.evaluate(psi, float(y))
-            if abs(got - want) > 1e-6 * max(1.0, abs(want)):
-                raise ConfigError(
-                    f"scenario.conjugate_mode: numeric conjugate disagrees at y={y:.3g}"
-                )
+        err = young_mod.conjugate_error(phi, psi, np.logspace(-2, 2, 9), tol=1e-10)
+        if not err <= 1e-6:
+            raise ConfigError(
+                f"scenario.conjugate_mode: numeric conjugate disagrees by {err:.3g} (relative)"
+            )
 
     sp = scenario.space
     if sp["type"] == "family":
@@ -280,17 +287,16 @@ def materialize(scenario: Scenario) -> Materialized:
     elif sp["type"] == "rotation":
         space, partition = build_rotation_space(sp["n"], sp["cells_per_block_orbit"])
     else:
-        space = MeasureSpace(np.asarray(sp["weights"], dtype=float))
-        if scenario.partition is None:
-            raise ConfigError("scenario.partition: required for explicit spaces")
+        space, partition = MeasureSpace(np.asarray(sp["weights"], dtype=float)), None
+    if scenario.partition is not None:
         labels = np.asarray(scenario.partition["labels"], dtype=int)
         if labels.size != space.n_atoms:
             raise ConfigError(
                 f"scenario.partition.labels: got {labels.size} labels for {space.n_atoms} atoms"
             )
         partition = Partition(labels)
-    if scenario.partition is not None and sp["type"] != "explicit":
-        partition = Partition(np.asarray(scenario.partition["labels"], dtype=int))
+    elif partition is None:
+        raise ConfigError("scenario.partition: required for explicit spaces")
 
     u = _materialize_u(scenario, space, partition)
     op = WeightedConditionalExpectation(space, partition, u)

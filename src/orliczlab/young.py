@@ -40,6 +40,7 @@ __all__ = [
     "inverse",
     "conjugate_closed_form",
     "conjugate_numeric",
+    "conjugate_error",
     "check_delta2",
     "check_delta_prime",
     "check_nabla_prime",
@@ -328,6 +329,21 @@ def conjugate_numeric(
             lo, hi = m1, m2
     best = max(best, obj(0.5 * (lo + hi)))
     return best
+
+
+def conjugate_error(
+    phi: YoungFunction, psi: YoungFunction, probes, tol: float = CONJUGATE_TOL
+) -> float:
+    """Max over probes y of |psi(y) - phi*(y)| / max(1, |phi*(y)|), phi* by conjugate_numeric.
+
+    `tol` is the numeric conjugation tolerance; a NaN anywhere propagates, so
+    callers comparing with `err <= bound` reject it.
+    """
+    errs = []
+    for y in probes:
+        want = conjugate_numeric(phi, float(y), tol=tol)
+        errs.append(abs(float(evaluate(psi, float(y))) - want) / max(1.0, abs(want)))
+    return float(np.max(errs))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from orliczlab.measure import (
     Partition,
     SimpleFunction,
     as_values,
+    block_mean,
     block_values,
     build_rotation_space,
     build_symmetric_space,
@@ -302,6 +303,25 @@ class TestMinOfLinear:
             generalized_jensen_check(space, part, theta, [np.array([1.0, -1.0, 2.0])])
 
 
+class TestBlockMean:
+    def test_batched_rows_equal_single_rows_exactly(self):
+        # 2 x 75 rows of 1024 atoms span several bincount chunks and a partial one.
+        rng = np.random.default_rng(31)
+        space = MeasureSpace(rng.uniform(0.5, 2.0, 1024))
+        part = Partition(rng.permutation(np.arange(1024) % 300))
+        batch = rng.normal(0.0, 3.0, (2, 75, 1024))
+        got = block_mean(space, part, batch)
+        assert got.shape == (2, 75, part.n_blocks)
+        for idx in np.ndindex(2, 75):
+            assert np.array_equal(got[idx], block_mean(space, part, batch[idx]))
+            assert np.array_equal(got[idx][part.labels], cond_exp(space, part, batch[idx]))
+
+    def test_rejects_wrong_trailing_length(self):
+        space, part = build_symmetric_space(2)
+        with pytest.raises(SpaceMismatch):
+            block_mean(space, part, np.ones((3, 5)))
+
+
 class TestDominationConstant:
     def test_symmetric_pairing_gives_two(self):
         space, part = build_symmetric_space(4)
@@ -324,3 +344,16 @@ class TestDominationConstant:
             h = np.zeros(8)
             h[i] = 1.0
             assert cond_exp(space, part, h)[i] <= c0 * h[i] + 1e-15
+
+    @given(
+        st.lists(st.floats(0.1, 10.0), min_size=6, max_size=6),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_function_is_dominated_by_c0_times_its_average(self, weights, h):
+        # The direction holder_from_domination relies on: h <= C0 * E(h).
+        space = MeasureSpace(weights)
+        part = Partition([0, 0, 1, 1, 1, 2])
+        h = np.asarray(h)
+        c0 = domination_constant(space, part)
+        assert np.all(h <= c0 * cond_exp(space, part, h) * (1.0 + 1e-12))

@@ -343,6 +343,14 @@ class TestSpectrum:
             tol = 1e-8 * (1.0 + float(np.max(np.abs(report.predicted))))
             assert report.max_match_distance <= tol
 
+    def test_nonzero_off_block_entry_is_rejected(self):
+        op = demo_op()
+        m = op.matrix.copy()
+        m[0, 3] = 1e-300
+        op.__dict__["matrix"] = m  # the cached oracle matrix, tampered with
+        with pytest.raises(SpectralOracleError):
+            spectrum(op)
+
     def test_complex_oracle_output_is_rejected(self, monkeypatch):
         def fake_eigvals(_m):
             return np.array([2.0 + 1e-3j, 2.0 - 1e-3j, 0.0, 0.0])

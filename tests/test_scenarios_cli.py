@@ -54,12 +54,17 @@ class TestScenarioSchema:
             ({"conjugate_mode": "guess"}, "scenario.conjugate_mode"),
             ({"seed": "zero"}, "scenario.seed"),
             ({"budget": 0}, "scenario.budget"),
-            ({"tolerance": -1.0}, "scenario.tolerance"),
+            ({"space": {"type": "explicit", "weights": ["x", 1]}}, "scenario.space.weights"),
+            ({"young": {"kind": "scaled_power", "p": "two"}}, "scenario.young.p"),
+            ({"u": {"type": "explicit", "values": [1.0, float("nan"), 1.0, 1.0]}}, "scenario.u.values"),
+            ({"u": {"type": "explicit", "values": [10**400, 1.0, 1.0, 1.0]}}, "scenario.u.values"),
+            ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
+            ({"partition": {"labels": 3}}, "scenario.partition"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
         with pytest.raises(ConfigError) as exc:
-            from_config(minimal_config(**mutation))
+            materialize(from_config(minimal_config(**mutation)))
         assert field in str(exc.value)
 
     def test_unknown_builtin_is_a_config_error(self):
@@ -167,6 +172,20 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         names = [s["scenario"]["name"] for s in report["scenarios"]]
         assert names == ["tiny", "tiny2"]
+
+    @pytest.mark.parametrize(
+        "mutation, field",
+        [
+            ({"space": {"type": "explicit", "weights": ["x", 1]}}, "scenario.space.weights"),
+            ({"young": {"kind": "scaled_power", "p": "two"}}, "scenario.young.p"),
+            ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
+        ],
+    )
+    def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(minimal_config(**mutation)))
+        assert cli.main(["run", "--config", str(cfg), "--suite", "spectrum"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_config_exits_two(self, capsys):
         assert cli.main(["run", "--config", "no-such-scenario"]) == 2
