@@ -6,7 +6,8 @@ Verbs:
   export-matrix   write the operator matrix as CSV for external cross-checks
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
-Reports are deterministic for a fixed config and seed, except the timing block.
+Reports are deterministic for a fixed config and seed, except the timing block,
+and strict JSON: a non-finite float is written as "NaN", "Infinity" or "-Infinity".
 The only environment override is ORLICZLAB_OUT_DIR, which prefixes relative
 --out paths.
 """
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,8 +61,6 @@ def _load_scenarios(config: str, seed_override: int | None) -> list:
         raise ConfigError("config: expected a scenario object or {'scenarios': [...]}")
     scenarios = [from_config(item) for item in items]
     if seed_override is not None:
-        from dataclasses import replace
-
         scenarios = [replace(s, seed=seed_override) for s in scenarios]
     return scenarios
 
@@ -99,6 +100,17 @@ def _build_report(scenarios, suite_names) -> dict:
     }
 
 
+def _strict(obj):
+    """obj with each non-finite float spelled as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _render_table(report: dict) -> str:
     lines = []
     for section in report["scenarios"]:
@@ -133,7 +145,7 @@ def _cmd_run(args) -> int:
     scenarios = _load_scenarios(args.config, args.seed)
     suite_names = _validate_suites(args.suite)
     report = _build_report(scenarios, suite_names)
-    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    body = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = _resolve_out(args.out)
     if out:
         try:

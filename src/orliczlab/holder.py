@@ -68,18 +68,18 @@ def verify_conjugate_pair(
         raise ConjugateMismatch(f"psi is off the numeric conjugate of phi by {err:.3g} at {probes}")
 
 
-def _rhs_factors(
+def _holder_ratios(
     space: MeasureSpace,
     partition: Partition,
     phi: YoungFunction,
     psi: YoungFunction,
     f: np.ndarray,
     g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lhs = cond_exp(space, partition, np.abs(f * g))
-    df = inverse(phi, cond_exp(space, partition, evaluate(phi, f)))
-    dg = inverse(psi, cond_exp(space, partition, evaluate(psi, g)))
-    return lhs, df, dg
+) -> np.ndarray:
+    """Atomwise E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))] for f, g of shape (..., n)."""
+    rhs = inverse(phi, cond_exp(space, partition, evaluate(phi, f)))
+    rhs *= inverse(psi, cond_exp(space, partition, evaluate(psi, g)))
+    return _ratio_atoms(cond_exp(space, partition, np.abs(f * g)), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -108,10 +108,8 @@ def conditional_holder_ratio(
     """
     if check_pair:
         verify_conjugate_pair(phi, psi)
-    f = as_values(space, f)
-    g = as_values(space, g)
-    lhs, df, dg = _rhs_factors(space, partition, phi, psi, f, g)
-    return float(np.max(_ratio_atoms(lhs, df * dg)))
+    ratios = _holder_ratios(space, partition, phi, psi, as_values(space, f), as_values(space, g))
+    return float(np.max(ratios))
 
 
 def empirical_holder_constant(
@@ -134,14 +132,8 @@ def empirical_holder_constant(
     n = space.n_atoms
     fs = signed_log_uniform(rng, (budget, n))
     gs = signed_log_uniform(rng, (budget, n))
-
-    lab = partition.labels
-    lhs = block_mean(space, partition, np.abs(fs * gs))[:, lab]
-    df = inverse(phi, block_mean(space, partition, evaluate(phi, fs))[:, lab])
-    dg = inverse(psi, block_mean(space, partition, evaluate(psi, gs))[:, lab])
-    ratios = _ratio_atoms(lhs, df * dg)
-    flat = int(np.argmax(ratios))
-    k, atom = divmod(flat, n)
+    ratios = _holder_ratios(space, partition, phi, psi, fs, gs)
+    k, atom = divmod(int(np.argmax(ratios)), n)
     best = float(ratios[k, atom])
     holds = None if claimed_C is None else best <= claimed_C * (1.0 + 1e-9)
     return HolderReport(best, fs[k].copy(), gs[k].copy(), atom, claimed_C, holds, budget)
@@ -166,8 +158,7 @@ def normalization_constants(
 
     def sup_for(theta: YoungFunction) -> float:
         batch = signed_log_uniform(rng, (sample_budget, space.n_atoms))
-        means = block_mean(space, partition, evaluate(theta, batch))
-        denom = inverse(theta, means[:, partition.labels])
+        denom = inverse(theta, cond_exp(space, partition, evaluate(theta, batch)))
         return float(np.max(block_mean(space, partition, evaluate(theta, batch / denom))))
 
     return sup_for(phi), sup_for(psi)

@@ -10,6 +10,7 @@ block-measurable factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class Partition:
     def n_atoms(self) -> int:
         return int(self.labels.size)
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return int(self.labels.max()) + 1
 
@@ -110,11 +111,8 @@ class Partition:
         """True when every block of self sits inside a single block of `coarser`."""
         if self.n_atoms != coarser.n_atoms:
             return False
-        for b in range(self.n_blocks):
-            members = self.block_members(b)
-            if np.unique(coarser.labels[members]).size != 1:
-                return False
-        return True
+        _, first = np.unique(self.labels, return_index=True)
+        return bool(np.all(coarser.labels == coarser.labels[first][self.labels]))
 
     def _check_space(self, space: MeasureSpace) -> None:
         if self.n_atoms != space.n_atoms:
@@ -167,7 +165,6 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     over labels offset by row, in chunks of whole rows, so every row is summed
     in the same order as a single vector and the results are bit-identical.
     """
-    partition._check_space(space)
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != space.weights.shape:
         raise SpaceMismatch(f"values of shape {values.shape} for a space of {space.n_atoms} atoms")
@@ -187,25 +184,26 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     return (sums / mass).reshape(values.shape[:-1] + (k,))
 
 
+def _rows(space: MeasureSpace, f) -> np.ndarray:
+    """A SimpleFunction's values (checked against space), or f as an array of shape (..., n)."""
+    return as_values(space, f) if isinstance(f, SimpleFunction) else np.asarray(f, dtype=float)
+
+
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:
     """Weighted average of f over each partition block, broadcast back to atoms.
 
     This is the conditional expectation onto the block sigma-algebra: linear,
     idempotent, positive, and exact in double precision up to summation error.
+    f is a SimpleFunction or an array of shape (..., n); each row is averaged
+    on its own, bit-identically to a single call on that row.
     """
-    return block_mean(space, partition, as_values(space, f))[partition.labels]
+    return block_mean(space, partition, _rows(space, f))[..., partition.labels]
 
 
 def block_values(partition: Partition, values: np.ndarray) -> np.ndarray:
     """One representative value per block for a block-constant function."""
-    values = np.asarray(values, dtype=float)
-    first = np.zeros(partition.n_blocks, dtype=int)
-    seen = np.zeros(partition.n_blocks, dtype=bool)
-    for i, b in enumerate(partition.labels):
-        if not seen[b]:
-            first[b] = i
-            seen[b] = True
-    return values[first]
+    _, first = np.unique(partition.labels, return_index=True)
+    return np.asarray(values, dtype=float)[first]
 
 
 def is_block_constant(partition: Partition, values: np.ndarray, tol: float = 0.0) -> bool:
@@ -279,15 +277,24 @@ def jensen_check(
     """Verify the convexity inequality phi(E f) <= E(phi(|f|)) atomwise.
 
     phi is any callable convex function accepting arrays (a YoungFunction in
-    practice, which evaluates on |x| and so absorbs the absolute value).
+    practice, which evaluates on |x| and so absorbs the absolute value).  f may
+    be a batch of shape (..., n).
     """
-    f = as_values(space, f)
+    f = _rows(space, f)
     lhs = np.asarray(phi(cond_exp(space, partition, np.abs(f))))
     rhs = cond_exp(space, partition, np.asarray(phi(f)))
-    gap = lhs - rhs
-    worst = float(np.max(gap))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return {"holds": worst <= tol * scale, "max_violation": worst, "scale": scale}
+    return _gap_report(lhs - rhs, rhs, tol)
+
+
+def _gap_report(gap: np.ndarray, rhs: np.ndarray, tol: float) -> dict:
+    """gap <= tol * max(1, max|rhs|) in every row, each row on its own scale; a NaN fails and shows."""
+    worst = np.max(gap, axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
+    return {
+        "holds": bool(np.all(worst <= tol * scale)),
+        "max_violation": float(np.max(worst)),
+        "scale": float(np.max(scale)),
+    }
 
 
 @dataclass(frozen=True)
@@ -334,19 +341,15 @@ def generalized_jensen_check(
     Each linear piece commutes with E exactly, so the min of the averaged
     pieces dominates the average of the min; this check confirms the sampled
     direction and raises NegativeInput when any input has negative entries,
-    where the one-sided form no longer applies.
+    where the one-sided form no longer applies.  The f_i may be batches of
+    one shape (..., n).
     """
-    fs = [as_values(space, f) for f in fs]
-    if any(np.any(f < 0) for f in fs):
+    stacked = np.stack([_rows(space, f) for f in fs])
+    if np.any(stacked < 0):
         raise NegativeInput("generalized Jensen check needs nonnegative functions")
-    stacked = np.stack(fs)
     lhs = cond_exp(space, partition, np.asarray(theta(stacked)))
-    averaged = np.stack([cond_exp(space, partition, f) for f in fs])
-    rhs = np.asarray(theta(averaged))
-    gap = lhs - rhs
-    worst = float(np.max(gap))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return {"holds": worst <= tol * scale, "max_violation": worst, "scale": scale}
+    rhs = np.asarray(theta(cond_exp(space, partition, stacked)))
+    return _gap_report(lhs - rhs, rhs, tol)
 
 
 def domination_constant(space: MeasureSpace, partition: Partition) -> float:
@@ -358,6 +361,5 @@ def domination_constant(space: MeasureSpace, partition: Partition) -> float:
     The reverse direction E(h) <= C0 * h fails wherever h vanishes inside a
     block on which it is not identically zero.
     """
-    partition._check_space(space)
     block_mass = partition.block_measures(space)
     return float(np.max(block_mass[partition.labels] / space.weights))

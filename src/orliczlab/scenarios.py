@@ -8,7 +8,6 @@ failure names the offending field.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -24,7 +23,7 @@ from .measure import (
     build_symmetric_space,
 )
 from .operators import RefinementFamily, WeightedConditionalExpectation, boundedness_classifier
-from .young import YoungFunction
+from .young import YoungFunction, _as_float
 
 __all__ = [
     "Scenario",
@@ -62,14 +61,6 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
-
-
-def _as_float(value, where: str) -> float:
-    # The int/float comparison is exact: it rejects NaN, infinities and too large ints.
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not numeric or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
 
 
 def _as_positive_int(value, where: str) -> int:
@@ -149,8 +140,6 @@ def from_config(cfg: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario.name: expected a nonempty string")
     young_cfg = _require(cfg, "young", "scenario")
-    if isinstance(young_cfg, dict) and "p" in young_cfg:
-        _as_float(young_cfg["p"], "scenario.young.p")
     try:
         young_mod.from_config(young_cfg)
     except ConfigError as exc:
@@ -363,15 +352,7 @@ _BUILTINS = {
     ),
 }
 
-BUILTIN_ORDER = (
-    "example-1.6a",
-    "example-1.6b",
-    "example-1.6d",
-    "spectrum-demo",
-    "decay-family",
-    "flat-family",
-    "growth-family",
-)
+BUILTIN_ORDER = tuple(_BUILTINS)
 
 
 def builtin_scenario(name: str, seed_override: int | None = None) -> Scenario:

@@ -10,6 +10,7 @@ ordering between two functions).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +136,14 @@ def piecewise_linear(breakpoints, slopes) -> YoungFunction:
     )
 
 
+def _as_float(value, where: str) -> float:
+    # The int/float comparison is exact: it rejects NaN, infinities and too large ints.
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not numeric or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def from_config(fragment: dict) -> YoungFunction:
     """Build a YoungFunction from a config fragment like {"kind": "scaled_power", "p": 2.0}."""
     if not isinstance(fragment, dict) or "kind" not in fragment:
@@ -143,7 +152,7 @@ def from_config(fragment: dict) -> YoungFunction:
     if kind in ("power", "scaled_power", "conjugate_power"):
         if "p" not in fragment:
             raise ConfigError(f"young.p: required for kind {kind!r}")
-        return YoungFunction(kind, p=float(fragment["p"]))
+        return YoungFunction(kind, p=_as_float(fragment["p"], "young.p"))
     if kind in ("exp_type", "log_type"):
         return YoungFunction(kind)
     if kind == "piecewise_linear":

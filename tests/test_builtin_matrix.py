@@ -33,8 +33,8 @@ PINNED_BOUNDS = (
     "normalized_average_second_factor",
 )
 # A program defect kept as it stands: with exp_type, an overflowing block
-# average makes phi(E|f|) - E(phi f) NaN, and max() hides it, so this check
-# fails at some seeds (it passes at the builtin seed).
+# average makes phi(E|f|) - E(phi f) NaN, so this check fails, with value NaN,
+# at some seeds (it passes at the builtin seed).
 ALLOWED_FAILURES = {("example-1.6b", "jensen", "convexity_inequality")}
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from orliczlab import young
 from orliczlab.errors import ConfigError, NegativeInput, NotMeasurable, SpaceMismatch
+from orliczlab.holder import _holder_ratios, conditional_holder_ratio
 from orliczlab.measure import (
     MeasureSpace,
     MinOfLinear,
@@ -253,6 +254,28 @@ class TestJensen:
         assert report["holds"]
         assert report["max_violation"] == pytest.approx(-1.0)
 
+    def test_each_row_is_held_to_its_own_scale(self):
+        # sqrt is concave, so row 0 violates by sqrt(2) - 1 against E(phi f) = 1.
+        # Row 1 holds with E(phi f) = 1e15; one shared scale would excuse row 0.
+        space, part = unit_space(2), Partition([0, 0])
+        phi = lambda x: np.sqrt(np.abs(x))
+        fs = np.array([[0.0, 4.0], [1e30, 1e30]])
+        assert not jensen_check(space, part, phi, fs[0])["holds"]
+        assert jensen_check(space, part, phi, fs[1])["holds"]
+        report = jensen_check(space, part, phi, fs)
+        assert not report["holds"]
+        assert report["max_violation"] == pytest.approx(np.sqrt(2.0) - 1.0)
+
+    def test_overflow_shows_as_nan_and_fails(self):
+        # exp_type overflows on both sides at 1e3: inf - inf is a NaN gap.
+        space, part = unit_space(4), Partition([0, 0, 1, 1])
+        fs = np.array([[0.5, 1.0, 2.0, 0.25], [1e3, 1e3, 1.0, 2.0]])
+        assert jensen_check(space, part, young.exp_type(), fs[0])["holds"]
+        with np.errstate(invalid="ignore"):
+            report = jensen_check(space, part, young.exp_type(), fs)
+        assert np.isnan(report["max_violation"])
+        assert report["holds"] is False
+
 
 class TestMinOfLinear:
     def test_single_linear_piece_commutes_exactly(self):
@@ -320,6 +343,34 @@ class TestBlockMean:
         space, part = build_symmetric_space(2)
         with pytest.raises(SpaceMismatch):
             block_mean(space, part, np.ones((3, 5)))
+        with pytest.raises(SpaceMismatch):
+            cond_exp(space, part, np.ones((3, 5)))
+
+    def test_batched_callers_equal_per_row_calls_exactly(self):
+        rng = np.random.default_rng(32)
+        space = MeasureSpace(rng.uniform(0.5, 2.0, 12))
+        part = Partition(np.arange(12) % 5)
+        fs = rng.normal(0.0, 2.0, (40, 12))
+        gs = rng.normal(0.0, 2.0, (40, 12))
+        assert np.array_equal(cond_exp(space, part, fs), [cond_exp(space, part, f) for f in fs])
+
+        batch = jensen_check(space, part, young.exp_type(), fs)
+        rows = [jensen_check(space, part, young.exp_type(), f) for f in fs]
+        assert batch["holds"] is all(r["holds"] for r in rows)
+        assert batch["max_violation"] == max(r["max_violation"] for r in rows)
+
+        theta = MinOfLinear(((1.0, 0.0), (0.0, 1.0)))
+        batch = generalized_jensen_check(space, part, theta, [np.abs(fs), np.abs(gs)])
+        rows = [generalized_jensen_check(space, part, theta, [abs(f), abs(g)]) for f, g in zip(fs, gs)]
+        assert batch["holds"] is all(r["holds"] for r in rows)
+        assert batch["max_violation"] == max(r["max_violation"] for r in rows)
+
+        # A closed-form pair: a bisected inverse iterates until every target of
+        # the batch converges, so its rows need not match single calls bit for bit.
+        phi, psi = young.scaled_power(3.0), young.scaled_power(1.5)
+        batch = np.max(_holder_ratios(space, part, phi, psi, fs, gs), axis=-1)
+        rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
+        assert np.array_equal(batch, rows)
 
 
 class TestDominationConstant:

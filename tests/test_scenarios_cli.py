@@ -1,11 +1,12 @@
 """Scenario schema round-trips, builtin catalog, CLI verbs and exit codes."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from orliczlab import cli
+from orliczlab import cli, young
 from orliczlab.errors import ConfigError
 from orliczlab.scenarios import (
     BUILTIN_ORDER,
@@ -60,11 +61,16 @@ class TestScenarioSchema:
             ({"u": {"type": "explicit", "values": [10**400, 1.0, 1.0, 1.0]}}, "scenario.u.values"),
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
             ({"partition": {"labels": 3}}, "scenario.partition"),
+            (partial(young.from_config, {"kind": "power", "p": "two"}), "young.p"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
+        # A mutation is a change to the minimal config, or a call to make directly.
         with pytest.raises(ConfigError) as exc:
-            materialize(from_config(minimal_config(**mutation)))
+            if callable(mutation):
+                mutation()
+            else:
+                materialize(from_config(minimal_config(**mutation)))
         assert field in str(exc.value)
 
     def test_unknown_builtin_is_a_config_error(self):
@@ -272,6 +278,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scenario spectrum-demo: PASS" in out
         assert "overall: PASS" in out
+
+    def test_report_is_strict_json(self, capsys, tmp_path):
+        # Extreme but valid input: the search bound C0**2 overflows to inf, and
+        # exp_type overflows inside the Jensen check, whose gap is then NaN.
+        cfg = tmp_path / "extreme.json"
+        extreme = minimal_config(
+            space={"type": "explicit", "weights": [1, 1e-300]},
+            partition={"labels": [0, 0]},
+            young={"kind": "exp_type"},
+            u={"type": "explicit", "values": [1, 1e300]},
+            budget=200,
+        )
+        cfg.write_text(json.dumps(extreme))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", str(cfg), "--suite", "jensen", "--suite", "gcthi"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        suites = report["scenarios"][0]["suites"]
+        convexity = suites["jensen"]["checks"][0]
+        assert convexity["name"] == "convexity_inequality"
+        assert convexity["passed"] is False and convexity["value"] == "NaN"
+        assert suites["gcthi"]["checks"][0]["bound"] == "Infinity"
 
     def test_export_matrix(self, tmp_path):
         out_file = tmp_path / "matrix.csv"
