@@ -76,14 +76,18 @@ def _holder_ratios(
     f: np.ndarray,
     g: np.ndarray,
 ) -> np.ndarray:
-    """Atomwise E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))] for f, g of shape (..., n)."""
-    rhs = inverse(phi, cond_exp(space, partition, evaluate(phi, f)))
-    rhs *= inverse(psi, cond_exp(space, partition, evaluate(psi, g)))
-    return _ratio_atoms(cond_exp(space, partition, np.abs(f * g)), rhs)
+    """Blockwise E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))], (..., n) -> (..., n_blocks).
+
+    Each factor is constant on blocks, so the inverses run once per block mean;
+    broadcasting the result through `partition.labels` gives the atomwise ratios.
+    """
+    rhs = inverse(phi, block_mean(space, partition, evaluate(phi, f)))
+    rhs *= inverse(psi, block_mean(space, partition, evaluate(psi, g)))
+    return _ratio_atoms(block_mean(space, partition, np.abs(f * g)), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Atomwise lhs/rhs with the conventions 0/0 -> 0 and positive/0 -> inf."""
+    """Elementwise lhs/rhs with the conventions 0/0 -> 0 and positive/0 -> inf."""
     out = np.zeros_like(lhs)
     zero = rhs == 0.0
     np.divide(lhs, rhs, out=out, where=~zero)
@@ -133,8 +137,10 @@ def empirical_holder_constant(
     fs = signed_log_uniform(rng, (budget, n))
     gs = signed_log_uniform(rng, (budget, n))
     ratios = _holder_ratios(space, partition, phi, psi, fs, gs)
-    k, atom = divmod(int(np.argmax(ratios)), n)
-    best = float(ratios[k, atom])
+    # The first maximal (sample, atom) in row-major order, as argmax over atomwise ratios.
+    k = int(np.argmax(np.max(ratios, axis=-1)))
+    atom = int(np.argmax(ratios[k, partition.labels]))
+    best = float(ratios[k, partition.labels[atom]])
     holds = None if claimed_C is None else best <= claimed_C * (1.0 + 1e-9)
     return HolderReport(best, fs[k].copy(), gs[k].copy(), atom, claimed_C, holds, budget)
 
@@ -158,7 +164,8 @@ def normalization_constants(
 
     def sup_for(theta: YoungFunction) -> float:
         batch = signed_log_uniform(rng, (sample_budget, space.n_atoms))
-        denom = inverse(theta, cond_exp(space, partition, evaluate(theta, batch)))
+        denom = inverse(theta, block_mean(space, partition, evaluate(theta, batch)))
+        denom = denom[..., partition.labels]
         return float(np.max(block_mean(space, partition, evaluate(theta, batch / denom))))
 
     return sup_for(phi), sup_for(psi)

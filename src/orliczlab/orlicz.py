@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NotSuperlinear, PreconditionViolated
+from .errors import BracketFailure, NotSuperlinear, PreconditionViolated
 from .measure import MeasureSpace, cond_exp
 from .young import YoungFunction, evaluate, inverse
 
@@ -42,7 +42,8 @@ def luxemburg_norm(
     The initial bracket upper end k0 = max|f| / phi^{-1}(1 / mu(total)) always
     satisfies modular(f/k0) <= 1, because each atom contributes at most
     w_i * (1/mu) <= 1 in total.  The returned value is the upper end of the
-    final bracket, so modular(f/result) <= 1 holds by construction.
+    final bracket, so modular(f/result) <= 1 holds by construction.  A
+    bracket that stays infeasible after 200 doublings raises BracketFailure.
     """
     if not phi.superlinear:
         raise NotSuperlinear("the Luxemburg norm needs a superlinear kind")
@@ -57,6 +58,8 @@ def luxemburg_norm(
             hi *= 2.0
             if modular(space, phi, f / hi) <= 1.0:
                 break
+        else:
+            raise BracketFailure("no feasible scale for the Luxemburg norm within 200 doublings")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

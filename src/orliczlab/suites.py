@@ -9,6 +9,8 @@ member and the trend suites to the whole family.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import young as young_mod
@@ -49,6 +51,7 @@ _LAW_VERDICTS = {
 
 
 def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **details) -> dict:
+    """A check record; a non-finite value or bound fails it and is flagged `nonfinite`."""
     out = {"name": name, "passed": bool(passed)}
     if value is not None:
         out["value"] = float(value)
@@ -56,6 +59,9 @@ def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **de
         out["bound"] = float(bound)
     if tolerance is not None:
         out["tolerance"] = float(tolerance)
+    if not all(math.isfinite(out[k]) for k in ("value", "bound") if k in out):
+        out["passed"] = False
+        out["nonfinite"] = True
     out.update(details)
     return out
 

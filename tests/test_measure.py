@@ -365,12 +365,11 @@ class TestBlockMean:
         assert batch["holds"] is all(r["holds"] for r in rows)
         assert batch["max_violation"] == max(r["max_violation"] for r in rows)
 
-        # A closed-form pair: a bisected inverse iterates until every target of
-        # the batch converges, so its rows need not match single calls bit for bit.
-        phi, psi = young.scaled_power(3.0), young.scaled_power(1.5)
-        batch = np.max(_holder_ratios(space, part, phi, psi, fs, gs), axis=-1)
-        rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
-        assert np.array_equal(batch, rows)
+        for phi in (young.scaled_power(3.0), young.exp_type()):
+            psi = young.conjugate_closed_form(phi)
+            batch = np.max(_holder_ratios(space, part, phi, psi, fs, gs), axis=-1)
+            rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
+            assert np.array_equal(batch, rows)
 
 
 class TestDominationConstant:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import young
-from orliczlab.errors import NotSuperlinear, PreconditionViolated
+from orliczlab import orlicz, young
+from orliczlab.errors import BracketFailure, NotSuperlinear, PreconditionViolated
 from orliczlab.measure import MeasureSpace, Partition
 from orliczlab.orlicz import (
     contraction_check,
@@ -140,6 +140,12 @@ class TestLuxemburgNorm:
         phi = young.piecewise_linear([0.0, 1.0], [0.0, 2.0])
         with pytest.raises(NotSuperlinear):
             luxemburg_norm(unit_space(2), phi, np.ones(2))
+
+    def test_infeasible_bracket_fails_loudly(self, monkeypatch):
+        # A modular that never drops to 1: every widened bracket stays infeasible.
+        monkeypatch.setattr(orlicz, "modular", lambda space, phi, f: 2.0)
+        with pytest.raises(BracketFailure):
+            luxemburg_norm(unit_space(2), young.scaled_power(2.0), np.ones(2))
 
 
 class TestContraction:

@@ -295,15 +295,32 @@ class TestCli:
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
+        suites = ["jensen", "gcthi", "boundedness", "essential-norm"]
         with np.errstate(all="ignore"):
-            code = cli.main(["run", "--config", str(cfg), "--suite", "jensen", "--suite", "gcthi"])
+            code = cli.main(["run", "--config", str(cfg), *(f"--suite={s}" for s in suites)])
         assert code == 1
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
-        suites = report["scenarios"][0]["suites"]
-        convexity = suites["jensen"]["checks"][0]
-        assert convexity["name"] == "convexity_inequality"
+        checks = {
+            f"{suite}/{check['name']}": check
+            for suite, result in report["scenarios"][0]["suites"].items()
+            for check in result["checks"]
+        }
+        convexity = checks["jensen/convexity_inequality"]
         assert convexity["passed"] is False and convexity["value"] == "NaN"
-        assert suites["gcthi"]["checks"][0]["bound"] == "Infinity"
+        assert checks["gcthi/ratio_within_domination_constant"]["bound"] == "Infinity"
+        # A value or bound that is not finite fails its check, whatever the comparison says.
+        for key in (
+            "jensen/convexity_inequality",
+            "boundedness/norm_sandwich",
+            "essential-norm/gap_within_scaled_threshold",
+            "gcthi/ratio_within_domination_constant",
+            "gcthi/normalized_average_first_factor",
+            "gcthi/sum_constant_dominates_search",
+        ):
+            assert checks[key]["passed"] is False and checks[key]["nonfinite"] is True, key
+        for check in checks.values():
+            if "nonfinite" not in check:
+                assert all(isinstance(check.get(k, 0.0), float) for k in ("value", "bound")), check
 
     def test_export_matrix(self, tmp_path):
         out_file = tmp_path / "matrix.csv"

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,49 @@ def test_inverse_out_of_range_for_bounded_kind():
     flat = young.piecewise_linear([0.0], [0.0])  # identically zero
     with pytest.raises(NonInvertible):
         young.inverse(flat, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["exp_type", "log_type"])
+def test_newton_inverse_matches_high_precision_roots(kind):
+    phi = young.YoungFunction(kind)
+    pairs = GOLDEN["inverse_roots"][kind]
+    targets = np.array([float(t) for t, _ in pairs])
+    roots = np.array([float(r) for _, r in pairs])
+    batch = young.inverse(phi, targets)
+    for t, want, got in zip(targets, roots, batch):
+        assert young.inverse(phi, t) == got  # independent of the batch
+        assert abs(got - want) <= 1e-14 * want, (t, got, want)
+        assert abs(phi(got) - t) <= young.BISECT_TOL * max(1.0, t), t
+
+
+@pytest.mark.parametrize("phi", [young.exp_type(), young.log_type()], ids=lambda phi: phi.kind)
+def test_newton_inverse_agrees_with_bisection_oracle(phi):
+    # The bracket of the bisection reaches 2**200, so log_type targets stop near 1e60.
+    ts = np.logspace(-8, 60, 300)
+    fast = young.inverse(phi, ts)
+    slow = young._bisect_inverse(phi, ts, 1e-12)
+    # Both solve phi(x) = t to within 1e-12 * max(1, t), hence lie this close.
+    low = np.minimum(fast, slow)
+    slope = np.expm1(low) if phi.kind == "exp_type" else np.log1p(low)
+    assert np.all(np.abs(fast - slow) <= 2e-12 * np.maximum(1.0, ts) / slope)
+
+
+def test_newton_inverse_fails_loudly_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(young, "_NEWTON_ITERS", 2)
+    with pytest.raises(BracketFailure):
+        young.inverse(young.log_type(), 1e300)
+
+
+def test_bisection_fails_loudly_without_a_bracket():
+    # phi(2**200) = 1.6e-10 < 1: the doubling budget ends before phi reaches the target.
+    with pytest.raises(BracketFailure):
+        young.inverse(young.piecewise_linear([0.0], [1e-70]), 1.0)
+
+
+def test_log_type_evaluates_finite_up_to_float_max():
+    y = float(GOLDEN["inverse_roots"]["log_type"][-1][1])
+    assert young.log_type()(y) == pytest.approx(sys.float_info.max, rel=1e-14)
+    assert young.log_type()(3.0 * y) == math.inf
 
 
 @settings(max_examples=60, deadline=None)
