@@ -62,13 +62,19 @@ class MeasureSpace:
     def total(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values: np.ndarray) -> float:
+    def integrate(self, values: np.ndarray):
+        """Weighted sum over the atoms: a float for shape (n,), an array for (..., n).
+
+        Each row is summed in the same order as a single vector, so batched
+        rows are bit-identical to single calls.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
+        if values.shape[-1:] != self.weights.shape:
             raise SpaceMismatch(
-                f"function has {values.size} values but the space has {self.n_atoms} atoms"
+                f"values of shape {values.shape} for a space of {self.n_atoms} atoms"
             )
-        return float(np.sum(self.weights * values))
+        out = np.sum(self.weights * values, axis=-1)
+        return float(out) if values.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,12 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
 
 def _rows(space: MeasureSpace, f) -> np.ndarray:
     """A SimpleFunction's values (checked against space), or f as an array of shape (..., n)."""
-    return as_values(space, f) if isinstance(f, SimpleFunction) else np.asarray(f, dtype=float)
+    if isinstance(f, SimpleFunction):
+        return as_values(space, f)
+    v = np.asarray(f, dtype=float)
+    if v.shape[-1:] != space.weights.shape:
+        raise SpaceMismatch(f"values of shape {v.shape} for a space of {space.n_atoms} atoms")
+    return v
 
 
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, HypothesisMissing, SingularLambda, SpectralOracleError
-from .measure import MeasureSpace, Partition, as_values, block_mean, cond_exp
+from .measure import MeasureSpace, Partition, _rows, as_values, block_mean, cond_exp
 from .orlicz import luxemburg_norm
 from .sampling import signed_log_uniform
 from .young import YoungFunction, evaluate, inverse
@@ -76,8 +76,11 @@ class WeightedConditionalExpectation:
         return self.space.n_atoms
 
     def apply(self, f) -> np.ndarray:
-        """E(u*f) by the averaging definition; agrees with matrix @ f to 1e-12."""
-        return cond_exp(self.space, self.partition, self.u * as_values(self.space, f))
+        """E(u*f) by the averaging definition; agrees with matrix @ f to 1e-12.
+
+        f is a SimpleFunction or an array of shape (..., n), mapped row by row.
+        """
+        return cond_exp(self.space, self.partition, self.u * _rows(self.space, f))
 
     def with_multiplier(self, u) -> "WeightedConditionalExpectation":
         return WeightedConditionalExpectation(self.space, self.partition, u)
@@ -123,20 +126,25 @@ def norm_estimate(
     block B to E(u)(B) times itself, so the norm ratio is |E(u)(B)| with no
     bisection error, and the best block seeds the search analytically.  The
     multiplier itself and seeded random vectors are then scored numerically and
-    the best starts improved by coordinate-wise ascent with a shrinking step.
-    Every candidate ratio is a true lower bound, so the maximum is certified;
-    `budget` caps the number of numeric ratio evaluations and the result is
-    deterministic given the seed.
+    the best starts improved by first-improvement coordinate ascent with a
+    shrinking step.  Every candidate ratio is a true lower bound, so the
+    maximum is certified, and the result is deterministic given the seed.
+
+    `budget` stops the ascent, not the scoring: all starts (at most
+    restarts + 3) are scored, and the ascent tests the budget only after both
+    steps of a coordinate, so at most max(budget + 1, restarts + 3) ratios are
+    evaluated, each from two Luxemburg norms.  Ratios are computed in batches
+    (all starts at once, then both steps of every coordinate the budget can
+    still reach), and a batch is walked in the sequential order, so the
+    search is the same as one ratio at a time.
     """
     rng = np.random.default_rng(seed)
     n = op.n_atoms
-    evals = 0
 
-    def ratio(f: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        nf = luxemburg_norm(op.space, phi, f)
-        return 0.0 if nf == 0.0 else luxemburg_norm(op.space, phi, op.apply(f)) / nf
+    def ratios(fs: np.ndarray) -> np.ndarray:
+        """||T f|| / ||f|| per row, 0 where f = 0, from one batched bisection."""
+        nf, ntf = luxemburg_norm(op.space, phi, np.stack([fs, op.apply(fs)]))
+        return np.divide(ntf, nf, out=np.zeros_like(nf), where=nf != 0.0)
 
     eu = np.abs(mean_multiplier(op))
     b_star = int(np.argmax(eu))
@@ -150,7 +158,8 @@ def norm_estimate(
     for _ in range(restarts):
         starts.append(signed_log_uniform(rng, n, 0.1, 10.0))
 
-    scored = sorted(((ratio(s), i) for i, s in enumerate(starts)), reverse=True)
+    scored = sorted(zip(ratios(np.stack(starts)).tolist(), range(len(starts))), reverse=True)
+    evals = len(starts)
     if scored[0][0] > best_r:
         best_r, best_f = scored[0][0], starts[scored[0][1]].copy()
 
@@ -160,19 +169,35 @@ def norm_estimate(
         step = 0.5
         while step > 1e-4 and evals < budget:
             improved = False
-            for i in coords:
-                base = f[i]
-                scale = max(abs(base), 0.1 * float(np.max(np.abs(f))), 1e-6)
-                for delta in (step * scale, -step * scale):
-                    f[i] = base + delta
-                    cand = ratio(f)
-                    if cand > r * (1.0 + 1e-12):
-                        r = cand
+            j = 0
+            while j < len(coords) and evals < budget:
+                # Each coordinate costs at least one evaluation, so no more
+                # than budget - evals of them can be reached from here.
+                batch = coords[j : j + budget - evals]
+                peak = 0.1 * float(np.max(np.abs(f)))
+                props = np.repeat(f[None], 2 * len(batch), axis=0)
+                for k, i in enumerate(batch):
+                    base = f[i]
+                    scale = max(abs(base), peak, 1e-6)
+                    props[2 * k, i] = base + step * scale
+                    props[2 * k + 1, i] = base + -step * scale
+                cands = ratios(props)
+                # Walk the batch in order: the first improvement is accepted and
+                # the proposals after it, built from the old f, are dropped.
+                for k, i in enumerate(batch):
+                    j += 1
+                    hit = None
+                    for row in (2 * k, 2 * k + 1):
+                        evals += 1
+                        if cands[row] > r * (1.0 + 1e-12):
+                            hit = row
+                            break
+                    if hit is not None:
+                        r = float(cands[hit])
+                        f[i] = props[hit, i]
                         improved = True
+                    if hit is not None or evals >= budget:
                         break
-                    f[i] = base
-                if evals >= budget:
-                    break
             if not improved:
                 step *= 0.5
         if r > best_r:

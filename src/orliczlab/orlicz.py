@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import BracketFailure, NotSuperlinear, PreconditionViolated
-from .measure import MeasureSpace, cond_exp
+from .measure import MeasureSpace, _rows, cond_exp
 from .young import YoungFunction, evaluate, inverse
 
 __all__ = [
@@ -28,50 +28,59 @@ __all__ = [
 NORM_TOL = 1e-10
 
 
-def modular(space: MeasureSpace, phi: YoungFunction, f: np.ndarray) -> float:
-    """Weighted sum of phi(|f|) over the atoms."""
+def modular(space: MeasureSpace, phi: YoungFunction, f: np.ndarray):
+    """Weighted sum of phi(|f|) over the atoms: a float for shape (n,), one per row for (..., n)."""
     f = np.asarray(f, dtype=float)
     return space.integrate(evaluate(phi, f))
 
 
-def luxemburg_norm(
-    space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: float = NORM_TOL
-) -> float:
+def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: float = NORM_TOL):
     """inf over k > 0 of modular(f/k) <= 1, by bisection on the monotone modular.
 
+    One function (a SimpleFunction or shape (n,)) gives a float; a batch of
+    shape (..., n) gives one norm per row.  All rows are bisected together,
+    each under its own mask and with the scalar step, so every row is
+    bit-identical to a single call.
     The initial bracket upper end k0 = max|f| / phi^{-1}(1 / mu(total)) always
     satisfies modular(f/k0) <= 1, because each atom contributes at most
     w_i * (1/mu) <= 1 in total.  The returned value is the upper end of the
-    final bracket, so modular(f/result) <= 1 holds by construction.  A
-    bracket that stays infeasible after 200 doublings raises BracketFailure.
+    final bracket, so modular(f/result) <= 1 holds by construction.  A row
+    whose bracket stays infeasible after 200 doublings raises BracketFailure.
     """
     if not phi.superlinear:
         raise NotSuperlinear("the Luxemburg norm needs a superlinear kind")
-    f = np.asarray(f, dtype=float)
-    peak = float(np.max(np.abs(f))) if f.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    hi = peak / inverse(phi, 1.0 / space.total)
-    if modular(space, phi, f / hi) > 1.0:
-        # Numerical slack at the theoretical bracket; widen until feasible.
-        for _ in range(200):
-            hi *= 2.0
-            if modular(space, phi, f / hi) <= 1.0:
-                break
-        else:
-            raise BracketFailure("no feasible scale for the Luxemburg norm within 200 doublings")
-    lo = 0.0
+    f = _rows(space, f)
+    rows = f.reshape(-1, space.n_atoms)
+    peak = np.max(np.abs(rows), axis=-1, initial=0.0)
+    hi = np.zeros_like(peak)
+    live = np.flatnonzero(peak != 0.0)
+    if live.size:
+        hi[live] = peak[live] / inverse(phi, 1.0 / space.total)
+    # Numerical slack at the theoretical bracket; widen until feasible.  A NaN
+    # modular is not > 1, so it counts as feasible.
+    wide = live[modular(space, phi, rows[live] / hi[live, None]) > 1.0]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
+        if not wide.size:
             break
-        if modular(space, phi, f / mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, hi):
+        hi[wide] *= 2.0
+        wide = wide[modular(space, phi, rows[wide] / hi[wide, None]) > 1.0]
+    if wide.size:
+        raise BracketFailure("no feasible scale for the Luxemburg norm within 200 doublings")
+    lo = np.zeros_like(hi)
+    # The stop tests are negated `<=`, not `>`, so a NaN row keeps bisecting.
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        go = ~(mid <= 0.0)
+        live, mid = live[go], mid[go]
+        if not live.size:
             break
-    return hi
+        feasible = modular(space, phi, rows[live] / mid[:, None]) <= 1.0
+        hi[live[feasible]] = mid[feasible]
+        lo[live[~feasible]] = mid[~feasible]
+        live = live[~(hi[live] - lo[live] <= tol * np.maximum(1.0, hi[live]))]
+    if f.ndim == 1:
+        return float(hi[0])
+    return hi.reshape(f.shape[:-1])
 
 
 def luxemburg_norm_closed_form(
@@ -115,13 +124,15 @@ def contraction_check(
     """Verify the averaging projection does not increase the Luxemburg norm.
 
     The mechanism is the convexity inequality phi(|E f| / k) <= E(phi(|f| / k))
-    pointwise, so every scale feasible for f stays feasible for E f.
+    pointwise, so every scale feasible for f stays feasible for E f.  f may be
+    a batch of shape (..., n): the norms are reported per row, and `holds`
+    needs every row.
     """
     f = np.asarray(f, dtype=float)
     nf = luxemburg_norm(space, phi, f)
     nef = luxemburg_norm(space, phi, cond_exp(space, partition, f))
     return {
-        "holds": nef <= nf * (1.0 + tol) + tol,
+        "holds": bool(np.all(nef <= nf * (1.0 + tol) + tol)),
         "norm_f": nf,
         "norm_Ef": nef,
         "slack": nf - nef,

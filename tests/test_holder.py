@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczlab import young
 from orliczlab.errors import ConjugateMismatch, NonPositiveInput
@@ -75,6 +77,21 @@ class TestRatio:
         for c in (1e-3, 1e3):
             scaled = conditional_holder_ratio(space, part, phi, psi, c * f, g)
             assert scaled == pytest.approx(base, rel=1e-9)
+
+    @given(st.integers(0, 10_000), st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_weight_scaling(self, seed, c):
+        # Every factor is a conditional expectation, a ratio of weighted sums,
+        # so scaling every weight by c > 0 changes the ratio only by rounding.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        weights = rng.uniform(0.1, 10.0, n)
+        part = Partition(np.arange(n) % int(rng.integers(1, n + 1)))
+        phi, psi = (scaled_pair(3.0), (young.exp_type(), young.log_type()))[seed % 2]
+        f, g = rng.normal(0.0, 2.0, (2, n))
+        base = conditional_holder_ratio(MeasureSpace(weights), part, phi, psi, f, g, check_pair=False)
+        scaled = conditional_holder_ratio(MeasureSpace(c * weights), part, phi, psi, f, g, check_pair=False)
+        assert scaled == pytest.approx(base, rel=1e-12)
 
 
 class TestEmpiricalConstant:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczlab import young
 from orliczlab.errors import (
@@ -28,7 +30,7 @@ from orliczlab.operators import (
     truncation_gap_check,
 )
 from orliczlab.orlicz import luxemburg_norm
-from orliczlab.sampling import random_partition, random_space
+from orliczlab.sampling import random_partition, random_space, signed_log_uniform
 
 
 def demo_op():
@@ -179,6 +181,99 @@ class TestNormEstimate:
             upper = norm_upper_bound(op, phi, psi, c)
             lower, _ = norm_estimate(op, phi, budget=120, seed=seed)
             assert lower <= upper * (1.0 + 1e-6)
+
+
+def sequential_norm_estimate(op, phi, budget, seed, restarts=3):
+    """The one-ratio-at-a-time search that the batched norm_estimate must
+    reproduce bitwise; also returns the evaluation count and whether the budget
+    ran out inside a sweep, before its last coordinate."""
+    rng = np.random.default_rng(seed)
+    n = op.n_atoms
+    evals = 0
+
+    def ratio(f):
+        nonlocal evals
+        evals += 1
+        nf = luxemburg_norm(op.space, phi, f)
+        return 0.0 if nf == 0.0 else luxemburg_norm(op.space, phi, op.apply(f)) / nf
+
+    eu = np.abs(mean_multiplier(op))
+    b_star = int(np.argmax(eu))
+    best_r = float(eu[b_star])
+    best_f = (op.partition.labels == b_star).astype(float)
+
+    starts = [best_f]
+    if np.any(op.u != 0.0):
+        starts.append(op.u.copy())
+    starts.append(np.ones(n))
+    for _ in range(restarts):
+        starts.append(signed_log_uniform(rng, n, 0.1, 10.0))
+
+    scored = sorted(((ratio(s), i) for i, s in enumerate(starts)), reverse=True)
+    if scored[0][0] > best_r:
+        best_r, best_f = scored[0][0], starts[scored[0][1]].copy()
+
+    mid_sweep = False
+    coords = np.arange(n) if n <= 32 else rng.permutation(n)[:32]
+    for r, idx in scored[:restarts]:
+        f = starts[idx].copy()
+        step = 0.5
+        while step > 1e-4 and evals < budget:
+            improved = False
+            for pos, i in enumerate(coords):
+                base = f[i]
+                scale = max(abs(base), 0.1 * float(np.max(np.abs(f))), 1e-6)
+                for delta in (step * scale, -step * scale):
+                    f[i] = base + delta
+                    cand = ratio(f)
+                    if cand > r * (1.0 + 1e-12):
+                        r = cand
+                        improved = True
+                        break
+                    f[i] = base
+                if evals >= budget:
+                    mid_sweep = mid_sweep or pos < len(coords) - 1
+                    break
+            if not improved:
+                step *= 0.5
+        if r > best_r:
+            best_r, best_f = r, f
+    return best_r, best_f, evals, mid_sweep
+
+
+class TestBatchedNormSearch:
+    """norm_estimate scores its ratios in batches; the search must not change."""
+
+    def test_equals_the_sequential_search_bitwise(self):
+        # 10, 2 and 38 atoms, then 48 atoms of which 32 coordinates are sampled.
+        ops = [random_op(700, n_hi=40)[0], random_op(701)[0], random_op(703, n_hi=40)[0]]
+        ops.append(RefinementFamily("reciprocal", (24,)).member(24))
+        kinds = (young.scaled_power(2.0), young.exp_type(), young.conjugate_power(3.0), young.exp_type())
+        ran_out_mid_sweep = over_budget = 0
+        for k, (op, phi) in enumerate(zip(ops, kinds)):
+            for seed, budget in ((k, 4), (k + 1, 23), (k + 2, 61)):
+                got_r, got_f = norm_estimate(op, phi, budget=budget, seed=seed)
+                want_r, want_f, evals, mid_sweep = sequential_norm_estimate(op, phi, budget, seed)
+                assert got_r == want_r and type(got_r) is float
+                assert np.array_equal(got_f, want_f)
+                # The documented bound on ratio evaluations, and its +1 is reached.
+                assert evals <= max(budget + 1, 3 + 3)
+                over_budget += evals == budget + 1
+                ran_out_mid_sweep += mid_sweep
+        assert ran_out_mid_sweep > 0 and over_budget > 0
+
+
+@given(st.integers(0, 10_000), st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_spectrum_is_invariant_under_weight_scaling(seed, c):
+    # E is a ratio of weighted sums, so scaling every weight by c > 0 changes
+    # neither the block means nor the matrix beyond rounding.
+    op, _ = random_op(seed)
+    scaled = WeightedConditionalExpectation(MeasureSpace(c * op.space.weights), op.partition, op.u)
+    a, b = spectrum(op), spectrum(scaled)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(op.u))))
+    assert np.allclose(b.predicted, a.predicted, rtol=1e-12, atol=tol)
+    assert np.allclose(b.computed, a.computed, rtol=1e-12, atol=tol)
 
 
 class TestLevelSetsAndTruncation:

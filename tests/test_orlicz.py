@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import orlicz, young
-from orliczlab.errors import BracketFailure, NotSuperlinear, PreconditionViolated
+from orliczlab.errors import BracketFailure, NotSuperlinear, PreconditionViolated, SpaceMismatch
 from orliczlab.measure import MeasureSpace, Partition
 from orliczlab.orlicz import (
     contraction_check,
@@ -143,9 +143,111 @@ class TestLuxemburgNorm:
 
     def test_infeasible_bracket_fails_loudly(self, monkeypatch):
         # A modular that never drops to 1: every widened bracket stays infeasible.
-        monkeypatch.setattr(orlicz, "modular", lambda space, phi, f: 2.0)
+        # It returns one value per row, as the batched bisection expects.
+        monkeypatch.setattr(orlicz, "modular", lambda space, phi, f: np.full(np.shape(f)[:-1], 2.0))
         with pytest.raises(BracketFailure):
             luxemburg_norm(unit_space(2), young.scaled_power(2.0), np.ones(2))
+
+
+def same_bits(a, b):
+    """Bitwise equality of float arrays, NaN matching NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+SUPERLINEAR = (
+    young.power(2.0),
+    young.scaled_power(2.5),
+    young.conjugate_power(3.0),
+    young.exp_type(),
+    young.log_type(),
+)
+
+
+class TestBatch:
+    """(..., n) input: one bisection over all rows, each row bitwise a single call."""
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_rows_equal_single_calls_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        space = MeasureSpace(rng.uniform(0.1, 3.0, n))
+        for phi in SUPERLINEAR:
+            fs = rng.normal(0.0, 1.0, (7, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (7, 1))
+            fs[0] = 0.0
+            fs[1, : (n + 1) // 2] = 0.0
+            fs[2] = np.inf
+            with np.errstate(invalid="ignore"):  # inf / inf in the all-inf row
+                norms = luxemburg_norm(space, phi, fs)
+                singles = [luxemburg_norm(space, phi, f) for f in fs]
+                assert same_bits(modular(space, phi, fs), [modular(space, phi, f) for f in fs])
+                assert same_bits(luxemburg_norm(space, phi, fs.reshape(7, 1, n)), norms.reshape(7, 1))
+            assert same_bits(norms, singles)
+            assert all(type(x) is float for x in singles)
+            assert norms[0] == 0.0 and norms[2] == math.inf
+
+    def test_empty_batch(self):
+        norms = luxemburg_norm(unit_space(3), young.power(2.0), np.zeros((0, 3)))
+        assert norms.shape == (0,)
+
+    @pytest.mark.parametrize("f", [np.zeros(2), np.zeros(0), np.zeros((4, 2)), 1.0])
+    def test_rejects_a_wrong_trailing_length(self, f):
+        # Zero rows need no bisection, so the length is checked up front.
+        with pytest.raises(SpaceMismatch):
+            luxemburg_norm(unit_space(3), young.power(2.0), f)
+
+    def test_widened_rows_equal_single_calls_bitwise(self):
+        # Rounding puts the theoretical bracket of a constant function just
+        # outside the feasible set on this space, so the bisection must widen.
+        space = MeasureSpace([1.361, 0.314, 0.775])
+        phi = young.scaled_power(2.0)
+        assert modular(space, phi, np.ones(3) / (1.0 / young.inverse(phi, 1.0 / space.total))) > 1.0
+        fs = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+        norms = luxemburg_norm(space, phi, fs)
+        assert same_bits(norms, [luxemburg_norm(space, phi, f) for f in fs])
+        assert modular(space, phi, fs[0] / norms[0]) <= 1.0
+
+    def test_one_unbracketable_row_fails_the_batch(self, monkeypatch):
+        # An inverse 2**220 too large shrinks every bracket by that factor.  With
+        # phi = x**2 the row peaking on the atom of weight 1e-30 needs about 171
+        # doublings and succeeds; the flat row needs about 220 and fails.
+        space = MeasureSpace([1e-30, 1.0])
+        phi = young.power(2.0)
+        monkeypatch.setattr(orlicz, "inverse", lambda phi, t: 2.0**220)
+        fs = np.array([[1.0, 0.0], [-3.0, 0.0], [0.0, 0.0]])
+        norms = luxemburg_norm(space, phi, fs)
+        assert same_bits(norms, [luxemburg_norm(space, phi, f) for f in fs])
+        assert norms[0] == pytest.approx(1e-15, rel=1e-9)
+        with pytest.raises(BracketFailure):
+            luxemburg_norm(space, phi, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_is_invariant_under_atom_permutation(self, seed):
+        # Permuting atoms reorders the modular's sum, so each norm may move
+        # within its final bracket, NORM_TOL * max(1, norm), but no further.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        weights = rng.uniform(0.1, 10.0, n)
+        phi = SUPERLINEAR[seed % len(SUPERLINEAR)]
+        fs = rng.normal(0.0, 1.0, (6, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+        perm = rng.permutation(n)
+        norms = luxemburg_norm(MeasureSpace(weights), phi, fs)
+        permuted = luxemburg_norm(MeasureSpace(weights[perm]), phi, fs[:, perm])
+        assert np.all(np.abs(permuted - norms) <= 2 * orlicz.NORM_TOL * np.maximum(1.0, norms))
+
+    def test_contraction_rows_equal_single_calls_bitwise(self):
+        rng = np.random.default_rng(44)
+        space = MeasureSpace(rng.uniform(0.5, 2.0, 9))
+        part = Partition(np.arange(9) % 4)
+        for phi in (young.scaled_power(2.0), young.exp_type()):
+            fs = rng.normal(0.0, 3.0, (20, 9))
+            fs[3] = 0.0
+            batch = contraction_check(space, part, phi, fs)
+            singles = [contraction_check(space, part, phi, f) for f in fs]
+            assert batch["holds"] is True
+            for key in ("norm_f", "norm_Ef", "slack"):
+                assert same_bits(batch[key], [s[key] for s in singles])
+            assert all(type(s["norm_f"]) is float for s in singles)
 
 
 class TestContraction:
