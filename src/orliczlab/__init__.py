@@ -19,7 +19,6 @@ from .holder import (
     empirical_holder_constant,
     holder_from_domination,
     normalization_constants,
-    product_bound_check,
 )
 from .measure import (
     MeasureSpace,
@@ -28,7 +27,6 @@ from .measure import (
     SimpleFunction,
     build_rotation_space,
     build_symmetric_space,
-    check_averaging,
     cond_exp,
     domination_constant,
     generalized_jensen_check,
@@ -40,10 +38,10 @@ from .operators import (
     SpectrumReport,
     WeightedConditionalExpectation,
     boundedness_classifier,
+    essential_gap,
     essential_norm_bound,
     level_set,
     mean_multiplier,
-    mean_multiplier_sup,
     multiplier_levels,
     norm_estimate,
     norm_upper_bound,
@@ -58,7 +56,6 @@ from .orlicz import (
     luxemburg_norm,
     luxemburg_norm_closed_form,
     modular,
-    norm_monotonicity_check,
 )
 from .scenarios import (
     BUILTIN_ORDER,
@@ -118,7 +115,6 @@ __all__ = [
     "cond_exp",
     "build_symmetric_space",
     "build_rotation_space",
-    "check_averaging",
     "jensen_check",
     "generalized_jensen_check",
     "domination_constant",
@@ -128,13 +124,11 @@ __all__ = [
     "luxemburg_norm_closed_form",
     "indicator_norm",
     "contraction_check",
-    "norm_monotonicity_check",
     # holder
     "HolderReport",
     "conditional_holder_ratio",
     "empirical_holder_constant",
     "normalization_constants",
-    "product_bound_check",
     "holder_from_domination",
     # operators
     "WeightedConditionalExpectation",
@@ -142,13 +136,13 @@ __all__ = [
     "SpectrumReport",
     "RefinementFamily",
     "mean_multiplier",
-    "mean_multiplier_sup",
     "multiplier_levels",
     "norm_upper_bound",
     "norm_estimate",
     "level_set",
     "truncate",
     "truncation_gap_check",
+    "essential_gap",
     "essential_norm_bound",
     "spectrum",
     "resolvent_check",

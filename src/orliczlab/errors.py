@@ -13,16 +13,8 @@ class SpaceMismatch(OrliczLabError):
     """A function is bound to a different measure space than the operation expects."""
 
 
-class NotMeasurable(OrliczLabError):
-    """A function required to be constant on partition blocks varies within a block."""
-
-
 class NegativeInput(OrliczLabError, ValueError):
     """An operation restricted to nonnegative functions received negative values."""
-
-
-class NonPositiveInput(OrliczLabError, ValueError):
-    """An operation restricted to strictly positive functions received a non-positive value."""
 
 
 class PreconditionViolated(OrliczLabError, ValueError):

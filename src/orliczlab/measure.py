@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NegativeInput, NotMeasurable, SpaceMismatch
+from .errors import ConfigError, NegativeInput, SpaceMismatch
 
 __all__ = [
     "MeasureSpace",
@@ -23,11 +23,8 @@ __all__ = [
     "as_values",
     "block_mean",
     "cond_exp",
-    "block_values",
-    "is_block_constant",
     "build_symmetric_space",
     "build_rotation_space",
-    "check_averaging",
     "jensen_check",
     "MinOfLinear",
     "generalized_jensen_check",
@@ -112,13 +109,6 @@ class Partition:
     def block_measures(self, space: MeasureSpace) -> np.ndarray:
         self._check_space(space)
         return np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
-
-    def is_refinement_of(self, coarser: "Partition") -> bool:
-        """True when every block of self sits inside a single block of `coarser`."""
-        if self.n_atoms != coarser.n_atoms:
-            return False
-        _, first = np.unique(self.labels, return_index=True)
-        return bool(np.all(coarser.labels == coarser.labels[first][self.labels]))
 
     def _check_space(self, space: MeasureSpace) -> None:
         if self.n_atoms != space.n_atoms:
@@ -211,18 +201,6 @@ def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:
     return block_mean(space, partition, _rows(space, f))[..., partition.labels]
 
 
-def block_values(partition: Partition, values: np.ndarray) -> np.ndarray:
-    """One representative value per block for a block-constant function."""
-    _, first = np.unique(partition.labels, return_index=True)
-    return np.asarray(values, dtype=float)[first]
-
-
-def is_block_constant(partition: Partition, values: np.ndarray, tol: float = 0.0) -> bool:
-    values = np.asarray(values, dtype=float)
-    rep = block_values(partition, values)[partition.labels]
-    return bool(np.all(np.abs(values - rep) <= tol))
-
-
 def build_symmetric_space(n_half: int) -> tuple[MeasureSpace, Partition]:
     """The interval [-1, 1] with half-Lebesgue measure, cut into 2*n_half equal cells.
 
@@ -254,28 +232,6 @@ def build_rotation_space(n: int, cells_per_block_orbit: int) -> tuple[MeasureSpa
     mids = tuple((i + 0.5) / total for i in range(total))
     labels = np.arange(total) % m
     return MeasureSpace(np.full(total, 1.0 / total), labels=mids), Partition(labels)
-
-
-def check_averaging(
-    space: MeasureSpace,
-    partition: Partition,
-    f: np.ndarray,
-    g: np.ndarray,
-    tol: float = 1e-12,
-) -> dict:
-    """Verify E(f*g) = E(f)*g for a block-constant g.
-
-    Raises NotMeasurable when g is not block-constant, since the identity is
-    only meaningful for measurable multipliers.
-    """
-    g = as_values(space, g)
-    if not is_block_constant(partition, g):
-        raise NotMeasurable("g is not constant on partition blocks")
-    lhs = cond_exp(space, partition, as_values(space, f) * g)
-    rhs = cond_exp(space, partition, f) * g
-    err = float(np.max(np.abs(lhs - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return {"holds": err <= tol * scale, "max_error": err, "scale": scale}
 
 
 def jensen_check(

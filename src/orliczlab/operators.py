@@ -32,13 +32,13 @@ __all__ = [
     "SpectrumReport",
     "RefinementFamily",
     "mean_multiplier",
-    "mean_multiplier_sup",
     "multiplier_levels",
     "norm_upper_bound",
     "norm_estimate",
     "level_set",
     "truncate",
     "truncation_gap_check",
+    "essential_gap",
     "essential_norm_bound",
     "spectrum",
     "resolvent_check",
@@ -91,11 +91,6 @@ def mean_multiplier(op: WeightedConditionalExpectation) -> np.ndarray:
     return block_mean(op.space, op.partition, op.u)
 
 
-def mean_multiplier_sup(op: WeightedConditionalExpectation) -> float:
-    """max over blocks of |E(u)|, the essential sup on a finite space."""
-    return float(np.max(np.abs(mean_multiplier(op))))
-
-
 def multiplier_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> np.ndarray:
     """psi^{-1}(E(psi(|u|))) as one value per block; the level function of the theory."""
     return inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u)))
@@ -113,30 +108,34 @@ def norm_upper_bound(
     return C * float(np.max(levels)) if levels.size else 0.0
 
 
+# Random starts of norm_estimate, and how many of the best starts it ascends from.
+NORM_RESTARTS = 3
+
+
 def norm_estimate(
     op: WeightedConditionalExpectation,
     phi: YoungFunction,
     budget: int = 400,
     seed: int = 0,
-    restarts: int = 3,
 ) -> tuple[float, np.ndarray]:
     """Certified lower bound on the operator norm, with the function achieving it.
 
     Block indicators are exact extremal candidates: T maps the indicator of
     block B to E(u)(B) times itself, so the norm ratio is |E(u)(B)| with no
     bisection error, and the best block seeds the search analytically.  The
-    multiplier itself and seeded random vectors are then scored numerically and
-    the best starts improved by first-improvement coordinate ascent with a
-    shrinking step.  Every candidate ratio is a true lower bound, so the
-    maximum is certified, and the result is deterministic given the seed.
+    multiplier itself and NORM_RESTARTS seeded random vectors are then scored
+    numerically, and the NORM_RESTARTS best starts are improved by
+    first-improvement coordinate ascent with a shrinking step.  Every candidate
+    ratio is a true lower bound, so the maximum is certified, and the result
+    is deterministic given the seed.
 
     `budget` stops the ascent, not the scoring: all starts (at most
-    restarts + 3) are scored, and the ascent tests the budget only after both
-    steps of a coordinate, so at most max(budget + 1, restarts + 3) ratios are
-    evaluated, each from two Luxemburg norms.  Ratios are computed in batches
-    (all starts at once, then both steps of every coordinate the budget can
-    still reach), and a batch is walked in the sequential order, so the
-    search is the same as one ratio at a time.
+    NORM_RESTARTS + 3) are scored, and the ascent tests the budget only after
+    both steps of a coordinate, so at most max(budget + 1, NORM_RESTARTS + 3)
+    ratios are evaluated, each from two Luxemburg norms.  Ratios are computed
+    in batches (all starts at once, then both steps of every coordinate the
+    budget can still reach), and a batch is walked in the sequential order,
+    so the search is the same as one ratio at a time.
     """
     rng = np.random.default_rng(seed)
     n = op.n_atoms
@@ -155,7 +154,7 @@ def norm_estimate(
     if np.any(op.u != 0.0):
         starts.append(op.u.copy())
     starts.append(np.ones(n))
-    for _ in range(restarts):
+    for _ in range(NORM_RESTARTS):
         starts.append(signed_log_uniform(rng, n, 0.1, 10.0))
 
     scored = sorted(zip(ratios(np.stack(starts)).tolist(), range(len(starts))), reverse=True)
@@ -164,7 +163,7 @@ def norm_estimate(
         best_r, best_f = scored[0][0], starts[scored[0][1]].copy()
 
     coords = np.arange(n) if n <= 32 else rng.permutation(n)[:32]
-    for r, idx in scored[:restarts]:
+    for r, idx in scored[:NORM_RESTARTS]:
         f = starts[idx].copy()
         step = 0.5
         while step > 1e-4 and evals < budget:
@@ -306,15 +305,29 @@ class RefinementFamily:
         return [(m, self.member(m)) for m in self.sizes]
 
 
-def _finite_level_threshold(levels: np.ndarray, cutoff: int) -> float:
-    """inf of epsilon with at most `cutoff` blocks at level >= epsilon.
+# How far above beta the essential-norm surrogate tests the truncation gap.
+ESSENTIAL_DELTA = 0.05
 
-    That infimum is the (cutoff+1)-th largest level, or 0 when there are no
-    more than `cutoff` blocks in total.
+
+def essential_gap(
+    op: WeightedConditionalExpectation,
+    phi: YoungFunction,
+    psi: YoungFunction,
+    C: float,
+    budget: int,
+    seed: int,
+) -> dict:
+    """Truncation gap at epsilon = beta + ESSENTIAL_DELTA, checked against C*epsilon.
+
+    beta is the smallest epsilon whose level set fits within K = max(1,
+    n_blocks // 4) blocks ("finitely many" at desk scale): the (K+1)-th
+    largest level, or 0 when there are no more than K blocks.
     """
-    if levels.size <= cutoff:
-        return 0.0
-    return float(np.sort(levels)[::-1][cutoff])
+    cutoff = max(1, op.partition.n_blocks // 4)
+    levels = np.sort(multiplier_levels(op, psi))[::-1]
+    beta = float(levels[cutoff]) if levels.size > cutoff else 0.0
+    gap = truncation_gap_check(op, phi, psi, C, beta + ESSENTIAL_DELTA, budget=budget, seed=seed)
+    return {"cutoff": cutoff, "beta": beta, **gap}
 
 
 def essential_norm_bound(
@@ -322,35 +335,17 @@ def essential_norm_bound(
     phi: YoungFunction,
     psi: YoungFunction,
     C: float,
-    cutoff_fraction: float = 0.25,
-    delta: float = 0.05,
     budget: int = 150,
     seed: int = 0,
 ) -> dict:
     """Track the essential-norm surrogate beta_m across a refinement family.
 
-    beta_m is the smallest epsilon whose level set fits within K = m * cutoff
-    blocks ("finitely many" at desk scale).  For each member the truncation gap
-    at epsilon = beta_m + delta is estimated and required to stay below
-    C*(beta_m + delta); the sequence of beta_m values is reported as the trend.
+    Each member m runs essential_gap: beta_m is the smallest epsilon whose level
+    set fits within max(1, m // 4) blocks, and the truncation gap at
+    beta_m + ESSENTIAL_DELTA must stay below C*(beta_m + ESSENTIAL_DELTA).  The
+    sequence of beta_m values is reported as the trend.
     """
-    rows = []
-    for m, op in family.members():
-        cutoff = max(1, int(m * cutoff_fraction))
-        beta = _finite_level_threshold(multiplier_levels(op, psi), cutoff)
-        eps = beta + delta
-        gap = truncation_gap_check(op, phi, psi, C, eps, budget=budget, seed=seed)
-        rows.append(
-            {
-                "m": m,
-                "cutoff": cutoff,
-                "beta": beta,
-                "epsilon": eps,
-                "gap_lower_bound": gap["gap_lower_bound"],
-                "bound": gap["bound"],
-                "holds": gap["holds"],
-            }
-        )
+    rows = [{"m": m, **essential_gap(op, phi, psi, C, budget, seed)} for m, op in family.members()]
     betas = [row["beta"] for row in rows]
     decreasing = all(b2 <= b1 * 1.01 for b1, b2 in zip(betas, betas[1:]))
     return {
@@ -370,12 +365,12 @@ class SpectrumReport:
     max_match_distance: float
 
 
-def spectrum(op: WeightedConditionalExpectation, imag_tol: float = 1e-8) -> SpectrumReport:
+def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     """Predicted eigenvalues {E(u)(B)} plus 0 with multiplicity atoms - blocks.
 
     The oracle asserts that the dense matrix is zero off its diagonal blocks,
     then solves each diagonal block densely.  The structural prediction is
-    real, so any oracle eigenvalue with imaginary part above imag_tol is
+    real, so any oracle eigenvalue with imaginary part above 1e-8 is
     rejected as a diagnostic rather than rounded away.  Both multisets are
     sorted; for real values sorted order is the optimal pairing, and the
     report carries the largest paired distance.
@@ -389,7 +384,7 @@ def spectrum(op: WeightedConditionalExpectation, imag_tol: float = 1e-8) -> Spec
     blocks = (op.partition.block_members(b) for b in range(op.partition.n_blocks))
     raw = np.concatenate([np.linalg.eigvals(m[np.ix_(b, b)]) for b in blocks])
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > imag_tol:
+    if worst_imag > 1e-8:
         raise SpectralOracleError(
             f"oracle produced imaginary parts up to {worst_imag:.3g}; "
             "the structural prediction is real"
@@ -440,35 +435,32 @@ def boundedness_classifier(
     psi: YoungFunction,
     C: float,
     flags: dict,
-    eps_grid: np.ndarray | None = None,
-    stability_window: float = 0.01,
 ) -> dict:
     """Trend verdicts for boundedness and compactness on a refinement family.
 
     Bounded: the running sup of the level function stabilizes across sizes
-    (relative change within the stability window).  Compact: the level-set
-    count stabilizes for every epsilon on the grid.  The criteria are only
-    licensed under hypotheses the caller must assert via flags: 'gcthi' (a
-    certified Hölder constant, passed as C) for the boundedness criterion and
-    additionally 'delta_prime' for the compactness criterion; missing flags
-    raise HypothesisMissing for the verdicts they license.
+    (relative change within 1 %).  Compact: the level-set count stabilizes
+    for every epsilon on a log grid of 8 points from 0.1 to 2.  The criteria
+    are only licensed under hypotheses the caller must assert via flags:
+    'gcthi' (a certified Hölder constant, passed as C) for the boundedness
+    criterion and additionally 'delta_prime' for the compactness criterion;
+    missing flags raise HypothesisMissing for the verdicts they license.
     """
     has_gcthi = bool(flags.get("gcthi"))
     has_dp = bool(flags.get("delta_prime"))
     if not has_gcthi:
         raise HypothesisMissing("the boundedness criterion needs the 'gcthi' flag")
-    if eps_grid is None:
-        eps_grid = np.geomspace(0.1, 2.0, 8)
+    grid = np.geomspace(0.1, 2.0, 8)
 
     sups = []
     counts = []
     for _, op in family.members():
         levels = multiplier_levels(op, psi)
         sups.append(float(np.max(levels)))
-        counts.append([int(np.sum(levels >= e)) for e in eps_grid])
+        counts.append([int(np.sum(levels >= e)) for e in grid])
 
     bounded = all(
-        abs(b - a) <= stability_window * max(abs(a), 1e-300) for a, b in zip(sups, sups[1:])
+        abs(b - a) <= 0.01 * max(abs(a), 1e-300) for a, b in zip(sups, sups[1:])
     )
     compact: bool | None
     if has_dp:
@@ -482,7 +474,7 @@ def boundedness_classifier(
         "compact": compact,
         "level_sups": sups,
         "level_counts": counts,
-        "eps_grid": [float(e) for e in eps_grid],
+        "eps_grid": [float(e) for e in grid],
         "C": C,
         "flags": {"gcthi": has_gcthi, "delta_prime": has_dp},
     }

@@ -22,7 +22,6 @@ __all__ = [
     "luxemburg_norm_closed_form",
     "indicator_norm",
     "contraction_check",
-    "norm_monotonicity_check",
 ]
 
 NORM_TOL = 1e-10
@@ -137,24 +136,3 @@ def contraction_check(
         "norm_Ef": nef,
         "slack": nf - nef,
     }
-
-
-def norm_monotonicity_check(
-    space: MeasureSpace,
-    phi: YoungFunction,
-    f: np.ndarray,
-    g: np.ndarray,
-    tol: float = 1e-9,
-) -> dict:
-    """Verify |f| <= |g| atomwise implies norm(f) <= norm(g).
-
-    Raises PreconditionViolated when the pointwise domination fails, because
-    the comparison is then vacuous rather than false.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.abs(f) <= np.abs(g)):
-        raise PreconditionViolated("need |f| <= |g| at every atom")
-    nf = luxemburg_norm(space, phi, f)
-    ng = luxemburg_norm(space, phi, g)
-    return {"holds": nf <= ng * (1.0 + tol) + tol, "norm_f": nf, "norm_g": ng}

@@ -24,6 +24,7 @@ from .holder import (
 from .measure import MinOfLinear, cond_exp, domination_constant, generalized_jensen_check, jensen_check
 from .operators import (
     WeightedConditionalExpectation,
+    essential_gap,
     essential_norm_bound,
     level_set,
     mean_multiplier,
@@ -33,7 +34,6 @@ from .operators import (
     resolvent_check,
     spectrum,
     truncate,
-    truncation_gap_check,
 )
 from .orlicz import NORM_TOL, contraction_check, luxemburg_norm
 from .sampling import signed_log_uniform
@@ -370,11 +370,7 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
         return checks
     op = mat.operator
     C = domination_holder_constant(op.space, op.partition)
-    cutoff = max(1, op.partition.n_blocks // 4)
-    levels = np.sort(multiplier_levels(op, psi))[::-1]
-    beta = float(levels[cutoff]) if levels.size > cutoff else 0.0
-    eps = beta + 0.05
-    gap = truncation_gap_check(op, phi, psi, C, eps, budget=150, seed=seed)
+    gap = essential_gap(op, phi, psi, C, budget=150, seed=seed)
     return [
         _check(
             "gap_within_scaled_threshold",
@@ -382,7 +378,7 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
             value=gap["gap_lower_bound"],
             bound=gap["bound"],
             tolerance=1e-6,
-            beta=beta,
+            beta=gap["beta"],
         )
     ]
 

@@ -36,7 +36,6 @@ __all__ = [
     "log_type",
     "piecewise_linear",
     "from_config",
-    "to_config",
     "evaluate",
     "inverse",
     "conjugate_closed_form",
@@ -103,8 +102,8 @@ class YoungFunction:
     def __call__(self, x):
         return evaluate(self, x)
 
-    def inverse(self, t, tol: float = BISECT_TOL):
-        return inverse(self, t, tol)
+    def inverse(self, t):
+        return inverse(self, t)
 
 
 def power(p: float) -> YoungFunction:
@@ -156,19 +155,19 @@ def from_config(fragment: dict) -> YoungFunction:
     if kind in ("exp_type", "log_type"):
         return YoungFunction(kind)
     if kind == "piecewise_linear":
-        try:
-            return piecewise_linear(fragment["breakpoints"], fragment["slopes"])
-        except KeyError as exc:
-            raise ConfigError(f"young.{exc.args[0]}: required for piecewise_linear") from exc
+        return piecewise_linear(*(_float_list(fragment, key) for key in ("breakpoints", "slopes")))
     raise ConfigError(f"young.kind: unknown kind {kind!r}")
 
 
-def to_config(phi: YoungFunction) -> dict:
-    if phi.kind in ("power", "scaled_power", "conjugate_power"):
-        return {"kind": phi.kind, "p": phi.p}
-    if phi.kind == "piecewise_linear":
-        return {"kind": phi.kind, "breakpoints": list(phi.breakpoints), "slopes": list(phi.slopes)}
-    return {"kind": phi.kind}
+def _float_list(fragment: dict, key: str) -> list[float]:
+    """fragment[key] as a list of finite numbers; a ConfigError names young.<key>."""
+    where = f"young.{key}"
+    if key not in fragment:
+        raise ConfigError(f"{where}: required for piecewise_linear")
+    values = fragment[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of numbers, got {values!r}")
+    return [_as_float(v, where) for v in values]
 
 
 def _conj_power_params(p: float) -> tuple[float, float]:
@@ -213,16 +212,17 @@ def _plc_sup(phi: YoungFunction) -> float:
     return 0.0 if all(s == 0.0 for s in phi.slopes) else math.inf
 
 
-def inverse(phi: YoungFunction, t, tol: float = BISECT_TOL):
-    """Nonnegative x with |phi(x) - t| <= tol * max(1, t), by the route of phi's kind.
+def inverse(phi: YoungFunction, t):
+    """Nonnegative x with |phi(x) - t| <= BISECT_TOL * max(1, t), by the route of phi's kind.
 
     - power, scaled_power, conjugate_power: closed form.
     - exp_type, log_type: Newton's method from an upper bracket, iterated until
       the decreasing iterate stops moving, i.e. to machine resolution.  It meets
-      every attainable tol (near float max it comes within about 1e-13 * t) and
-      lands within a few ulps of the root.
-    - piecewise_linear: bracketing plus bisection on [0, inf), valid because
-      phi is continuous and strictly increasing where it is positive.
+      BISECT_TOL (near float max it comes within about 1e-13 * t) and lands
+      within a few ulps of the root.
+    - piecewise_linear: bracketing plus bisection on [0, inf) down to
+      BISECT_TOL, valid because phi is continuous and strictly increasing
+      where it is positive.
 
     Scalars and ndarrays of targets are both accepted, and each result is
     independent of the batch it came in.  A target of +inf maps to +inf: it
@@ -246,7 +246,7 @@ def inverse(phi: YoungFunction, t, tol: float = BISECT_TOL):
     else:
         if not phi.superlinear and np.any(tt > _plc_sup(phi)):
             raise NonInvertible(f"target exceeds the range of {phi.kind}")
-        out = _bisect_inverse(phi, tt, tol)
+        out = _bisect_inverse(phi, tt, BISECT_TOL)
     return float(out) if scalar else out
 
 
@@ -358,13 +358,12 @@ def conjugate_closed_form(phi: YoungFunction) -> YoungFunction | None:
 def conjugate_numeric(
     phi: YoungFunction,
     y: float,
-    xmax_hint: float = 1.0,
     tol: float = CONJUGATE_TOL,
     max_doublings: int = 512,
 ) -> float:
     """sup over x >= 0 of x*y - phi(x), by ternary search on the concave objective.
 
-    The bracket is grown geometrically from xmax_hint until the objective
+    The bracket is grown geometrically from x = 1 until the objective
     decreases at the right endpoint; failure to bracket within max_doublings
     signals that phi grows at most linearly (BracketFailure).
     """
@@ -378,7 +377,7 @@ def conjugate_numeric(
         v = x * y - evaluate(phi, x)
         return v if math.isfinite(v) else -math.inf
 
-    hi = max(float(xmax_hint), 1e-12)
+    hi = 1.0
     prev = obj(hi)
     for _ in range(max_doublings):
         nxt = obj(2.0 * hi)
@@ -413,15 +412,15 @@ def conjugate_numeric(
 
 
 def conjugate_error(
-    phi: YoungFunction, psi: YoungFunction, probes, tol: float = CONJUGATE_TOL
+    phi: YoungFunction, psi: YoungFunction, ys, tol: float = CONJUGATE_TOL
 ) -> float:
-    """Max over probes y of |psi(y) - phi*(y)| / max(1, |phi*(y)|), phi* by conjugate_numeric.
+    """Max over y in ys of |psi(y) - phi*(y)| / max(1, |phi*(y)|), phi* by conjugate_numeric.
 
     `tol` is the numeric conjugation tolerance; a NaN anywhere propagates, so
     callers comparing with `err <= bound` reject it.
     """
     errs = []
-    for y in probes:
+    for y in ys:
         want = conjugate_numeric(phi, float(y), tol=tol)
         errs.append(abs(float(evaluate(psi, float(y))) - want) / max(1.0, abs(want)))
     return float(np.max(errs))
@@ -429,22 +428,16 @@ def conjugate_error(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling grid for growth-condition checks (log-spaced by default)."""
+    """Log-spaced sampling grid for growth-condition checks."""
 
     lo: float = 1e-3
     hi: float = 1e3
     n: int = 2048
-    log: bool = True
 
     def points(self, lo_floor: float = 0.0, n: int | None = None) -> np.ndarray:
         lo = max(self.lo, lo_floor)
         n = self.n if n is None else n
-        if self.log:
-            return np.logspace(math.log10(lo), math.log10(self.hi), n)
-        return np.linspace(lo, self.hi, n)
-
-    def scaled(self, factor: int) -> "GridSpec":
-        return GridSpec(self.lo, self.hi, self.n * factor, self.log)
+        return np.logspace(math.log10(lo), math.log10(self.hi), n)
 
 
 @dataclass(frozen=True)
@@ -462,10 +455,11 @@ class GrowthCertificate:
     observed: float
 
 
-def _stable_sup(sups: list[float], window: float = 0.01) -> bool:
+def _stable_sup(sups: list[float]) -> bool:
+    """Every sup finite, and each within 1 % of the one before."""
     if any(not math.isfinite(s) for s in sups):
         return False
-    return all(abs(b - a) <= window * max(abs(a), 1e-300) for a, b in zip(sups, sups[1:]))
+    return all(abs(b - a) <= 0.01 * max(abs(a), 1e-300) for a, b in zip(sups, sups[1:]))
 
 
 def check_delta2(
@@ -567,7 +561,7 @@ def check_ordering(
         candidates = np.logspace(-3, 3, 241)  # odd count so a = 1 is on the grid
 
     def smallest(hi: float) -> float | None:
-        xs = GridSpec(grid.lo, hi, grid.n, grid.log).points(lo_floor=x0)
+        xs = GridSpec(grid.lo, hi, grid.n).points(lo_floor=x0)
         lhs = evaluate(phi2, xs)
         for a in candidates:
             with np.errstate(over="ignore"):

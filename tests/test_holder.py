@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import young
-from orliczlab.errors import ConjugateMismatch, NonPositiveInput
+from orliczlab.errors import ConjugateMismatch
 from orliczlab.holder import (
     _ratio_atoms,
     conditional_holder_ratio,
     empirical_holder_constant,
     holder_from_domination,
     normalization_constants,
-    product_bound_check,
     verify_conjugate_pair,
 )
 from orliczlab.measure import (
@@ -113,16 +112,6 @@ class TestEmpiricalConstant:
         )
         assert again == pytest.approx(report.empirical_C, rel=1e-9)
 
-    def test_report_serializes(self):
-        space, part = build_symmetric_space(2)
-        report = empirical_holder_constant(
-            space, part, *scaled_pair(2.0), budget=100, seed=1, claimed_C=1.0
-        )
-        d = report.to_dict()
-        assert d["claimed_C"] == 1.0
-        assert len(d["worst_f"]) == 4
-        assert d["samples"] == 100
-
 
 class TestNormalizationConstants:
     def test_bounded_by_young_function_at_domination_constant(self):
@@ -141,34 +130,6 @@ class TestNormalizationConstants:
             space, part, phi, psi, budget=2_000, seed=3, claimed_C=c1 + c2
         )
         assert report.holds_with_claimed
-
-
-class TestProductBound:
-    def test_singleton_blocks_give_constant_one(self):
-        space = MeasureSpace([0.5, 1.5, 2.0])
-        part = Partition([0, 1, 2])
-        f = np.array([1.0, 2.0, 3.0])
-        g = np.array([0.5, 4.0, 1.0])
-        phi, psi = scaled_pair(2.0)
-        report = product_bound_check(space, part, f, g, C=1.0, phi=phi, psi=psi)
-        assert report["hypothesis_holds"]
-        assert report["conclusion_holds"]
-
-    def test_hypothesis_can_fail(self):
-        space = MeasureSpace(np.full(2, 0.5))
-        part = Partition([0, 0])
-        # E(fg) = 2.5 while E(f)E(g) = 2.25: C = 1 fails on correlated data.
-        f = np.array([1.0, 2.0])
-        g = np.array([1.0, 2.0])
-        report = product_bound_check(space, part, f, g, C=1.0)
-        assert not report["hypothesis_holds"]
-        assert "conclusion_holds" not in report
-
-    def test_rejects_nonpositive_inputs(self):
-        space = MeasureSpace(np.full(2, 0.5))
-        part = Partition([0, 0])
-        with pytest.raises(NonPositiveInput):
-            product_bound_check(space, part, np.array([1.0, 0.0]), np.ones(2), C=2.0)
 
 
 class TestDominationRoute:

@@ -16,7 +16,6 @@ from orliczlab.orlicz import (
     luxemburg_norm,
     luxemburg_norm_closed_form,
     modular,
-    norm_monotonicity_check,
 )
 
 
@@ -279,11 +278,5 @@ class TestMonotonicity:
         phi = young.exp_type()
         g = rng.normal(0.0, 2.0, 8)
         f = g * rng.uniform(0.0, 1.0, 8)
-        assert norm_monotonicity_check(space, phi, f, g)["holds"]
-
-    def test_rejects_non_dominated_pair(self):
-        space = unit_space(3)
-        with pytest.raises(PreconditionViolated):
-            norm_monotonicity_check(
-                space, young.power(2.0), np.array([1.0, 5.0, 1.0]), np.ones(3)
-            )
+        # |f| <= |g| atomwise, so every scale feasible for g is feasible for f.
+        assert luxemburg_norm(space, phi, f) <= luxemburg_norm(space, phi, g) * (1.0 + 1e-9) + 1e-9

@@ -62,6 +62,8 @@ class TestScenarioSchema:
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
             ({"partition": {"labels": 3}}, "scenario.partition"),
             (partial(young.from_config, {"kind": "power", "p": "two"}), "young.p"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.breakpoints"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": [0.0], "slopes": ["a"]}}, "scenario.young.slopes"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -185,6 +187,8 @@ class TestCli:
             ({"space": {"type": "explicit", "weights": ["x", 1]}}, "scenario.space.weights"),
             ({"young": {"kind": "scaled_power", "p": "two"}}, "scenario.young.p"),
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.breakpoints"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": ["a"], "slopes": [1.0]}}, "scenario.young.breakpoints"),
         ],
     )
     def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):
