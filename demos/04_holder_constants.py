@@ -25,9 +25,9 @@ from orliczlab.young import evaluate
 # (constant 4), and the power-3 pair on the rotation space (constant 9).
 for name in ("example-1.6a", "example-1.6b", "example-1.6d"):
     mat = materialize(builtin_scenario(name))
-    c0 = domination_constant(mat.space, mat.partition)
+    c0 = domination_constant(mat.operator.space, mat.operator.partition)
     report = holder_from_domination(
-        mat.space, mat.partition, mat.phi, mat.psi,
+        mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
         budget=10_000, seed=mat.scenario.seed,
     )
     print(f"{name}: {mat.scenario.description}")
@@ -40,7 +40,8 @@ for name in ("example-1.6a", "example-1.6b", "example-1.6d"):
 # factors, and C1 + C2 is itself a valid Hoelder constant.
 mat = materialize(builtin_scenario("example-1.6b"))
 c1, c2 = normalization_constants(
-    mat.space, mat.partition, mat.phi, mat.psi, sample_budget=5_000, seed=42
+    mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
+    sample_budget=5_000, seed=42,
 )
 print("\nnormalization constants on the exponential pair:")
 print(f"  C1 = {c1:.6f} <= phi(2) = {evaluate(mat.phi, 2.0):.6f}")
@@ -50,8 +51,8 @@ print(f"  C1 + C2 = {c1 + c2:.6f} is an alternative certified constant")
 # ---------------------------------------------------------------------------
 # A single ratio evaluation, to see the object itself: the constant function 1
 # makes every factor equal 1, so the ratio is exactly 1 for any pair.
-ones = np.ones(mat.space.n_atoms)
+ones = np.ones(mat.operator.n_atoms)
 ratio = conditional_holder_ratio(
-    mat.space, mat.partition, mat.phi, mat.psi, ones, ones
+    mat.operator.space, mat.operator.partition, mat.phi, mat.psi, ones, ones
 )
 print(f"\nratio at f = g = 1: {ratio:.12f}")

@@ -53,13 +53,13 @@ for law in ("reciprocal", "flat"):
     print(f"  decreasing={report['trend_decreasing']}, all gaps hold={report['all_gaps_hold']}")
 
 # ---------------------------------------------------------------------------
-# The classifier combines the trends into verdicts, under explicit hypothesis
-# flags: a certified Hoelder constant licenses the boundedness criterion, a
-# product-growth certificate additionally licenses the compactness criterion.
-flags = {"gcthi": True, "delta_prime": young.check_delta_prime(phi) is not None}
+# The classifier combines the trends into verdicts.  The conditional Hoelder
+# inequality (certified by C0^2 on every partition) licenses the boundedness
+# criterion; a product-growth certificate for phi, which the classifier looks
+# for itself, additionally licenses the compactness criterion.
 print("\nclassifier verdicts (bounded, compact):")
 for law in ("reciprocal", "flat", "log_growth"):
     fam = RefinementFamily(law, (16, 64, 256))
-    verdict = boundedness_classifier(fam, phi, psi, C, flags)
+    verdict = boundedness_classifier(fam, phi, psi)
     print(f"  {law:<12} bounded={verdict['bounded']}, compact={verdict['compact']}, "
           f"level sups {np.round(verdict['level_sups'], 4)}")

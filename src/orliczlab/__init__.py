@@ -24,7 +24,6 @@ from .measure import (
     MeasureSpace,
     MinOfLinear,
     Partition,
-    SimpleFunction,
     build_rotation_space,
     build_symmetric_space,
     cond_exp,
@@ -80,7 +79,6 @@ from .young import (
     conjugate_numeric,
     exp_type,
     log_type,
-    piecewise_linear,
     power,
     scaled_power,
     young_inequality_check,
@@ -98,7 +96,6 @@ __all__ = [
     "scaled_power",
     "exp_type",
     "log_type",
-    "piecewise_linear",
     "conjugate_closed_form",
     "conjugate_numeric",
     "check_delta2",
@@ -110,7 +107,6 @@ __all__ = [
     # measure
     "MeasureSpace",
     "Partition",
-    "SimpleFunction",
     "MinOfLinear",
     "cond_exp",
     "build_symmetric_space",

@@ -21,20 +21,8 @@ class PreconditionViolated(OrliczLabError, ValueError):
     """A documented precondition on the inputs does not hold."""
 
 
-class NonInvertible(OrliczLabError, ValueError):
-    """Inversion target lies outside the range of a non-superlinear function."""
-
-
-class NotSuperlinear(OrliczLabError, ValueError):
-    """Operation requires a true (superlinear) Young function."""
-
-
 class BracketFailure(OrliczLabError, RuntimeError):
     """A search bracket could not be established within the doubling budget."""
-
-
-class DifferentiationFailure(OrliczLabError, ValueError):
-    """Finite-difference derivatives are undefined for this function kind."""
 
 
 class ConjugateMismatch(OrliczLabError, ValueError):
@@ -43,10 +31,6 @@ class ConjugateMismatch(OrliczLabError, ValueError):
 
 class SingularLambda(OrliczLabError, ValueError):
     """Resolvent parameter is zero or too close to the operator's predicted spectrum."""
-
-
-class HypothesisMissing(OrliczLabError, ValueError):
-    """The supplied hypothesis flags do not license the requested classification."""
 
 
 class SpectralOracleError(OrliczLabError, RuntimeError):

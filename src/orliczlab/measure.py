@@ -19,7 +19,6 @@ from .errors import ConfigError, NegativeInput, SpaceMismatch
 __all__ = [
     "MeasureSpace",
     "Partition",
-    "SimpleFunction",
     "as_values",
     "block_mean",
     "cond_exp",
@@ -65,11 +64,7 @@ class MeasureSpace:
         Each row is summed in the same order as a single vector, so batched
         rows are bit-identical to single calls.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape[-1:] != self.weights.shape:
-            raise SpaceMismatch(
-                f"values of shape {values.shape} for a space of {self.n_atoms} atoms"
-            )
+        values = _rows(self, values)
         out = np.sum(self.weights * values, axis=-1)
         return float(out) if values.ndim == 1 else out
 
@@ -117,35 +112,21 @@ class Partition:
             )
 
 
-@dataclass(frozen=True)
-class SimpleFunction:
-    """Per-atom values bound to a specific space."""
-
-    space: MeasureSpace
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.space.weights.shape:
-            raise SpaceMismatch(
-                f"function has {v.size} values but the space has {self.space.n_atoms} atoms"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def as_values(space: MeasureSpace, f) -> np.ndarray:
-    """Coerce a SimpleFunction or array-like to a value array bound to `space`."""
-    if isinstance(f, SimpleFunction):
-        if f.space is not space and not np.array_equal(f.space.weights, space.weights):
-            raise SpaceMismatch("function is bound to a different space")
-        return f.values
+    """f as one function on `space`: an array of shape exactly (n,)."""
     v = np.asarray(f, dtype=float)
     if v.shape != space.weights.shape:
         raise SpaceMismatch(
             f"function has {v.size} values but the space has {space.n_atoms} atoms"
         )
+    return v
+
+
+def _rows(space: MeasureSpace, f) -> np.ndarray:
+    """f as an array of shape (..., n): one function or a batch of them on `space`."""
+    v = np.asarray(f, dtype=float)
+    if v.shape[-1:] != space.weights.shape:
+        raise SpaceMismatch(f"values of shape {v.shape} for a space of {space.n_atoms} atoms")
     return v
 
 
@@ -161,9 +142,7 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     over labels offset by row, in chunks of whole rows, so every row is summed
     in the same order as a single vector and the results are bit-identical.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != space.weights.shape:
-        raise SpaceMismatch(f"values of shape {values.shape} for a space of {space.n_atoms} atoms")
+    values = _rows(space, values)
     lab, k = partition.labels, partition.n_blocks
     mass = partition.block_measures(space)
     if values.ndim == 1:
@@ -180,25 +159,15 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     return (sums / mass).reshape(values.shape[:-1] + (k,))
 
 
-def _rows(space: MeasureSpace, f) -> np.ndarray:
-    """A SimpleFunction's values (checked against space), or f as an array of shape (..., n)."""
-    if isinstance(f, SimpleFunction):
-        return as_values(space, f)
-    v = np.asarray(f, dtype=float)
-    if v.shape[-1:] != space.weights.shape:
-        raise SpaceMismatch(f"values of shape {v.shape} for a space of {space.n_atoms} atoms")
-    return v
-
-
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:
     """Weighted average of f over each partition block, broadcast back to atoms.
 
     This is the conditional expectation onto the block sigma-algebra: linear,
     idempotent, positive, and exact in double precision up to summation error.
-    f is a SimpleFunction or an array of shape (..., n); each row is averaged
-    on its own, bit-identically to a single call on that row.
+    f has shape (..., n); each row is averaged on its own, bit-identically to
+    a single call on that row.
     """
-    return block_mean(space, partition, _rows(space, f))[..., partition.labels]
+    return block_mean(space, partition, f)[..., partition.labels]
 
 
 def build_symmetric_space(n_half: int) -> tuple[MeasureSpace, Partition]:

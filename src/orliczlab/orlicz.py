@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BracketFailure, NotSuperlinear, PreconditionViolated
+from .errors import BracketFailure, PreconditionViolated
 from .measure import MeasureSpace, _rows, cond_exp
 from .young import YoungFunction, evaluate, inverse
 
@@ -36,18 +36,17 @@ def modular(space: MeasureSpace, phi: YoungFunction, f: np.ndarray):
 def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: float = NORM_TOL):
     """inf over k > 0 of modular(f/k) <= 1, by bisection on the monotone modular.
 
-    One function (a SimpleFunction or shape (n,)) gives a float; a batch of
-    shape (..., n) gives one norm per row.  All rows are bisected together,
-    each under its own mask and with the scalar step, so every row is
-    bit-identical to a single call.
+    One function of shape (n,) gives a float; a batch of shape (..., n) gives
+    one norm per row.  All rows are bisected together, each under its own
+    mask and with the scalar step, so every row is bit-identical to a single
+    call.
     The initial bracket upper end k0 = max|f| / phi^{-1}(1 / mu(total)) always
     satisfies modular(f/k0) <= 1, because each atom contributes at most
-    w_i * (1/mu) <= 1 in total.  The returned value is the upper end of the
+    w_i * (1/mu) <= 1 in total; every kind is unbounded and 0 only at 0, so
+    phi^{-1}(1 / mu(total)) is finite and positive.  The returned value is the upper end of the
     final bracket, so modular(f/result) <= 1 holds by construction.  A row
     whose bracket stays infeasible after 200 doublings raises BracketFailure.
     """
-    if not phi.superlinear:
-        raise NotSuperlinear("the Luxemburg norm needs a superlinear kind")
     f = _rows(space, f)
     rows = f.reshape(-1, space.n_atoms)
     peak = np.max(np.abs(rows), axis=-1, initial=0.0)

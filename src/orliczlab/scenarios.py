@@ -15,7 +15,6 @@ import numpy as np
 
 from . import young as young_mod
 from .errors import ConfigError
-from .holder import domination_holder_constant
 from .measure import (
     MeasureSpace,
     Partition,
@@ -184,15 +183,16 @@ def to_config(scenario: Scenario) -> dict:
 
 @dataclass(frozen=True)
 class Materialized:
-    """Module-level objects resolved from a scenario."""
+    """Module-level objects resolved from a scenario.
+
+    A single-operator scenario has `operator` (which holds the space,
+    partition and u); a family scenario has `family`.
+    """
 
     scenario: Scenario
     phi: YoungFunction
     psi: YoungFunction
     family: RefinementFamily | None = None
-    space: MeasureSpace | None = None
-    partition: Partition | None = None
-    u: np.ndarray | None = None
     operator: WeightedConditionalExpectation | None = field(default=None, repr=False)
 
     @property
@@ -209,10 +209,7 @@ class Materialized:
     @cached_property
     def trend_verdict(self) -> dict:
         """The family's classifier verdict, shared by the suites that report it."""
-        first = self.family.member(self.family.sizes[0])
-        flags = {"gcthi": True, "delta_prime": young_mod.check_delta_prime(self.phi) is not None}
-        C = domination_holder_constant(first.space, first.partition)
-        return boundedness_classifier(self.family, self.phi, self.psi, C, flags)
+        return boundedness_classifier(self.family, self.phi, self.psi)
 
 
 def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition) -> np.ndarray:
@@ -247,11 +244,6 @@ def materialize(scenario: Scenario) -> Materialized:
     """Resolve the scenario into module objects, failing with field-precise errors."""
     phi = young_mod.from_config(scenario.young)
     psi = young_mod.conjugate_closed_form(phi)
-    if psi is None:
-        raise ConfigError(
-            f"scenario.young.kind: no complementary closed form for {phi.kind!r}; "
-            "conjugate-pair scenarios need one"
-        )
     if scenario.conjugate_mode == "numeric":
         # Stricter cross-validation of the pair on a small log grid.
         err = young_mod.conjugate_error(phi, psi, np.logspace(-2, 2, 9), tol=1e-10)
@@ -289,7 +281,7 @@ def materialize(scenario: Scenario) -> Materialized:
 
     u = _materialize_u(scenario, space, partition)
     op = WeightedConditionalExpectation(space, partition, u)
-    return Materialized(scenario, phi, psi, space=space, partition=partition, u=u, operator=op)
+    return Materialized(scenario, phi, psi, operator=op)
 
 
 _BUILTINS = {

@@ -1,9 +1,9 @@
 """Young-function calculus: evaluation, inversion, convex conjugation, growth checks.
 
 A Young function is an even, continuous, convex map with value 0 only at 0 and
-superlinear growth.  This module provides a small family of parametric kinds,
-numeric Legendre-Fenchel conjugation, and grid-sampled certificates for the
-classical growth conditions (doubling, submultiplicative, supermultiplicative,
+phi(x)/x -> inf as x -> inf.  This module provides a small family of parametric
+kinds, numeric Legendre-Fenchel conjugation, and grid-sampled certificates for
+the classical growth conditions (doubling, submultiplicative, supermultiplicative,
 ordering between two functions).
 """
 
@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    ConfigError,
-    DifferentiationFailure,
-    NonInvertible,
-    NotSuperlinear,
-)
+from .errors import BracketFailure, ConfigError
 
 __all__ = [
     "YoungFunction",
@@ -34,7 +28,6 @@ __all__ = [
     "conjugate_power",
     "exp_type",
     "log_type",
-    "piecewise_linear",
     "from_config",
     "evaluate",
     "inverse",
@@ -54,7 +47,7 @@ BISECT_TOL = 1e-10
 CONJUGATE_TOL = 1e-8
 SAFETY_FACTOR = 1.01
 
-_KINDS = ("power", "scaled_power", "conjugate_power", "exp_type", "log_type", "piecewise_linear")
+_KINDS = ("power", "scaled_power", "conjugate_power", "exp_type", "log_type")
 
 
 @dataclass(frozen=True)
@@ -67,15 +60,10 @@ class YoungFunction:
       conjugate_power  the exact convex conjugate of |x|**p: (p-1) p**(-q) |y|**q
       exp_type         exp(|x|) - |x| - 1
       log_type         (1+|y|) log(1+|y|) - |y|   (conjugate of exp_type)
-      piecewise_linear convex piecewise-linear interpolant; grows only linearly,
-                       so it is flagged non-superlinear and rejected by every
-                       operation that needs a true Young function
     """
 
     kind: str
     p: float | None = None
-    breakpoints: tuple[float, ...] = ()
-    slopes: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -83,21 +71,6 @@ class YoungFunction:
         if self.kind in ("power", "scaled_power", "conjugate_power"):
             if self.p is None or not self.p > 1:
                 raise ConfigError(f"young.p: need p > 1 for kind {self.kind!r}, got {self.p}")
-        if self.kind == "piecewise_linear":
-            bp, sl = self.breakpoints, self.slopes
-            if len(bp) != len(sl) or not bp:
-                raise ConfigError("young.breakpoints/slopes: need equal, nonzero lengths")
-            if bp[0] != 0.0:
-                raise ConfigError("young.breakpoints: first abscissa must be 0")
-            if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-                raise ConfigError("young.breakpoints: must be strictly increasing")
-            if any(s < 0 for s in sl) or any(s2 < s1 for s1, s2 in zip(sl, sl[1:])):
-                raise ConfigError("young.slopes: must be nonnegative and nondecreasing")
-
-    @property
-    def superlinear(self) -> bool:
-        """True when value/x diverges, i.e. the function is a true Young function."""
-        return self.kind != "piecewise_linear"
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -127,14 +100,6 @@ def log_type() -> YoungFunction:
     return YoungFunction("log_type")
 
 
-def piecewise_linear(breakpoints, slopes) -> YoungFunction:
-    return YoungFunction(
-        "piecewise_linear",
-        breakpoints=tuple(float(b) for b in breakpoints),
-        slopes=tuple(float(s) for s in slopes),
-    )
-
-
 def _as_float(value, where: str) -> float:
     # The int/float comparison is exact: it rejects NaN, infinities and too large ints.
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -154,20 +119,7 @@ def from_config(fragment: dict) -> YoungFunction:
         return YoungFunction(kind, p=_as_float(fragment["p"], "young.p"))
     if kind in ("exp_type", "log_type"):
         return YoungFunction(kind)
-    if kind == "piecewise_linear":
-        return piecewise_linear(*(_float_list(fragment, key) for key in ("breakpoints", "slopes")))
     raise ConfigError(f"young.kind: unknown kind {kind!r}")
-
-
-def _float_list(fragment: dict, key: str) -> list[float]:
-    """fragment[key] as a list of finite numbers; a ConfigError names young.<key>."""
-    where = f"young.{key}"
-    if key not in fragment:
-        raise ConfigError(f"{where}: required for piecewise_linear")
-    values = fragment[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"{where}: expected a list of numbers, got {values!r}")
-    return [_as_float(v, where) for v in values]
 
 
 def _conj_power_params(p: float) -> tuple[float, float]:
@@ -189,27 +141,16 @@ def evaluate(phi: YoungFunction, x):
             out = c * ax**q
         elif phi.kind == "exp_type":
             out = np.expm1(ax) - ax
-        elif phi.kind == "log_type":
+        else:  # log_type
             lg = np.log1p(ax)
             out = (1.0 + ax) * lg - ax
             # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
             over = np.isinf(out) & (ax < math.inf)
             if np.any(over):
                 out = np.where(over, ax * (lg - 1.0) + lg, out)
-        else:  # piecewise_linear
-            bp = np.asarray(phi.breakpoints)
-            sl = np.asarray(phi.slopes)
-            seg = np.clip(ax[..., None] - bp, 0.0, None)
-            seg_len = np.append(np.diff(bp), np.inf)
-            out = np.sum(sl * np.minimum(seg, seg_len), axis=-1)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _plc_sup(phi: YoungFunction) -> float:
-    """Supremum of a piecewise-linear kind (inf unless every slope is zero)."""
-    return 0.0 if all(s == 0.0 for s in phi.slopes) else math.inf
 
 
 def inverse(phi: YoungFunction, t):
@@ -220,9 +161,6 @@ def inverse(phi: YoungFunction, t):
       the decreasing iterate stops moving, i.e. to machine resolution.  It meets
       BISECT_TOL (near float max it comes within about 1e-13 * t) and lands
       within a few ulps of the root.
-    - piecewise_linear: bracketing plus bisection on [0, inf) down to
-      BISECT_TOL, valid because phi is continuous and strictly increasing
-      where it is positive.
 
     Scalars and ndarrays of targets are both accepted, and each result is
     independent of the batch it came in.  A target of +inf maps to +inf: it
@@ -241,12 +179,8 @@ def inverse(phi: YoungFunction, t):
     elif phi.kind == "conjugate_power":
         c, q = _conj_power_params(phi.p)
         out = (tt / c) ** (1.0 / q)
-    elif phi.kind in _NEWTON_SERIES:
-        out = _newton_inverse(phi, tt)
     else:
-        if not phi.superlinear and np.any(tt > _plc_sup(phi)):
-            raise NonInvertible(f"target exceeds the range of {phi.kind}")
-        out = _bisect_inverse(phi, tt, BISECT_TOL)
+        out = _newton_inverse(phi, tt)
     return float(out) if scalar else out
 
 
@@ -305,6 +239,9 @@ def _newton_inverse(phi: YoungFunction, tt: np.ndarray) -> np.ndarray:
     return x.reshape(tt.shape)
 
 
+# Bisection down to `tol`.  No kind's inverse takes this route: the Newton
+# tests use it at tol = 1e-12 as their reference oracle, a route that shares
+# no code with _newton_inverse.
 def _bisect_inverse(phi: YoungFunction, tt: np.ndarray, tol: float) -> np.ndarray:
     flat = np.atleast_1d(tt).astype(float).copy()
     infinite = ~np.isfinite(flat)
@@ -349,22 +286,16 @@ _CONJUGATE_TABLE = {
 }
 
 
-def conjugate_closed_form(phi: YoungFunction) -> YoungFunction | None:
-    """Return the complementary Young function when a closed form is registered."""
-    builder = _CONJUGATE_TABLE.get(phi.kind)
-    return builder(phi) if builder is not None else None
+def conjugate_closed_form(phi: YoungFunction) -> YoungFunction:
+    """The complementary Young function; every kind has a closed form."""
+    return _CONJUGATE_TABLE[phi.kind](phi)
 
 
-def conjugate_numeric(
-    phi: YoungFunction,
-    y: float,
-    tol: float = CONJUGATE_TOL,
-    max_doublings: int = 512,
-) -> float:
+def conjugate_numeric(phi: YoungFunction, y: float, tol: float = CONJUGATE_TOL) -> float:
     """sup over x >= 0 of x*y - phi(x), by ternary search on the concave objective.
 
     The bracket is grown geometrically from x = 1 until the objective
-    decreases at the right endpoint; failure to bracket within max_doublings
+    decreases at the right endpoint; failure to bracket within 512 doublings
     signals that phi grows at most linearly (BracketFailure).
     """
     y = float(y)
@@ -379,7 +310,7 @@ def conjugate_numeric(
 
     hi = 1.0
     prev = obj(hi)
-    for _ in range(max_doublings):
+    for _ in range(512):
         nxt = obj(2.0 * hi)
         if nxt < prev:
             hi *= 2.0
@@ -434,10 +365,9 @@ class GridSpec:
     hi: float = 1e3
     n: int = 2048
 
-    def points(self, lo_floor: float = 0.0, n: int | None = None) -> np.ndarray:
-        lo = max(self.lo, lo_floor)
+    def points(self, n: int | None = None) -> np.ndarray:
         n = self.n if n is None else n
-        return np.logspace(math.log10(lo), math.log10(self.hi), n)
+        return np.logspace(math.log10(self.lo), math.log10(self.hi), n)
 
 
 @dataclass(frozen=True)
@@ -462,18 +392,17 @@ def _stable_sup(sups: list[float]) -> bool:
     return all(abs(b - a) <= 0.01 * max(abs(a), 1e-300) for a, b in zip(sups, sups[1:]))
 
 
-def check_delta2(
-    phi: YoungFunction, x0: float = 0.0, grid: GridSpec = GridSpec()
-) -> GrowthCertificate | None:
-    """Certificate for the doubling condition phi(2x) <= k*phi(x) above x0.
+def check_delta2(phi: YoungFunction) -> GrowthCertificate | None:
+    """Certificate for the doubling condition phi(2x) <= k*phi(x) on GridSpec().
 
     k is the grid supremum of the ratio (safety factor applied), accepted only
-    when stable under two grid doublings.  Grids start strictly above zero, so
-    behaviour exactly at x0 = 0 is not probed.
+    when stable under two grid doublings.  The grid starts at grid.lo > 0, the
+    reported threshold, so behaviour at 0 is not probed.
     """
+    grid = GridSpec()
     sups = []
     for factor in (1, 2, 4):
-        xs = grid.points(lo_floor=x0, n=grid.n * factor)
+        xs = grid.points(n=grid.n * factor)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = evaluate(phi, 2.0 * xs) / evaluate(phi, xs)
         if not np.all(np.isfinite(ratio)):
@@ -482,24 +411,23 @@ def check_delta2(
     if not _stable_sup(sups):
         return None
     k = sups[-1] * SAFETY_FACTOR
-    xs = grid.points(lo_floor=x0, n=grid.n * 4)
+    xs = grid.points(n=grid.n * 4)
     if not np.all(evaluate(phi, 2.0 * xs) <= k * evaluate(phi, xs)):
         return None
-    return GrowthCertificate("delta2", k, max(x0, grid.lo), sups[-1])
+    return GrowthCertificate("delta2", k, grid.lo, sups[-1])
 
 
-def _pair_grid(grid: GridSpec, lo_floor: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = grid.points(lo_floor=lo_floor, n=n)
+def _pair_grid(grid: GridSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    xs = grid.points(n=n)
     return xs[:, None], xs[None, :]
 
 
-def check_delta_prime(
-    phi: YoungFunction, x0: float = 0.0, grid: GridSpec = GridSpec(n=128)
-) -> GrowthCertificate | None:
-    """Certificate for phi(x*y) <= c*phi(x)*phi(y) over a 2D grid above x0."""
+def check_delta_prime(phi: YoungFunction) -> GrowthCertificate | None:
+    """Certificate for phi(x*y) <= c*phi(x)*phi(y) over the 2D grid of GridSpec(n=128)."""
+    grid = GridSpec(n=128)
     sups = []
     for factor in (1, 2, 4):
-        x, y = _pair_grid(grid, x0, grid.n * factor)
+        x, y = _pair_grid(grid, grid.n * factor)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = evaluate(phi, x * y) / (evaluate(phi, x) * evaluate(phi, y))
         if not np.all(np.isfinite(ratio)):
@@ -508,17 +436,19 @@ def check_delta_prime(
     if not _stable_sup(sups):
         return None
     c = sups[-1] * SAFETY_FACTOR
-    x, y = _pair_grid(grid, x0, grid.n * 4)
+    x, y = _pair_grid(grid, grid.n * 4)
     if not np.all(evaluate(phi, x * y) <= c * evaluate(phi, x) * evaluate(phi, y)):
         return None
-    return GrowthCertificate("delta_prime", c, max(x0, grid.lo), sups[-1])
+    return GrowthCertificate("delta_prime", c, grid.lo, sups[-1])
 
 
-def check_nabla_prime(
-    phi: YoungFunction, y0: float = 0.0, grid: GridSpec = GridSpec(n=128)
-) -> GrowthCertificate | None:
-    """Certificate for phi(b*x*y) >= phi(x)*phi(y): smallest b found by bisection."""
-    x, y = _pair_grid(grid, y0, grid.n)
+def check_nabla_prime(phi: YoungFunction) -> GrowthCertificate | None:
+    """Certificate for phi(b*x*y) >= phi(x)*phi(y) over the 2D grid of GridSpec(n=128).
+
+    The smallest b is found by bisection.
+    """
+    grid = GridSpec(n=128)
+    x, y = _pair_grid(grid, grid.n)
     rhs = evaluate(phi, x) * evaluate(phi, y)
 
     def holds(b: float) -> bool:
@@ -542,26 +472,21 @@ def check_nabla_prime(
     b = hi * SAFETY_FACTOR
     if not holds(b):
         return None
-    return GrowthCertificate("nabla_prime", b, max(y0, grid.lo), hi)
+    return GrowthCertificate("nabla_prime", b, grid.lo, hi)
 
 
 def check_ordering(
-    phi1: YoungFunction,
-    phi2: YoungFunction,
-    x0: float = 0.0,
-    grid: GridSpec = GridSpec(),
-    candidates: np.ndarray | None = None,
+    phi1: YoungFunction, phi2: YoungFunction, grid: GridSpec = GridSpec()
 ) -> GrowthCertificate | None:
-    """Smallest a on a log candidate grid with phi2(x) <= phi1(a*x) above x0.
+    """Smallest a on a log candidate grid with phi2(x) <= phi1(a*x) above grid.lo.
 
     The winning candidate must survive extending the sample range upward twice;
     a constant that keeps drifting as the range grows certifies nothing.
     """
-    if candidates is None:
-        candidates = np.logspace(-3, 3, 241)  # odd count so a = 1 is on the grid
+    candidates = np.logspace(-3, 3, 241)  # odd count so a = 1 is on the grid
 
     def smallest(hi: float) -> float | None:
-        xs = GridSpec(grid.lo, hi, grid.n).points(lo_floor=x0)
+        xs = GridSpec(grid.lo, hi, grid.n).points()
         lhs = evaluate(phi2, xs)
         for a in candidates:
             with np.errstate(over="ignore"):
@@ -572,7 +497,7 @@ def check_ordering(
     found = [smallest(grid.hi * factor) for factor in (1.0, 4.0, 16.0)]
     if any(a is None for a in found) or len(set(found)) != 1:
         return None
-    return GrowthCertificate("ordering", found[0], max(x0, grid.lo), found[0])
+    return GrowthCertificate("ordering", found[0], grid.lo, found[0])
 
 
 @dataclass(frozen=True)
@@ -597,28 +522,22 @@ def _derivatives_fd(phi: YoungFunction, xs: np.ndarray) -> tuple[np.ndarray, np.
     return f0, d1, d2
 
 
-def check_product_convexity(
-    phi: YoungFunction,
-    psi: YoungFunction,
-    grid: GridSpec = GridSpec(n=256),
-    tol: float = 1e-8,
-) -> ProductConvexityReport:
-    """Check phi''(x) psi''(y) phi(x) psi(y) - (phi'(x) psi'(y))**2 >= 0 on the grid.
+def check_product_convexity(phi: YoungFunction, psi: YoungFunction) -> ProductConvexityReport:
+    """Check phi''(x) psi''(y) phi(x) psi(y) - (phi'(x) psi'(y))**2 >= 0 on GridSpec(n=256).
 
-    This is the determinant part of joint convexity for the product function;
-    derivatives come from central differences, so piecewise-linear kinds are
-    rejected.  The report names the minimizing grid point either way.
+    This is the determinant part of joint convexity for the product function,
+    up to 1e-8 of its largest magnitude.  Every kind is smooth away from 0, so
+    central differences give the derivatives.  The report names the minimizing
+    grid point either way.
     """
-    if phi.kind == "piecewise_linear" or psi.kind == "piecewise_linear":
-        raise DifferentiationFailure("piecewise_linear kinds are not twice differentiable")
-    xs = grid.points(lo_floor=1e-6)
+    xs = GridSpec(n=256).points()
     f, f1, f2 = _derivatives_fd(phi, xs)
     g, g1, g2 = _derivatives_fd(psi, xs)
     det = f2[:, None] * g2[None, :] * f[:, None] * g[None, :] - (f1[:, None] * g1[None, :]) ** 2
     i, j = np.unravel_index(np.argmin(det), det.shape)
     worst = float(det[i, j])
     scale = max(1.0, float(np.abs(det).max()))
-    return ProductConvexityReport(worst >= -tol * scale, (float(xs[i]), float(xs[j])), worst)
+    return ProductConvexityReport(worst >= -1e-8 * scale, (float(xs[i]), float(xs[j])), worst)
 
 
 @dataclass(frozen=True)

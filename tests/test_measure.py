@@ -12,7 +12,6 @@ from orliczlab.measure import (
     MeasureSpace,
     MinOfLinear,
     Partition,
-    SimpleFunction,
     as_values,
     block_mean,
     build_rotation_space,
@@ -81,23 +80,16 @@ class TestPartition:
 
 
 class TestSimpleFunction:
+    """as_values: exactly one function on the space, shape (n,)."""
+
     def test_binds_values_to_space(self):
-        space = unit_space(3)
-        f = SimpleFunction(space, [1.0, 2.0, 3.0])
-        assert np.array_equal(as_values(space, f), [1.0, 2.0, 3.0])
+        assert np.array_equal(as_values(unit_space(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(SpaceMismatch):
-            SimpleFunction(unit_space(3), [1.0, 2.0])
-
-    def test_as_values_rejects_foreign_space(self):
-        f = SimpleFunction(MeasureSpace([1.0, 2.0]), [1.0, 1.0])
+            as_values(unit_space(3), [1.0, 2.0])
         with pytest.raises(SpaceMismatch):
-            as_values(MeasureSpace([3.0, 4.0]), f)
-
-    def test_as_values_accepts_equal_weights_space(self):
-        f = SimpleFunction(MeasureSpace([1.0, 2.0]), [5.0, 6.0])
-        assert np.array_equal(as_values(MeasureSpace([1.0, 2.0]), f), [5.0, 6.0])
+            as_values(unit_space(3), np.ones((2, 3)))  # a batch is not one function
 
 
 class TestCondExp:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from orliczlab import young
 from orliczlab.errors import (
     ConfigError,
-    HypothesisMissing,
     SingularLambda,
+    SpaceMismatch,
     SpectralOracleError,
 )
 from orliczlab.measure import MeasureSpace, Partition, cond_exp
@@ -60,6 +60,13 @@ def pair(p=2.0):
 
 
 class TestOperatorStructure:
+    def test_one_function_inputs_reject_a_batch(self):
+        op = demo_op()
+        with pytest.raises(SpaceMismatch):
+            WeightedConditionalExpectation(op.space, op.partition, np.ones((2, 4)))
+        with pytest.raises(SpaceMismatch):
+            resolvent_check(op, 5.0, np.ones((2, 4)))
+
     def test_matrix_worked_example(self):
         op = demo_op()
         want = np.array(
@@ -502,26 +509,24 @@ class TestResolvent:
 
 
 class TestClassifier:
-    def _run(self, law, flags):
-        family = RefinementFamily(law, (16, 64, 256))
-        phi, psi = pair(2.0)
-        return boundedness_classifier(family, phi, psi, C=4.0, flags=flags)
+    def _run(self, law, phi, psi):
+        return boundedness_classifier(RefinementFamily(law, (16, 64, 256)), phi, psi)
 
     def test_expected_verdicts(self):
-        flags = {"gcthi": True, "delta_prime": True}
-        assert self._run("reciprocal", flags)["bounded"] is True
-        assert self._run("reciprocal", flags)["compact"] is True
-        flat = self._run("flat", flags)
+        phi, psi = pair(2.0)
+        reciprocal = self._run("reciprocal", phi, psi)
+        assert reciprocal["bounded"] is True
+        assert reciprocal["compact"] is True
+        assert reciprocal["flags"] == {"gcthi": True, "delta_prime": True}
+        flat = self._run("flat", phi, psi)
         assert flat["bounded"] is True
         assert flat["compact"] is False
-        growth = self._run("log_growth", flags)
+        growth = self._run("log_growth", phi, psi)
         assert growth["bounded"] is False
         assert growth["compact"] is False
 
     def test_compactness_needs_its_hypothesis(self):
-        verdict = self._run("reciprocal", {"gcthi": True})
+        # exp_type has no Δ′ certificate, so the compactness criterion is not licensed.
+        verdict = self._run("reciprocal", young.exp_type(), young.log_type())
         assert verdict["compact"] is None
-
-    def test_boundedness_needs_its_hypothesis(self):
-        with pytest.raises(HypothesisMissing):
-            self._run("reciprocal", {"delta_prime": True})
+        assert verdict["flags"]["delta_prime"] is False

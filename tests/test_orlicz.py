@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import orlicz, young
-from orliczlab.errors import BracketFailure, NotSuperlinear, PreconditionViolated, SpaceMismatch
+from orliczlab.errors import BracketFailure, PreconditionViolated, SpaceMismatch
 from orliczlab.measure import MeasureSpace, Partition
 from orliczlab.orlicz import (
     contraction_check,
@@ -134,11 +134,6 @@ class TestLuxemburgNorm:
         norm = luxemburg_norm(space, phi, f)
         assert (norm == 0.0) == bool(np.all(f == 0.0))
         assert norm >= 0.0
-
-    def test_rejects_non_superlinear_kind(self):
-        phi = young.piecewise_linear([0.0, 1.0], [0.0, 2.0])
-        with pytest.raises(NotSuperlinear):
-            luxemburg_norm(unit_space(2), phi, np.ones(2))
 
     def test_infeasible_bracket_fails_loudly(self, monkeypatch):
         # A modular that never drops to 1: every widened bracket stays infeasible.

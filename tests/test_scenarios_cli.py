@@ -62,8 +62,8 @@ class TestScenarioSchema:
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
             ({"partition": {"labels": 3}}, "scenario.partition"),
             (partial(young.from_config, {"kind": "power", "p": "two"}), "young.p"),
-            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.breakpoints"),
-            ({"young": {"kind": "piecewise_linear", "breakpoints": [0.0], "slopes": ["a"]}}, "scenario.young.slopes"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.kind"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": [0.0], "slopes": ["a"]}}, "scenario.young.kind"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -96,9 +96,9 @@ class TestMaterialize:
 
     def test_spectrum_demo_objects(self):
         mat = materialize(builtin_scenario("spectrum-demo"))
-        assert mat.space.n_atoms == 4
-        assert mat.partition.n_blocks == 2
-        assert list(mat.u) == [1.0, 3.0, 2.0, 2.0]
+        assert mat.operator.space.n_atoms == 4
+        assert mat.operator.partition.n_blocks == 2
+        assert list(mat.operator.u) == [1.0, 3.0, 2.0, 2.0]
 
     def test_numeric_conjugate_mode_validates_the_pair(self):
         s = from_config(minimal_config(conjugate_mode="numeric"))
@@ -187,8 +187,8 @@ class TestCli:
             ({"space": {"type": "explicit", "weights": ["x", 1]}}, "scenario.space.weights"),
             ({"young": {"kind": "scaled_power", "p": "two"}}, "scenario.young.p"),
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
-            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.breakpoints"),
-            ({"young": {"kind": "piecewise_linear", "breakpoints": ["a"], "slopes": [1.0]}}, "scenario.young.breakpoints"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.kind"),
+            ({"young": {"kind": "piecewise_linear", "breakpoints": ["a"], "slopes": [1.0]}}, "scenario.young.kind"),
         ],
     )
     def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):

@@ -1,0 +1,113 @@
+"""Compare `orliczlab run` reports between two source trees.
+
+Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
+as the `src/` of two checkouts.  Each tree runs every builtin scenario and the
+config of every workload in `perfbench/workloads.py` (built by that tree's
+own `orliczlab`), each at seeds 0, 1 and 2.  A builtin runs with `--seed`, a
+workload config is built at the seed.  The `timing` block is dropped, each
+report whose JSON or exit code differs is printed, and the exit code is 1 if
+any differs, else 0.  Standard library only; runs one child at a time.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEEDS = (0, 1, 2)
+
+# Run under one tree: print the builtin names and every workload config.
+_CASES = """
+import json, sys
+from orliczlab.scenarios import BUILTIN_ORDER
+from workloads import WORKLOADS, config
+seeds = [int(s) for s in sys.argv[1:]]
+json.dump({"builtins": list(BUILTIN_ORDER),
+           "workloads": {w: [config(w, s) for s in seeds] for w in WORKLOADS}}, sys.stdout)
+"""
+
+
+def _python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    env.pop("ORLICZLAB_OUT_DIR", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=False
+    )
+
+
+def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
+    """Label -> `orliczlab run` arguments, with workload configs written under tmp."""
+    proc = _python(src, ["-c", _CASES, *map(str, SEEDS)])
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: cannot list the cases:\n{proc.stderr}")
+    listed = json.loads(proc.stdout)
+    cases = {}
+    for name in listed["builtins"]:
+        for seed in SEEDS:
+            cases[f"{name} --seed {seed}"] = ["--config", name, "--seed", str(seed)]
+    for name, configs in listed["workloads"].items():
+        for seed, cfg in zip(SEEDS, configs):
+            path = tmp / f"{name}-seed{seed}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            cases[f"{name} workload, seed {seed}"] = ["--config", str(path)]
+    return cases
+
+
+def _run(src: Path, args: list[str]) -> tuple[int, str]:
+    """Exit code and the report without `timing` (or stdout and stderr if it is no report)."""
+    proc = _python(src, ["-m", "orliczlab", "run", *args])
+    try:
+        report = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        return proc.returncode, proc.stdout + proc.stderr
+    report.pop("timing", None)
+    return proc.returncode, json.dumps(report, indent=2, sort_keys=True)
+
+
+def _first_difference(old: str, new: str) -> str:
+    for k, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
+        if a != b:
+            return f"line {k}: {a.strip()} -> {b.strip()}"
+    return f"lengths differ: {len(old.splitlines())} vs {len(new.splitlines())} lines"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        (tmp / "old").mkdir()
+        (tmp / "new").mkdir()
+        old_cases = _cases(old_src, tmp / "old")
+        new_cases = _cases(new_src, tmp / "new")
+        differ = 0
+        for label in sorted(old_cases.keys() | new_cases.keys()):
+            if label not in old_cases or label not in new_cases:
+                differ += 1
+                print(f"DIFFERS {label}: present in one tree only")
+                continue
+            old_code, old = _run(old_src, old_cases[label])
+            new_code, new = _run(new_src, new_cases[label])
+            if (old_code, old) != (new_code, new):
+                differ += 1
+                detail = f"exit {old_code} -> {new_code}"
+                if old != new:
+                    detail += "; " + _first_difference(old, new)
+                print(f"DIFFERS {label}: {detail}")
+            else:
+                print(f"same    {label} (exit {new_code})")
+    print(f"{differ} of {len(old_cases.keys() | new_cases.keys())} reports differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
