@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConjugateMismatch
-from .measure import MeasureSpace, Partition, as_values, block_mean, domination_constant
-from .sampling import signed_log_uniform
+from .errors import ConjugateMismatch, PreconditionViolated
+from .measure import MeasureSpace, Partition, _block_mean, as_values, domination_constant
+from .sampling import signed_log_uniform_chunks
 from .young import YoungFunction, conjugate_error, evaluate, inverse
 
 __all__ = [
@@ -30,6 +30,11 @@ __all__ = [
     "domination_holder_constant",
     "holder_from_domination",
 ]
+
+# Elements drawn and scored at once by the randomized searches: bounds each
+# sample array and temporary to 2**18 doubles (2 MiB) whatever the budget and
+# space, as measure._BLOCK_MEAN_CHUNK bounds the block-averaging temporaries.
+_SEARCH_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,7 @@ def verify_conjugate_pair(phi: YoungFunction, psi: YoungFunction) -> None:
 def _holder_ratios(
     space: MeasureSpace,
     partition: Partition,
+    mass: np.ndarray,
     phi: YoungFunction,
     psi: YoungFunction,
     f: np.ndarray,
@@ -65,10 +71,11 @@ def _holder_ratios(
 
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
+    `mass` is partition.block_measures(space).
     """
-    rhs = inverse(phi, block_mean(space, partition, evaluate(phi, f)))
-    rhs *= inverse(psi, block_mean(space, partition, evaluate(psi, g)))
-    return _ratio_atoms(block_mean(space, partition, np.abs(f * g)), rhs)
+    rhs = inverse(phi, _block_mean(space, partition, mass, evaluate(phi, f)))
+    rhs *= inverse(psi, _block_mean(space, partition, mass, evaluate(psi, g)))
+    return _ratio_atoms(_block_mean(space, partition, mass, np.abs(f * g)), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -97,8 +104,42 @@ def conditional_holder_ratio(
     """
     if check_pair:
         verify_conjugate_pair(phi, psi)
-    ratios = _holder_ratios(space, partition, phi, psi, as_values(space, f), as_values(space, g))
+    f, g = as_values(space, f), as_values(space, g)
+    ratios = _holder_ratios(space, partition, partition.block_measures(space), phi, psi, f, g)
     return float(np.max(ratios))
+
+
+class _RunningMax:
+    """The first maximal row of a stream of (rows, m) score chunks, as np.argmax finds it.
+
+    A row scores its maximum.  A chunk takes the lead only with a strictly
+    greater score, so a tie keeps the earlier row; a NaN, which np.max and
+    np.argmax take as the maximum, takes the lead once and keeps it.
+    """
+
+    def __init__(self) -> None:
+        self.value = math.nan
+        self.row = -1  # index of the leading row in the whole stream
+        self._seen = 0
+
+    def update(self, scores: np.ndarray) -> int | None:
+        """Take the next chunk; return the index in it of a new leading row, else None."""
+        row_max = np.max(scores, axis=-1)
+        i = int(np.argmax(row_max))
+        v = float(row_max[i])
+        lead = self.row < 0 or v > self.value or (math.isnan(v) and not math.isnan(self.value))
+        if lead:
+            self.value, self.row = v, self._seen + i
+        self._seen += len(scores)
+        return i if lead else None
+
+
+def _sample_chunks(space: MeasureSpace, budget: int, seed: int):
+    """(f, g) row chunks of the two batches signed_log_uniform draws in turn from default_rng(seed)."""
+    if budget < 1:
+        raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
+    n = space.n_atoms
+    return signed_log_uniform_chunks(seed, (budget, n), max(1, _SEARCH_CHUNK // n))
 
 
 def empirical_holder_constant(
@@ -114,20 +155,25 @@ def empirical_holder_constant(
 
     Magnitudes are log-uniform over [1e-3, 1e3] with random signs, so the
     search reaches both scale extremes where non-homogeneous kinds misbehave.
-    The whole batch is evaluated vectorized; the report records the worst pair.
+    The samples are the two (budget, n) batches that signed_log_uniform draws
+    in turn from default_rng(seed), bitwise, but they are drawn and scored
+    _SEARCH_CHUNK elements at a time, so memory stays bounded whatever the
+    budget.  The report records the first maximal (sample, atom) in row-major
+    order, as np.argmax over the whole batch finds it (a NaN ratio wins).
     """
     verify_conjugate_pair(phi, psi)
-    rng = np.random.default_rng(seed)
-    n = space.n_atoms
-    fs = signed_log_uniform(rng, (budget, n))
-    gs = signed_log_uniform(rng, (budget, n))
-    ratios = _holder_ratios(space, partition, phi, psi, fs, gs)
-    # The first maximal (sample, atom) in row-major order, as argmax over atomwise ratios.
-    k = int(np.argmax(np.max(ratios, axis=-1)))
-    atom = int(np.argmax(ratios[k, partition.labels]))
-    best = float(ratios[k, partition.labels[atom]])
+    mass = partition.block_measures(space)
+    lead = _RunningMax()
+    for f, g in _sample_chunks(space, budget, seed):
+        ratios = _holder_ratios(space, partition, mass, phi, psi, f, g)
+        k = lead.update(ratios)
+        if k is not None:
+            worst = ratios[k, partition.labels], f[k].copy(), g[k].copy()
+    atom_ratios, worst_f, worst_g = worst
+    atom = int(np.argmax(atom_ratios))
+    best = float(atom_ratios[atom])
     holds = None if claimed_C is None else best <= claimed_C * (1.0 + 1e-9)
-    return HolderReport(best, fs[k].copy(), gs[k].copy(), atom, claimed_C, holds, budget)
+    return HolderReport(best, worst_f, worst_g, atom, claimed_C, holds, budget)
 
 
 def normalization_constants(
@@ -143,17 +189,23 @@ def normalization_constants(
     C1 is the sup over sampled f of the max atom value of
     E(phi(f / phi^{-1}(E(phi|f|)))), and C2 the same with (psi, g).  A valid
     Hölder constant is then C1 + C2, by the pointwise product inequality
-    x*y <= phi(x) + psi(y) applied to the normalized factors.
+    x*y <= phi(x) + psi(y) applied to the normalized factors.  The f and g
+    samples are the two (sample_budget, n) batches that signed_log_uniform
+    draws in turn from default_rng(seed), bitwise, drawn and scored in chunks
+    as in empirical_holder_constant; a NaN value wins, as under np.max.
     """
-    rng = np.random.default_rng(seed)
+    mass = partition.block_measures(space)
 
-    def sup_for(theta: YoungFunction) -> float:
-        batch = signed_log_uniform(rng, (sample_budget, space.n_atoms))
-        denom = inverse(theta, block_mean(space, partition, evaluate(theta, batch)))
+    def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
+        denom = inverse(theta, _block_mean(space, partition, mass, evaluate(theta, batch)))
         denom = denom[..., partition.labels]
-        return float(np.max(block_mean(space, partition, evaluate(theta, batch / denom))))
+        return _block_mean(space, partition, mass, evaluate(theta, batch / denom))
 
-    return sup_for(phi), sup_for(psi)
+    c1, c2 = _RunningMax(), _RunningMax()
+    for f, g in _sample_chunks(space, sample_budget, seed):
+        c1.update(normalized(phi, f))
+        c2.update(normalized(psi, g))
+    return c1.value, c2.value
 
 
 def domination_holder_constant(space: MeasureSpace, partition: Partition) -> float:

@@ -143,8 +143,16 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     in the same order as a single vector and the results are bit-identical.
     """
     values = _rows(space, values)
+    return _block_mean(space, partition, partition.block_measures(space), values)
+
+
+def _block_mean(space: MeasureSpace, partition: Partition, mass: np.ndarray, values: np.ndarray):
+    """block_mean of an (..., n) array, given mass = partition.block_measures(space).
+
+    For callers that average many batches on one space: they compute the
+    block masses, and check the space against the partition, once.
+    """
     lab, k = partition.labels, partition.n_blocks
-    mass = partition.block_measures(space)
     if values.ndim == 1:
         return np.bincount(lab, weights=values * space.weights, minlength=k) / mass
     rows = values.reshape(-1, space.n_atoms)

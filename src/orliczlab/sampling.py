@@ -15,6 +15,7 @@ from .measure import MeasureSpace, Partition
 __all__ = [
     "log_uniform",
     "signed_log_uniform",
+    "signed_log_uniform_chunks",
     "random_space",
     "random_partition",
 ]
@@ -30,7 +31,53 @@ def log_uniform(rng: np.random.Generator, size, lo: float = LOG_LO, hi: float = 
 
 def signed_log_uniform(rng: np.random.Generator, size, lo: float = LOG_LO, hi: float = LOG_HI):
     """Log-uniform magnitudes with independent random signs."""
-    return log_uniform(rng, size, lo, hi) * rng.choice([-1.0, 1.0], size)
+    return log_uniform(rng, size, lo, hi) * _signs(rng, size)
+
+
+def _signs(rng: np.random.Generator, size):
+    return rng.choice([-1.0, 1.0], size)
+
+
+def signed_log_uniform_chunks(seed: int, shape: tuple[int, int], chunk_rows: int):
+    """Row chunks of two successive `signed_log_uniform(rng, shape)` batches.
+
+    With rng = np.random.default_rng(seed), yields (first, second) pairs of at
+    most `chunk_rows` rows, bitwise equal to the matching rows of the two
+    one-shot batches, while holding one chunk of each.  The one-shot draws
+    spend the PCG64 stream in four runs: N = rows*n magnitudes of one 64-bit
+    word each, N signs of one 32-bit half each (a word's low half first, its
+    upper half buffered in the bit generator), then the same for the second
+    batch.  Each run draws from its own copy of the seeded bit generator,
+    moved by PCG64.advance to the run's first word and then drawn chunk after
+    chunk.  For odd N the first batch's signs leave the upper half of their
+    last word buffered and the second batch's signs spend it first, so that
+    half is set explicitly on the second sign run.
+    """
+    rows, n = shape
+    count = rows * n
+    sign_words = (count + 1) // 2
+    carry = None
+    if count % 2:
+        last = np.random.PCG64(seed)
+        last.advance(count + sign_words - 1)
+        carry = int(last.random_raw()) >> 32
+    f_mag, f_sign = _run(seed, 0), _run(seed, count)
+    g_mag, g_sign = _run(seed, count + sign_words), _run(seed, 2 * count + sign_words, carry)
+    for start in range(0, rows, chunk_rows):
+        size = (min(chunk_rows, rows - start), n)
+        f = log_uniform(f_mag, size) * _signs(f_sign, size)
+        yield f, log_uniform(g_mag, size) * _signs(g_sign, size)
+
+
+def _run(seed: int, word: int, carry: int | None = None) -> np.random.Generator:
+    """The seeded stream from its `word`-th 64-bit output, with `carry` as the buffered 32-bit half."""
+    bits = np.random.PCG64(seed)
+    bits.advance(word)
+    if carry is not None:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = 1, carry
+        bits.state = state
+    return np.random.Generator(bits)
 
 
 def random_space(rng: np.random.Generator, n_atoms: int) -> MeasureSpace:

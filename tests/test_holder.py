@@ -1,16 +1,20 @@
 """Conditional Hölder inequality: ratios, empirical constants, sufficient conditions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import young
-from orliczlab.errors import ConjugateMismatch
+from orliczlab import holder, young
+from orliczlab.errors import ConjugateMismatch, PreconditionViolated
 from orliczlab.holder import (
+    HolderReport,
+    _holder_ratios,
     _ratio_atoms,
+    _RunningMax,
     conditional_holder_ratio,
     empirical_holder_constant,
     holder_from_domination,
@@ -21,9 +25,11 @@ from orliczlab.measure import (
     MeasureSpace,
     Partition,
     build_rotation_space,
+    block_mean,
     build_symmetric_space,
     domination_constant,
 )
+from orliczlab.sampling import signed_log_uniform, signed_log_uniform_chunks
 
 
 def scaled_pair(p):
@@ -154,3 +160,118 @@ class TestDominationRoute:
         report = holder_from_domination(space, part, phi, psi, budget=2_000, seed=5)
         assert report.claimed_C == pytest.approx(1.0)
         assert report.holds_with_claimed
+
+
+def one_shot_search(space, part, phi, psi, budget, seed, claimed_C=None):
+    """The unchunked search: both whole batches drawn at once, then argmax."""
+    rng = np.random.default_rng(seed)
+    fs = signed_log_uniform(rng, (budget, space.n_atoms))
+    gs = signed_log_uniform(rng, (budget, space.n_atoms))
+    ratios = _holder_ratios(space, part, part.block_measures(space), phi, psi, fs, gs)
+    k = int(np.argmax(np.max(ratios, axis=-1)))
+    atom = int(np.argmax(ratios[k, part.labels]))
+    best = float(ratios[k, part.labels[atom]])
+    holds = None if claimed_C is None else best <= claimed_C * (1.0 + 1e-9)
+    return HolderReport(best, fs[k].copy(), gs[k].copy(), atom, claimed_C, holds, budget)
+
+
+def one_shot_normalization(space, part, phi, psi, budget, seed):
+    rng = np.random.default_rng(seed)
+
+    def sup_for(theta):
+        batch = signed_log_uniform(rng, (budget, space.n_atoms))
+        denom = young.inverse(theta, block_mean(space, part, young.evaluate(theta, batch)))
+        denom = denom[..., part.labels]
+        return float(np.max(block_mean(space, part, young.evaluate(theta, batch / denom))))
+
+    return sup_for(phi), sup_for(psi)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+ODD_SPACE = (MeasureSpace(np.ones(127)), Partition(np.arange(127) % 5))  # 37 * 127 is odd
+CASES = {
+    "odd-power": (ODD_SPACE, scaled_pair(2.0), 37, 11),
+    "odd-exp": (ODD_SPACE, (young.exp_type(), young.log_type()), 37, 12),
+    "symmetric-power": (build_symmetric_space(4), scaled_pair(3.0), 1_000, 13),
+    "rotation-exp": (build_rotation_space(3, 3), (young.exp_type(), young.log_type()), 501, 14),
+}
+# Rows per chunk: 1, a count dividing no budget above, and one chunk for the whole budget.
+CHUNK_ROWS = (1, 7, None)
+
+
+class TestStreamedSearch:
+    @pytest.mark.parametrize("rows, n, chunk_rows", [(37, 127, 5), (37, 127, 37), (3, 1, 2), (64, 8, 64), (9, 3, 4)])
+    def test_chunks_are_the_one_shot_rows(self, rows, n, chunk_rows):
+        rng = np.random.default_rng(rows + n)
+        first = signed_log_uniform(rng, (rows, n))
+        second = signed_log_uniform(rng, (rows, n))
+        chunks = list(signed_log_uniform_chunks(rows + n, (rows, n), chunk_rows))
+        assert [len(f) for f, _ in chunks][:-1] == [chunk_rows] * (len(chunks) - 1)
+        assert bits(np.concatenate([f for f, _ in chunks])) == bits(first)
+        assert bits(np.concatenate([g for _, g in chunks])) == bits(second)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_streamed_search_equals_one_shot(self, monkeypatch, case, chunk_rows):
+        (space, part), (phi, psi), budget, seed = CASES[case]
+        if chunk_rows is not None:
+            monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
+        else:
+            assert holder._SEARCH_CHUNK // space.n_atoms >= budget
+        got = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed, claimed_C=2.0)
+        want = one_shot_search(space, part, phi, psi, budget, seed, claimed_C=2.0)
+        assert bits(got.empirical_C) == bits(want.empirical_C)
+        assert got.worst_atom == want.worst_atom
+        assert bits(got.worst_f) == bits(want.worst_f)
+        assert bits(got.worst_g) == bits(want.worst_g)
+        assert (got.claimed_C, got.holds_with_claimed, got.samples) == (2.0, want.holds_with_claimed, budget)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_streamed_normalization_equals_one_shot(self, monkeypatch, case, chunk_rows):
+        (space, part), (phi, psi), budget, seed = CASES[case]
+        if chunk_rows is not None:
+            monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
+        got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
+        assert bits(got) == bits(one_shot_normalization(space, part, phi, psi, budget, seed))
+
+    def test_ties_keep_the_first_row_and_a_nan_wins_and_stays(self):
+        stream = [
+            np.array([[1.0, 2.0], [0.5, 0.0]]),
+            np.array([[2.0, 1.0]]),  # ties row 0
+            np.array([[0.0, np.nan], [3.0, 0.0]]),  # NaN row 3 beats the later 3.0
+            np.array([[5.0, math.inf]]),
+        ]
+        lead = _RunningMax()
+        assert [lead.update(chunk) for chunk in stream[:2]] == [0, None]
+        assert (lead.value, lead.row) == (2.0, 0)
+        assert [lead.update(chunk) for chunk in stream[2:]] == [0, None]
+        assert math.isnan(lead.value) and lead.row == 3
+        assert lead.row == np.argmax(np.max(np.concatenate(stream), axis=-1))
+
+    def test_nan_in_the_first_chunk_stays(self):
+        lead = _RunningMax()
+        assert lead.update(np.array([[np.nan], [1.0]])) == 0
+        assert lead.update(np.array([[math.inf]])) is None
+        assert math.isnan(lead.value) and lead.row == 0
+
+    def test_empty_budget_is_refused(self):
+        space, part = build_symmetric_space(2)
+        with pytest.raises(PreconditionViolated):
+            empirical_holder_constant(space, part, *scaled_pair(2.0), budget=0)
+        with pytest.raises(PreconditionViolated):
+            normalization_constants(space, part, *scaled_pair(2.0), sample_budget=0)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # The one-shot search held 10000 x 512 arrays and peaked near 177 MB.
+        space, part = build_symmetric_space(256)
+        tracemalloc.start()
+        try:
+            empirical_holder_constant(space, part, *scaled_pair(2.0), budget=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -342,7 +342,7 @@ class TestBlockMean:
 
         for phi in (young.scaled_power(3.0), young.exp_type()):
             psi = young.conjugate_closed_form(phi)
-            batch = np.max(_holder_ratios(space, part, phi, psi, fs, gs), axis=-1)
+            batch = np.max(_holder_ratios(space, part, part.block_measures(space), phi, psi, fs, gs), axis=-1)
             rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
             assert np.array_equal(batch, rows)
 
