@@ -1,9 +1,10 @@
 """
-Luxemburg norms: bisection against closed forms
-===============================================
+Luxemburg norms: Newton against closed forms
+============================================
 
 The Luxemburg norm is the smallest scale k making the modular of f/k at most
-one.  The laboratory computes it by bracketed bisection for every Young kind;
+one.  The laboratory computes it by safeguarded Newton on the log-modular for
+every Young kind;
 for the power kinds a closed form exists, giving an independent oracle.  This
 script compares the two routes and exercises the norm axioms numerically.
 """
@@ -24,14 +25,14 @@ space = MeasureSpace(rng.uniform(0.1, 10.0, 12))
 f = rng.normal(0.0, 3.0, 12)
 
 # ---------------------------------------------------------------------------
-# Bisection vs closed form on the power kinds.
-print("bisection vs closed form:")
+# Newton vs closed form on the power kinds.
+print("Newton vs closed form:")
 for p in (1.5, 2.0, 3.0):
     phi = young.scaled_power(p)
-    bisected = luxemburg_norm(space, phi, f)
+    newton = luxemburg_norm(space, phi, f)
     closed = luxemburg_norm_closed_form(space, phi, f)
-    print(f"  scaled_power({p}): bisection {bisected:.12f}   closed {closed:.12f}   "
-          f"rel diff {abs(bisected - closed) / closed:.2e}")
+    print(f"  scaled_power({p}): Newton {newton:.12f}   closed {closed:.12f}   "
+          f"rel diff {abs(newton - closed) / closed:.2e}")
 
 # ---------------------------------------------------------------------------
 # exp_type has no closed form; the defining property is still checkable:
@@ -47,11 +48,11 @@ print(f"  modular(f / (0.999*norm))  = {modular(space, phi, f / (0.999 * norm)):
 atoms = np.array([0, 3, 7])
 chi = np.zeros(12)
 chi[atoms] = 1.0
-print("\nindicator norms, formula vs bisection:")
+print("\nindicator norms, formula vs Newton:")
 for name, phi in [("power(2)", young.power(2.0)), ("exp_type", young.exp_type())]:
     formula = indicator_norm(space, phi, atoms)
-    bisected = luxemburg_norm(space, phi, chi)
-    print(f"  {name:<10} formula {formula:.12f}   bisection {bisected:.12f}")
+    newton = luxemburg_norm(space, phi, chi)
+    print(f"  {name:<10} formula {formula:.12f}   Newton {newton:.12f}")
 
 # ---------------------------------------------------------------------------
 # Norm axioms, sampled: homogeneity and the triangle inequality.

@@ -122,7 +122,7 @@ def norm_estimate(
 
     Block indicators are exact extremal candidates: T maps the indicator of
     block B to E(u)(B) times itself, so the norm ratio is |E(u)(B)| with no
-    bisection error, and the best block seeds the search analytically.  The
+    solver error, and the best block seeds the search analytically.  The
     multiplier itself and NORM_RESTARTS seeded random vectors are then scored
     numerically, and the NORM_RESTARTS best starts are improved by
     first-improvement coordinate ascent with a shrinking step.  Every candidate
@@ -141,7 +141,7 @@ def norm_estimate(
     n = op.n_atoms
 
     def ratios(fs: np.ndarray) -> np.ndarray:
-        """||T f|| / ||f|| per row, 0 where f = 0, from one batched bisection."""
+        """||T f|| / ||f|| per row, 0 where f = 0, from one batched norm solve."""
         nf, ntf = luxemburg_norm(op.space, phi, np.stack([fs, op.apply(fs)]))
         return np.divide(ntf, nf, out=np.zeros_like(nf), where=nf != 0.0)
 

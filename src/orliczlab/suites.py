@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import young as young_mod
-from .errors import ConfigError
+from .errors import BracketFailure, ConfigError
 from .holder import (
     domination_holder_constant,
     empirical_holder_constant,
@@ -214,9 +214,9 @@ def _sandwich_checks(mat: Materialized, op: WeightedConditionalExpectation, seed
     C = domination_holder_constant(op.space, op.partition)
     upper = norm_upper_bound(op, mat.phi, mat.psi, C)
     lower, _ = norm_estimate(op, mat.phi, budget=300, seed=seed)
-    # max|E(u)| against the bisected ratio ||T 1_B|| / ||1_B|| on the top block
-    # B.  Each norm is the upper end of a bracket no wider than
-    # NORM_TOL * max(1, norm), which bounds the ratio's error by `slack`.
+    # max|E(u)| against the computed ratio ||T 1_B|| / ||1_B|| on the top block
+    # B.  Each norm lies in [||g||, ||g|| + NORM_TOL * max(1, ||g||)], which
+    # bounds the ratio's error by `slack`.
     eu = np.abs(mean_multiplier(op))
     sup = float(np.max(eu))
     chi = (op.partition.labels == np.argmax(eu)).astype(float)
@@ -399,9 +399,14 @@ SUITE_ORDER = tuple(_SUITES)
 
 
 def run_suite(name: str, mat: Materialized) -> dict:
+    """Run one suite.  A solver that runs out of budget fails the suite with one
+    `solver_budget_exhausted` check carrying the solver's message."""
     if name not in _SUITES:
         raise ConfigError(f"suite: unknown suite {name!r}; known: {', '.join(SUITE_ORDER)}")
-    checks = _SUITES[name](mat)
+    try:
+        checks = _SUITES[name](mat)
+    except BracketFailure as exc:
+        checks = [_check("solver_budget_exhausted", False, error=str(exc))]
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),

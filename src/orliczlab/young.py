@@ -1,4 +1,4 @@
-"""Young-function calculus: evaluation, inversion, convex conjugation, growth checks.
+"""Young-function calculus: evaluation, differentiation, inversion, convex conjugation, growth checks.
 
 A Young function is an even, continuous, convex map with value 0 only at 0 and
 phi(x)/x -> inf as x -> inf.  This module provides a small family of parametric
@@ -30,6 +30,7 @@ __all__ = [
     "log_type",
     "from_config",
     "evaluate",
+    "derivative",
     "inverse",
     "conjugate_closed_form",
     "conjugate_numeric",
@@ -153,6 +154,33 @@ def evaluate(phi: YoungFunction, x):
     return out
 
 
+def derivative(phi: YoungFunction, x):
+    """phi' at |x|, the slope of phi on [0, inf); scalars or ndarrays, like evaluate.
+
+    - power p x**(p-1), scaled_power x**(p-1), conjugate_power c q y**(q-1).
+    - exp_type expm1(x), log_type log1p(y).
+    """
+    out = np.array(x, dtype=float)  # one copy, worked in place: the inverses pass large arrays
+    np.abs(out, out=out)
+    with np.errstate(over="ignore"):
+        if phi.kind == "power":
+            np.power(out, phi.p - 1.0, out=out)
+            out *= phi.p
+        elif phi.kind == "scaled_power":
+            np.power(out, phi.p - 1.0, out=out)
+        elif phi.kind == "conjugate_power":
+            c, q = _conj_power_params(phi.p)
+            np.power(out, q - 1.0, out=out)
+            out *= c * q
+        elif phi.kind == "exp_type":
+            np.expm1(out, out=out)
+        else:  # log_type
+            np.log1p(out, out=out)
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
 def inverse(phi: YoungFunction, t):
     """Nonnegative x with |phi(x) - t| <= BISECT_TOL * max(1, t), by the route of phi's kind.
 
@@ -215,12 +243,12 @@ def _newton_inverse(phi: YoungFunction, tt: np.ndarray) -> np.ndarray:
     todo = np.flatnonzero((t > 0.0) & (t < math.inf))
     for _ in range(_NEWTON_ITERS):
         xa = x[todo]
+        slope = derivative(phi, xa)
         if phi.kind == "exp_type":
             z = xa
-            slope = np.expm1(xa)
             phi_over_slope = 1.0 - xa / slope
         else:
-            z = slope = np.log1p(xa)
+            z = slope
             phi_over_slope = 1.0 + xa - xa / slope
         small = z < _SERIES_BELOW
         if small.any():

@@ -81,7 +81,7 @@ def test_criterion_01_conjugation_oracle(announce):
 
 
 def test_criterion_02_luxemburg_norm_oracle(announce):
-    # Bisection route against the closed-form p-norm and the indicator formula.
+    # Newton route against the closed-form p-norm and the indicator formula.
     tol = 1e-8
     rng = np.random.default_rng(20_202)
     worst = 0.0

@@ -1,4 +1,4 @@
-"""Modular and Luxemburg norm: bisection route against closed-form oracles."""
+"""Modular and Luxemburg norm: the Newton route against the bisection oracle and closed forms."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orliczlab import orlicz, young
 from orliczlab.errors import BracketFailure, PreconditionViolated, SpaceMismatch
-from orliczlab.measure import MeasureSpace, Partition
+from orliczlab.measure import MeasureSpace, Partition, _rows
 from orliczlab.orlicz import (
     contraction_check,
     indicator_norm,
@@ -17,10 +17,52 @@ from orliczlab.orlicz import (
     luxemburg_norm_closed_form,
     modular,
 )
+from orliczlab.sampling import random_space
 
 
 def unit_space(n):
     return MeasureSpace(np.full(n, 1.0 / n))
+
+
+def luxemburg_norm_bisect(space, phi, f, tol=orlicz.NORM_TOL):
+    """The oracle for luxemburg_norm: the same bracket, then bisection in k.
+
+    Each row's result is the upper end of a bracket no wider than
+    tol * max(1, hi), so it is feasible and within that width of the norm.
+    It shares `modular` and the bracket's upper end with the Newton route.
+    """
+    f = _rows(space, f)
+    rows = f.reshape(-1, space.n_atoms)
+    peak = np.max(np.abs(rows), axis=-1, initial=0.0)
+    hi = np.zeros_like(peak)
+    live = np.flatnonzero(peak != 0.0)
+    if live.size:
+        hi[live] = peak[live] / young.inverse(phi, 1.0 / space.total)
+    # Numerical slack at the theoretical bracket; widen until feasible.  A NaN
+    # modular is not > 1, so it counts as feasible.
+    wide = live[modular(space, phi, rows[live] / hi[live, None]) > 1.0]
+    for _ in range(200):
+        if not wide.size:
+            break
+        hi[wide] *= 2.0
+        wide = wide[modular(space, phi, rows[wide] / hi[wide, None]) > 1.0]
+    if wide.size:
+        raise BracketFailure("no feasible scale for the Luxemburg norm within 200 doublings")
+    lo = np.zeros_like(hi)
+    # The stop tests are negated `<=`, not `>`, so a NaN row keeps bisecting.
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        go = ~(mid <= 0.0)
+        live, mid = live[go], mid[go]
+        if not live.size:
+            break
+        feasible = modular(space, phi, rows[live] / mid[:, None]) <= 1.0
+        hi[live[feasible]] = mid[feasible]
+        lo[live[~feasible]] = mid[~feasible]
+        live = live[~(hi[live] - lo[live] <= tol * np.maximum(1.0, hi[live]))]
+    if f.ndim == 1:
+        return float(hi[0])
+    return hi.reshape(f.shape[:-1])
 
 
 class TestModular:
@@ -96,6 +138,18 @@ class TestLuxemburgNorm:
             assert formula == pytest.approx(direct, rel=1e-12)
             assert luxemburg_norm(space, phi, chi) == pytest.approx(formula, rel=1e-8)
 
+    def test_modular_that_cancels_to_zero(self):
+        # At the second atom's scale expm1(x) - x and (1+y) log1p(y) - y cancel
+        # to 0, so every scale below the bracket looks feasible: bisection from 0
+        # runs out of halvings at 4.4e92.  The single-atom lower end,
+        # 1e-3 / phi^{-1}(1e-300) from the series inverse, holds the norm.
+        space = MeasureSpace([1.0, 1e300])
+        f = np.array([1e3, 1e-3])
+        want = 1e-3 * math.sqrt(0.5e300)
+        for phi in (young.exp_type(), young.log_type()):
+            assert luxemburg_norm(space, phi, f) == pytest.approx(want, rel=orlicz.NORM_TOL)
+        assert luxemburg_norm(space, young.power(2.0), f) == pytest.approx(math.sqrt(1e6 + 1e294), rel=1e-15)
+
     def test_indicator_norm_needs_positive_mass(self):
         with pytest.raises(PreconditionViolated):
             indicator_norm(unit_space(3), young.power(2.0), np.array([], dtype=int))
@@ -158,8 +212,79 @@ SUPERLINEAR = (
 )
 
 
+def oracle_rows(rng, n):
+    """Rows over twelve decades, with a zero, a half-zero, an all-inf and a NaN row."""
+    fs = rng.normal(0.0, 1.0, (9, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (9, 1))
+    fs[0] = 0.0
+    fs[1, : (n + 1) // 2] = 0.0
+    fs[2] = np.inf
+    fs[3, n // 2] = np.nan
+    return fs
+
+
+class TestAgainstBisectionOracle:
+    """The Newton route lands within the oracle's bracket, feasible and tight."""
+
+    @staticmethod
+    def solve(phi, n):
+        rng = np.random.default_rng(n)
+        space = random_space(rng, n)
+        fs = oracle_rows(rng, n)
+        with np.errstate(invalid="ignore"):  # inf / inf in the all-inf row
+            got = luxemburg_norm(space, phi, fs)
+            want = luxemburg_norm_bisect(space, phi, fs)
+        finite = [i for i, f in enumerate(fs) if np.all(np.isfinite(f)) and np.any(f != 0.0)]
+        return space, fs, got, want, finite
+
+    @pytest.mark.parametrize("n", [1, 8, 63, 128, 2048])
+    @pytest.mark.parametrize("phi", SUPERLINEAR, ids=lambda phi: phi.kind)
+    def test_within_the_oracle_bracket(self, phi, n):
+        space, fs, got, want, finite = self.solve(phi, n)
+        assert got[0] == want[0] == 0.0 and got[2] == want[2] == math.inf
+        assert math.isnan(got[3]) and math.isnan(want[3])
+        for i in finite:
+            k, b = got[i], want[i]
+            assert b - orlicz.NORM_TOL * max(1.0, b) <= k <= b + 4.0 * np.spacing(b)
+            assert modular(space, phi, fs[i] / k) <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 8, 63, 128, 2048])
+    @pytest.mark.parametrize("phi", SUPERLINEAR, ids=lambda phi: phi.kind)
+    def test_tight(self, phi, n):
+        # The oracle stops anywhere in a bracket of width NORM_TOL * max(1, k);
+        # the Newton route stops within a few ulps of the smallest feasible scale.
+        space, fs, got, _, finite = self.solve(phi, n)
+        for i in finite:
+            assert modular(space, phi, fs[i] / (got[i] * (1.0 - 1e-12))) > 1.0
+
+    @pytest.mark.parametrize("phi", SUPERLINEAR, ids=lambda phi: phi.kind)
+    def test_bisection_fallback_without_a_slope(self, phi, monkeypatch):
+        # With a NaN slope every Newton step is rejected, so each row is solved
+        # by bisection in log k alone and stops on the bracket width.
+        monkeypatch.setattr(orlicz, "derivative", lambda phi, x: np.full(np.shape(x), np.nan))
+        rng = np.random.default_rng(50)
+        space = random_space(rng, 16)
+        fs = oracle_rows(rng, 16)[4:]
+        got = luxemburg_norm(space, phi, fs)
+        want = luxemburg_norm_bisect(space, phi, fs)
+        assert np.all(np.abs(got - want) <= orlicz.NORM_TOL * np.maximum(1.0, want))
+        assert np.all(modular(space, phi, fs / got[:, None]) <= 1.0)
+
+    def test_iteration_cap_fails_loudly(self, monkeypatch):
+        # Feasible only at the bracket's upper end, where max|f/k| = 1, and one
+        # ulp above 1 everywhere below it: Newton converges at once, and only
+        # the doubling step-up, about 50 passes, reaches a feasible scale.
+        def stuck(space, phi, f):
+            return np.where(np.max(np.abs(f), axis=-1) <= 1.0, 0.5, 1.0 + 2.0**-52)
+
+        monkeypatch.setattr(orlicz, "modular", stuck)
+        assert luxemburg_norm(unit_space(2), young.power(2.0), np.ones(2)) == 1.0
+        monkeypatch.setattr(orlicz, "_NEWTON_ITERS", 30)
+        with pytest.raises(BracketFailure, match="did not settle"):
+            luxemburg_norm(unit_space(2), young.power(2.0), np.ones(2))
+
+
 class TestBatch:
-    """(..., n) input: one bisection over all rows, each row bitwise a single call."""
+    """(..., n) input: one solve over all rows, each row bitwise a single call."""
 
     @pytest.mark.parametrize("n", [1, 5, 64])
     def test_rows_equal_single_calls_bitwise(self, n):
@@ -185,13 +310,13 @@ class TestBatch:
 
     @pytest.mark.parametrize("f", [np.zeros(2), np.zeros(0), np.zeros((4, 2)), 1.0])
     def test_rejects_a_wrong_trailing_length(self, f):
-        # Zero rows need no bisection, so the length is checked up front.
+        # Zero rows need no solve, so the length is checked up front.
         with pytest.raises(SpaceMismatch):
             luxemburg_norm(unit_space(3), young.power(2.0), f)
 
     def test_widened_rows_equal_single_calls_bitwise(self):
         # Rounding puts the theoretical bracket of a constant function just
-        # outside the feasible set on this space, so the bisection must widen.
+        # outside the feasible set on this space, so the bracket must widen.
         space = MeasureSpace([1.361, 0.314, 0.775])
         phi = young.scaled_power(2.0)
         assert modular(space, phi, np.ones(3) / (1.0 / young.inverse(phi, 1.0 / space.total))) > 1.0

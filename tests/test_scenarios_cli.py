@@ -250,6 +250,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_solver_out_of_budget_fails_its_suites(self, capsys, tmp_path):
+        # |x|**p with p this close to 1 grows almost linearly, so the numeric
+        # conjugate's bracket never closes within its doubling budget.
+        cfg = tmp_path / "near_linear.json"
+        cfg.write_text(json.dumps(minimal_config(young={"kind": "power", "p": 1.0000000001})))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--config", str(cfg)]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        suites = report["scenarios"][0]["suites"]
+        for name in ("young-calculus", "gcthi"):
+            (check,) = suites[name]["checks"]
+            assert check["name"] == "solver_budget_exhausted" and check["passed"] is False
+            assert "doubling budget" in check["error"]
+            assert suites[name]["passed"] is False
+
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():
             assert (

@@ -43,6 +43,34 @@ def test_monotone_on_grid():
         assert np.all(np.diff(vals) >= 0)
 
 
+# derivative
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 7.0])
+def test_derivative_closed_forms_for_power_kinds(p):
+    xs = np.logspace(-8, 2, 101)
+    assert np.allclose(young.derivative(young.power(p), xs), p * xs ** (p - 1.0), rtol=1e-14, atol=0.0)
+    assert np.allclose(young.derivative(young.scaled_power(p), -xs), xs ** (p - 1.0), rtol=1e-14, atol=0.0)
+    # The conjugate's slope inverts the slope of |x|**p: (phi*)'(y) = (y/p)**(1/(p-1)).
+    assert np.allclose(
+        young.derivative(young.conjugate_power(p), xs), (xs / p) ** (1.0 / (p - 1.0)), rtol=1e-12, atol=0.0
+    )
+    assert young.derivative(young.power(p), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("phi", [young.exp_type(), young.log_type()], ids=lambda phi: phi.kind)
+def test_derivative_matches_central_differences(phi):
+    # A step of 1e-3 * min(x, 1) keeps truncation near 2e-7 and, where the
+    # evaluation cancels near 0, round-off below 1e-5.
+    xs = np.logspace(-8, 2, 101)
+    h = 1e-3 * np.minimum(xs, 1.0)
+    central = (young.evaluate(phi, xs + h) - young.evaluate(phi, xs - h)) / (2.0 * h)
+    slope = young.derivative(phi, xs)
+    assert np.all(np.abs(central - slope) <= 2e-5 * slope)
+    assert young.derivative(phi, -2.0) == young.derivative(phi, 2.0)
+    assert type(young.derivative(phi, 2.0)) is float
+
+
 # inversion
 
 

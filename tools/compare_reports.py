@@ -8,7 +8,10 @@ config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), each at seeds 0, 1 and 2.  A builtin runs with `--seed`, a
 workload config is built at the seed.  The `timing` block is dropped, each
 report whose JSON or exit code differs is printed, and the exit code is 1 if
-any differs, else 0.  Standard library only; runs one child at a time.
+any differs, else 0.  For a differing pair of reports the line also gives the
+number of checks whose `passed` flipped and the largest relative move
+|new - old| / max(1, |old|) of any number found at the same place in both,
+with its path.  Standard library only; runs one child at a time.
 """
 
 from __future__ import annotations
@@ -60,15 +63,16 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
     return cases
 
 
-def _run(src: Path, args: list[str]) -> tuple[int, str]:
-    """Exit code and the report without `timing` (or stdout and stderr if it is no report)."""
+def _run(src: Path, args: list[str]) -> tuple[int, str, object]:
+    """Exit code, the report without `timing` as text (or stdout and stderr if it
+    is no report), and the parsed report (None if it is no report)."""
     proc = _python(src, ["-m", "orliczlab", "run", *args])
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
-        return proc.returncode, proc.stdout + proc.stderr
+        return proc.returncode, proc.stdout + proc.stderr, None
     report.pop("timing", None)
-    return proc.returncode, json.dumps(report, indent=2, sort_keys=True)
+    return proc.returncode, json.dumps(report, indent=2, sort_keys=True), report
 
 
 def _first_difference(old: str, new: str) -> str:
@@ -76,6 +80,40 @@ def _first_difference(old: str, new: str) -> str:
         if a != b:
             return f"line {k}: {a.strip()} -> {b.strip()}"
     return f"lengths differ: {len(old.splitlines())} vs {len(new.splitlines())} lines"
+
+
+def _leaves(old, new, path: str = ""):
+    """(path, old, new) for each pair of scalars at the same place in both reports.
+
+    A list item with a `name` (a check) is addressed by that name.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() & new.keys()):
+            yield from _leaves(old[key], new[key], f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            label = a.get("name", i) if isinstance(a, dict) else i
+            yield from _leaves(a, b, f"{path}[{label}]")
+    elif not isinstance(old, (dict, list)) and not isinstance(new, (dict, list)):
+        yield path, old, new
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _what_moved(old, new) -> str:
+    """Flipped check verdicts and the largest relative move of a number."""
+    flipped, worst, where = 0, 0.0, None
+    for path, a, b in _leaves(old, new):
+        if path.endswith(".passed") and ".checks[" in path and a != b:
+            flipped += 1
+        if _is_number(a) and _is_number(b) and a != b:
+            move = abs(b - a) / max(1.0, abs(a))
+            if move > worst:
+                worst, where = move, path
+    moved = f"largest move {worst:.3g} at {where}" if where else "no number moved"
+    return f"{flipped} checks flipped; {moved}"
 
 
 def main(argv: list[str]) -> int:
@@ -95,13 +133,15 @@ def main(argv: list[str]) -> int:
                 differ += 1
                 print(f"DIFFERS {label}: present in one tree only")
                 continue
-            old_code, old = _run(old_src, old_cases[label])
-            new_code, new = _run(new_src, new_cases[label])
+            old_code, old, old_report = _run(old_src, old_cases[label])
+            new_code, new, new_report = _run(new_src, new_cases[label])
             if (old_code, old) != (new_code, new):
                 differ += 1
                 detail = f"exit {old_code} -> {new_code}"
                 if old != new:
                     detail += "; " + _first_difference(old, new)
+                if old_report is not None and new_report is not None:
+                    detail += "; " + _what_moved(old_report, new_report)
                 print(f"DIFFERS {label}: {detail}")
             else:
                 print(f"same    {label} (exit {new_code})")
