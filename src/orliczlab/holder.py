@@ -7,11 +7,20 @@ estimates it by randomized search, certifies C0**2 from pointwise domination
 |h| <= C0 * E(|h|) (C0 the partition's domination constant; proof in
 holder_from_domination), and estimates C1 + C2 from the normalized block
 averages, a valid constant by Young's inequality x*y <= phi(x) + psi(y).
+
+Both searches split their seeded sample batches into W = min(CPUs, 2, rows)
+contiguous row ranges that run on parallel threads, each drawing its rows
+from the same PCG64 positions as the one-shot batches.  Each range keeps its
+own leader, and the leaders are folded in range order by the streaming rule
+(a strictly greater score leads; a NaN leads once and keeps it), so every
+result is bit for bit the one-shot batch's, whatever W and the chunk size.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,9 @@ __all__ = [
 # sample array and temporary to 2**18 doubles (2 MiB) whatever the budget and
 # space, as measure._BLOCK_MEAN_CHUNK bounds the block-averaging temporaries.
 _SEARCH_CHUNK = 1 << 18
+# Most row ranges a search runs in parallel (see _search_ranges); only 2 CPUs
+# have been measured.
+_SEARCH_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -126,20 +138,66 @@ class _RunningMax:
         """Take the next chunk; return the index in it of a new leading row, else None."""
         row_max = np.max(scores, axis=-1)
         i = int(np.argmax(row_max))
-        v = float(row_max[i])
-        lead = self.row < 0 or v > self.value or (math.isnan(v) and not math.isnan(self.value))
-        if lead:
-            self.value, self.row = v, self._seen + i
+        lead = self._offer(float(row_max[i]), self._seen + i)
         self._seen += len(scores)
         return i if lead else None
 
+    def merge(self, later: "_RunningMax") -> bool:
+        """Take the leader of the rows streamed after this one's, by the same rule; True if it leads."""
+        lead = self._offer(later.value, self._seen + later.row)
+        self._seen += later._seen
+        return lead
 
-def _sample_chunks(space: MeasureSpace, budget: int, seed: int):
-    """(f, g) row chunks of the two batches signed_log_uniform draws in turn from default_rng(seed)."""
+    def _offer(self, v: float, row: int) -> bool:
+        lead = self.row < 0 or v > self.value or (math.isnan(v) and not math.isnan(self.value))
+        if lead:
+            self.value, self.row = v, row
+        return lead
+
+
+def _worker_count(rows: int) -> int:
+    """Row ranges a search splits into: min(CPUs this process may run on, _SEARCH_WORKERS, rows)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, _SEARCH_WORKERS, rows)
+
+
+def _search_ranges(space: MeasureSpace, budget: int, seed: int, scan) -> list:
+    """scan(chunks) on each of W contiguous row ranges of the search's batches, in range order.
+
+    The batches are the two (budget, n) batches that signed_log_uniform draws
+    in turn from default_rng(seed).  Range 0 runs on the calling thread and
+    each other range on its own thread; numpy releases the GIL in the draws
+    and kernels, so the ranges run in parallel.  Each range streams
+    _SEARCH_CHUNK // W elements at a time, so as many elements are in flight
+    as with one range.  Every thread is joined before this returns, and the
+    first range's exception (a helper's BracketFailure, say) is raised here.
+    """
     if budget < 1:
         raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
     n = space.n_atoms
-    return signed_log_uniform_chunks(seed, (budget, n), max(1, _SEARCH_CHUNK // n))
+    workers = _worker_count(budget)
+    chunk_rows = max(1, _SEARCH_CHUNK // workers // n)
+    bounds = [budget * k // workers for k in range(workers + 1)]
+    results: list = [None] * workers
+    errors: list = [None] * workers
+
+    def run(k: int) -> None:
+        try:
+            chunks = signed_log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1])
+            results[k] = scan(chunks)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[k] = exc
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def empirical_holder_constant(
@@ -156,19 +214,31 @@ def empirical_holder_constant(
     Magnitudes are log-uniform over [1e-3, 1e3] with random signs, so the
     search reaches both scale extremes where non-homogeneous kinds misbehave.
     The samples are the two (budget, n) batches that signed_log_uniform draws
-    in turn from default_rng(seed), bitwise, but they are drawn and scored
-    _SEARCH_CHUNK elements at a time, so memory stays bounded whatever the
-    budget.  The report records the first maximal (sample, atom) in row-major
-    order, as np.argmax over the whole batch finds it (a NaN ratio wins).
+    in turn from default_rng(seed), bitwise.  They are split into W
+    contiguous row ranges scored in parallel (_search_ranges), each drawn and
+    scored in chunks, so memory stays bounded whatever the budget.  Each
+    range keeps its own leader, and the leaders are folded in range order by
+    the same rule: a strictly greater score takes the lead, and a NaN takes
+    it once and keeps it.  So the report records the first maximal (sample,
+    atom) in row-major order, as np.argmax over the whole batch finds it (a
+    NaN ratio wins), bit for bit whatever W and the chunk size.
     """
     verify_conjugate_pair(phi, psi)
     mass = partition.block_measures(space)
-    lead = _RunningMax()
-    for f, g in _sample_chunks(space, budget, seed):
-        ratios = _holder_ratios(space, partition, mass, phi, psi, f, g)
-        k = lead.update(ratios)
-        if k is not None:
-            worst = ratios[k, partition.labels], f[k].copy(), g[k].copy()
+
+    def scan(chunks):
+        lead, worst = _RunningMax(), None
+        for f, g in chunks:
+            ratios = _holder_ratios(space, partition, mass, phi, psi, f, g)
+            k = lead.update(ratios)
+            if k is not None:
+                worst = ratios[k, partition.labels], f[k].copy(), g[k].copy()
+        return lead, worst
+
+    (lead, worst), *later = _search_ranges(space, budget, seed, scan)
+    for other, other_worst in later:
+        if lead.merge(other):
+            worst = other_worst
     atom_ratios, worst_f, worst_g = worst
     atom = int(np.argmax(atom_ratios))
     best = float(atom_ratios[atom])
@@ -191,8 +261,10 @@ def normalization_constants(
     Hölder constant is then C1 + C2, by the pointwise product inequality
     x*y <= phi(x) + psi(y) applied to the normalized factors.  The f and g
     samples are the two (sample_budget, n) batches that signed_log_uniform
-    draws in turn from default_rng(seed), bitwise, drawn and scored in chunks
-    as in empirical_holder_constant; a NaN value wins, as under np.max.
+    draws in turn from default_rng(seed), bitwise, split into row ranges and
+    chunks and folded in range order as in empirical_holder_constant, so the
+    result does not depend on W or the chunk size; a NaN value wins, as under
+    np.max.
     """
     mass = partition.block_measures(space)
 
@@ -201,10 +273,17 @@ def normalization_constants(
         denom = denom[..., partition.labels]
         return _block_mean(space, partition, mass, evaluate(theta, batch / denom))
 
-    c1, c2 = _RunningMax(), _RunningMax()
-    for f, g in _sample_chunks(space, sample_budget, seed):
-        c1.update(normalized(phi, f))
-        c2.update(normalized(psi, g))
+    def scan(chunks):
+        c1, c2 = _RunningMax(), _RunningMax()
+        for f, g in chunks:
+            c1.update(normalized(phi, f))
+            c2.update(normalized(psi, g))
+        return c1, c2
+
+    (c1, c2), *later = _search_ranges(space, sample_budget, seed, scan)
+    for other1, other2 in later:
+        c1.merge(other1)
+        c2.merge(other2)
     return c1.value, c2.value
 
 

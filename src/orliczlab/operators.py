@@ -67,7 +67,7 @@ class WeightedConditionalExpectation:
         mass = self.partition.block_measures(self.space)
         same_block = lab[:, None] == lab[None, :]
         m = np.where(same_block, (self.space.weights * self.u)[None, :], 0.0)
-        m = m / mass[lab][:, None]
+        m /= mass[lab][:, None]
         m.setflags(write=False)
         return m
 
@@ -96,6 +96,20 @@ def multiplier_levels(op: WeightedConditionalExpectation, psi: YoungFunction) ->
     return inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u)))
 
 
+def _bound_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, peaks): multiplier_levels with NaN for a level that underflowed
+    to 0 on a block where u is not all 0, and max |u| on each block.
+
+    psi(|u|) underflows for psi = c*|y|**q with q near 1e10, say, and the
+    level 0 would then pass for a valid bound.  The true level is positive and
+    at most the block's peak, since E(psi|u|) <= psi(max |u|).
+    """
+    levels = multiplier_levels(op, psi)
+    peaks = np.zeros(levels.size)
+    np.maximum.at(peaks, op.partition.labels, np.abs(op.u))
+    return np.where((levels == 0) & (peaks > 0), math.nan, levels), peaks
+
+
 def norm_upper_bound(
     op: WeightedConditionalExpectation,
     phi: YoungFunction,
@@ -103,9 +117,14 @@ def norm_upper_bound(
     C: float,
 ) -> float:
     """C * max over blocks of psi^{-1}(E(psi|u|)), valid when C is a certified
-    Hölder constant for this averaging and the pair (phi, psi)."""
-    levels = multiplier_levels(op, psi)
-    return C * float(np.max(levels)) if levels.size else 0.0
+    Hölder constant for this averaging and the pair (phi, psi).  NaN when a
+    level that underflowed to 0 could hold the max (see _bound_levels)."""
+    levels, peaks = _bound_levels(op, psi)
+    lost = np.isnan(levels)
+    top = float(np.max(levels, where=~lost, initial=0.0))
+    if not np.all(peaks[lost] <= top):
+        top = math.nan
+    return C * top if levels.size else 0.0
 
 
 # Random starts of norm_estimate, and how many of the best starts it ascends from.
@@ -321,11 +340,16 @@ def essential_gap(
 
     beta is the smallest epsilon whose level set fits within K = max(1,
     n_blocks // 4) blocks ("finitely many" at desk scale): the (K+1)-th
-    largest level, or 0 when there are no more than K blocks.
+    largest level, or 0 when there are no more than K blocks.  A level that
+    underflowed to 0 (or is NaN) leaves beta unknown, so beta is then NaN,
+    and so is the bound C*epsilon.
     """
     cutoff = max(1, op.partition.n_blocks // 4)
-    levels = np.sort(multiplier_levels(op, psi))[::-1]
-    beta = float(levels[cutoff]) if levels.size > cutoff else 0.0
+    levels = np.sort(_bound_levels(op, psi)[0])[::-1]
+    if np.isnan(levels).any():
+        beta = math.nan
+    else:
+        beta = float(levels[cutoff]) if levels.size > cutoff else 0.0
     gap = truncation_gap_check(op, phi, psi, C, beta + ESSENTIAL_DELTA, budget=budget, seed=seed)
     return {"cutoff": cutoff, "beta": beta, **gap}
 
@@ -379,7 +403,9 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
         [mean_multiplier(op), np.zeros(op.n_atoms - op.partition.n_blocks)]
     )
     m, lab = op.matrix, op.partition.labels
-    if np.any(m[lab[:, None] != lab[None, :]]):
+    off = lab[:, None] != lab[None, :]
+    off &= m != 0  # in place: no n**2 copy of the entries; a NaN counts, a -0.0 does not
+    if off.any():
         raise SpectralOracleError("the dense matrix has a nonzero entry off its diagonal blocks")
     blocks = (op.partition.block_members(b) for b in range(op.partition.n_blocks))
     raw = np.concatenate([np.linalg.eigvals(m[np.ix_(b, b)]) for b in blocks])

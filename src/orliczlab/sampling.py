@@ -38,46 +38,69 @@ def _signs(rng: np.random.Generator, size):
     return rng.choice([-1.0, 1.0], size)
 
 
-def signed_log_uniform_chunks(seed: int, shape: tuple[int, int], chunk_rows: int):
-    """Row chunks of two successive `signed_log_uniform(rng, shape)` batches.
+def signed_log_uniform_chunks(
+    seed: int, shape: tuple[int, int], chunk_rows: int, start: int = 0, stop: int | None = None
+):
+    """Row chunks of rows [start, stop) of two successive `signed_log_uniform(rng, shape)` batches.
 
     With rng = np.random.default_rng(seed), yields (first, second) pairs of at
     most `chunk_rows` rows, bitwise equal to the matching rows of the two
-    one-shot batches, while holding one chunk of each.  The one-shot draws
-    spend the PCG64 stream in four runs: N = rows*n magnitudes of one 64-bit
-    word each, N signs of one 32-bit half each (a word's low half first, its
-    upper half buffered in the bit generator), then the same for the second
-    batch.  Each run draws from its own copy of the seeded bit generator,
-    moved by PCG64.advance to the run's first word and then drawn chunk after
-    chunk.  For odd N the first batch's signs leave the upper half of their
-    last word buffered and the second batch's signs spend it first, so that
-    half is set explicitly on the second sign run.
+    one-shot batches, while holding one chunk of each.  `stop` defaults to all
+    rows, so any split of the rows into contiguous ranges yields, range after
+    range, the same rows as one call over all of them.
+
+    The one-shot draws spend the PCG64 stream in four runs: N = rows*n
+    magnitudes of one 64-bit word each, N signs of one 32-bit half each (a
+    word's low half first, its upper half buffered in the bit generator),
+    then the same for the second batch.  Each run draws from its own copy of
+    the seeded bit generator, moved by PCG64.advance to the range's first
+    element a = start*n and then drawn chunk after chunk.  With S = ceil(N/2)
+    sign words, the first batch's magnitudes start at word a, its signs at
+    32-bit half 2N + a, the second batch's magnitudes at word N + S + a and
+    its signs at half 2(2N + S) + a - (N mod 2): for odd N the first
+    batch's signs leave the upper half of word N + S - 1 buffered, and the
+    second batch's first sign spends it, so at a = 0 that half is set
+    explicitly.
     """
     rows, n = shape
+    stop = rows if stop is None else stop
     count = rows * n
     sign_words = (count + 1) // 2
-    carry = None
-    if count % 2:
-        last = np.random.PCG64(seed)
-        last.advance(count + sign_words - 1)
-        carry = int(last.random_raw()) >> 32
-    f_mag, f_sign = _run(seed, 0), _run(seed, count)
-    g_mag, g_sign = _run(seed, count + sign_words), _run(seed, 2 * count + sign_words, carry)
-    for start in range(0, rows, chunk_rows):
-        size = (min(chunk_rows, rows - start), n)
+    a = start * n
+    f_mag, f_sign = _run(seed, a), _run_at_half(seed, 2 * count + a)
+    g_mag = _run(seed, count + sign_words + a)
+    if a == 0 and count % 2:
+        g_sign = _run(seed, 2 * count + sign_words, carry=count + sign_words - 1)
+    else:
+        g_sign = _run_at_half(seed, 2 * (2 * count + sign_words) + a - count % 2)
+    for lo in range(start, stop, chunk_rows):
+        size = (min(chunk_rows, stop - lo), n)
         f = log_uniform(f_mag, size) * _signs(f_sign, size)
         yield f, log_uniform(g_mag, size) * _signs(g_sign, size)
 
 
 def _run(seed: int, word: int, carry: int | None = None) -> np.random.Generator:
-    """The seeded stream from its `word`-th 64-bit output, with `carry` as the buffered 32-bit half."""
+    """The seeded stream from its `word`-th 64-bit output, with the upper half
+    of output `carry` (< word) as the buffered 32-bit half."""
     bits = np.random.PCG64(seed)
-    bits.advance(word)
-    if carry is not None:
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = 1, carry
-        bits.state = state
+    if carry is None:
+        bits.advance(word)
+        return np.random.Generator(bits)
+    bits.advance(carry)
+    upper = int(bits.random_raw()) >> 32
+    bits.advance(word - carry - 1)  # advancing drops a buffered half, so set it after
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = 1, upper
+    bits.state = state
     return np.random.Generator(bits)
+
+
+def _run_at_half(seed: int, half: int) -> np.random.Generator:
+    """The seeded stream from its `half`-th 32-bit output: the low half of word
+    half // 2 when `half` is even, else that word's upper half, buffered."""
+    if half % 2:
+        return _run(seed, half // 2 + 1, carry=half // 2)
+    return _run(seed, half // 2)
 
 
 def random_space(rng: np.random.Generator, n_atoms: int) -> MeasureSpace:

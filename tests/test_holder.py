@@ -1,6 +1,7 @@
 """Conditional Hölder inequality: ratios, empirical constants, sufficient conditions."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import holder, young
-from orliczlab.errors import ConjugateMismatch, PreconditionViolated
+from orliczlab.errors import BracketFailure, ConjugateMismatch, PreconditionViolated
 from orliczlab.holder import (
     HolderReport,
     _holder_ratios,
@@ -200,6 +201,8 @@ CASES = {
 }
 # Rows per chunk: 1, a count dividing no budget above, and one chunk for the whole budget.
 CHUNK_ROWS = (1, 7, None)
+# Row ranges forced on the searches, whatever the CPU count: one, the cap of 2, and one more.
+WORKERS = (1, 2, 3)
 
 
 class TestStreamedSearch:
@@ -212,6 +215,12 @@ class TestStreamedSearch:
         assert [len(f) for f, _ in chunks][:-1] == [chunk_rows] * (len(chunks) - 1)
         assert bits(np.concatenate([f for f, _ in chunks])) == bits(first)
         assert bits(np.concatenate([g for _, g in chunks])) == bits(second)
+        # Every row range, as the split searches draw it; N = rows * n is odd in three cases.
+        for start in range(rows):
+            for stop in range(start + 1, rows + 1):
+                chunks = list(signed_log_uniform_chunks(rows + n, (rows, n), chunk_rows, start, stop))
+                assert bits(np.concatenate([f for f, _ in chunks])) == bits(first[start:stop])
+                assert bits(np.concatenate([g for _, g in chunks])) == bits(second[start:stop])
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -221,13 +230,15 @@ class TestStreamedSearch:
             monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
         else:
             assert holder._SEARCH_CHUNK // space.n_atoms >= budget
-        got = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed, claimed_C=2.0)
         want = one_shot_search(space, part, phi, psi, budget, seed, claimed_C=2.0)
-        assert bits(got.empirical_C) == bits(want.empirical_C)
-        assert got.worst_atom == want.worst_atom
-        assert bits(got.worst_f) == bits(want.worst_f)
-        assert bits(got.worst_g) == bits(want.worst_g)
-        assert (got.claimed_C, got.holds_with_claimed, got.samples) == (2.0, want.holds_with_claimed, budget)
+        for workers in WORKERS:
+            monkeypatch.setattr(holder, "_worker_count", lambda rows, w=workers: min(w, rows))
+            got = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed, claimed_C=2.0)
+            assert bits(got.empirical_C) == bits(want.empirical_C)
+            assert got.worst_atom == want.worst_atom
+            assert bits(got.worst_f) == bits(want.worst_f)
+            assert bits(got.worst_g) == bits(want.worst_g)
+            assert (got.claimed_C, got.holds_with_claimed, got.samples) == (2.0, want.holds_with_claimed, budget)
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -235,8 +246,27 @@ class TestStreamedSearch:
         (space, part), (phi, psi), budget, seed = CASES[case]
         if chunk_rows is not None:
             monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
-        got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
-        assert bits(got) == bits(one_shot_normalization(space, part, phi, psi, budget, seed))
+        want = one_shot_normalization(space, part, phi, psi, budget, seed)
+        for workers in WORKERS:
+            monkeypatch.setattr(holder, "_worker_count", lambda rows, w=workers: min(w, rows))
+            got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_range_failure_reaches_the_caller_after_every_join(self, monkeypatch, where):
+        def failing_inverse(theta, t):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise BracketFailure(f"planted in the {where} thread")
+            return young.inverse(theta, t)
+
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
+        monkeypatch.setattr(holder, "inverse", failing_inverse)
+        space, part = build_symmetric_space(4)
+        before = threading.active_count()
+        for search in (empirical_holder_constant, normalization_constants):
+            with pytest.raises(BracketFailure, match=where):
+                search(space, part, *scaled_pair(2.0), 100, 0)
+            assert threading.active_count() == before
 
     def test_ties_keep_the_first_row_and_a_nan_wins_and_stays(self):
         stream = [
@@ -251,6 +281,28 @@ class TestStreamedSearch:
         assert [lead.update(chunk) for chunk in stream[2:]] == [0, None]
         assert math.isnan(lead.value) and lead.row == 3
         assert lead.row == np.argmax(np.max(np.concatenate(stream), axis=-1))
+
+    def test_merged_range_leaders_are_the_streamed_leader(self):
+        stream = [
+            np.array([[1.0, 2.0], [0.5, 0.0]]),
+            np.array([[2.0, 1.0]]),
+            np.array([[0.0, np.nan], [3.0, 0.0]]),
+            np.array([[5.0, math.inf]]),
+        ]
+        for cuts in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
+            leaders = []
+            for lo, hi in zip((0, *cuts), (*cuts, len(stream))):
+                leaders.append(_RunningMax())
+                for chunk in stream[lo:hi]:
+                    leaders[-1].update(chunk)
+            first, *later = leaders
+            for other in later:
+                first.merge(other)
+            assert math.isnan(first.value) and first.row == 3, cuts
+        tie, later_tie = _RunningMax(), _RunningMax()
+        tie.update(np.array([[2.0]]))
+        later_tie.update(np.array([[1.0], [2.0]]))
+        assert not tie.merge(later_tie) and (tie.value, tie.row) == (2.0, 0)
 
     def test_nan_in_the_first_chunk_stays(self):
         lead = _RunningMax()

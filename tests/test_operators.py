@@ -1,5 +1,8 @@
 """Weighted averaging operator: matrix form, norms, truncation, spectrum, trends."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from orliczlab.errors import (
     SpaceMismatch,
     SpectralOracleError,
 )
-from orliczlab.measure import MeasureSpace, Partition, cond_exp
+from orliczlab.measure import MeasureSpace, Partition, build_symmetric_space, cond_exp
 from orliczlab.operators import (
     RefinementFamily,
     WeightedConditionalExpectation,
@@ -153,6 +156,24 @@ class TestMultiplierLevels:
         op = family.member(8)
         _, psi = pair(2.0)
         assert np.allclose(multiplier_levels(op, psi), 1.0 / np.arange(1, 9), rtol=1e-12)
+
+    def test_underflowed_level_below_a_known_one_keeps_the_bound(self):
+        # psi = c*|y|**q with q near 1e10: psi(1/j) underflows for j >= 2, but
+        # those levels are at most 1/2, below block 1's exact level 1.
+        op = RefinementFamily("reciprocal", (8, 16)).member(8)
+        phi = young.power(1.0000000001)
+        psi = young.conjugate_closed_form(phi)
+        with np.errstate(all="ignore"):
+            assert np.count_nonzero(multiplier_levels(op, psi) == 0) == 7
+            assert norm_upper_bound(op, phi, psi, 4.0) == 4.0
+
+    def test_underflowed_level_that_could_be_the_max_gives_nan(self):
+        op = WeightedConditionalExpectation(MeasureSpace(np.ones(4)), Partition([0, 0, 1, 1]), [0.5, 0.5, 0.0, 0.0])
+        phi = young.power(1.0000000001)
+        psi = young.conjugate_closed_form(phi)
+        with np.errstate(all="ignore"):
+            assert math.isnan(norm_upper_bound(op, phi, psi, 4.0))
+            assert norm_upper_bound(op.with_multiplier(np.zeros(4)), phi, psi, 4.0) == 0.0
 
 
 class TestNormEstimate:
@@ -457,6 +478,34 @@ class TestSpectrum:
         op.__dict__["matrix"] = m  # the cached oracle matrix, tampered with
         with pytest.raises(SpectralOracleError):
             spectrum(op)
+
+    def test_nan_off_block_entry_is_rejected(self):
+        op = demo_op()
+        m = op.matrix.copy()
+        m[3, 0] = np.nan
+        op.__dict__["matrix"] = m
+        with pytest.raises(SpectralOracleError):
+            spectrum(op)
+
+    def test_negative_zero_off_block_entry_is_accepted(self):
+        op = demo_op()
+        m = op.matrix.copy()
+        m[0, 3] = m[3, 0] = -0.0
+        op.__dict__["matrix"] = m
+        assert spectrum(op).max_match_distance <= 1e-12
+
+    def test_oracle_memory_at_2048_atoms(self):
+        # The matrix is 32 MiB; the off-block test and the division add no
+        # n**2 float temporaries on top of it (the boolean masks are 4 MiB).
+        space, part = build_symmetric_space(1024)
+        op = WeightedConditionalExpectation(space, part, np.linspace(-1.0, 2.0, space.n_atoms))
+        tracemalloc.start()
+        try:
+            spectrum(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_complex_oracle_output_is_rejected(self, monkeypatch):
         def fake_eigvals(_m):

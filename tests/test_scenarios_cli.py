@@ -269,6 +269,27 @@ class TestCli:
             assert "doubling budget" in check["error"]
             assert suites[name]["passed"] is False
 
+    def test_underflowed_level_fails_its_bounds_as_nonfinite(self, capsys, tmp_path):
+        # The conjugate power has q near 1e10, so psi(|u|) underflows to 0 on
+        # every block and each level reads 0 although u is not 0 there.
+        cfg = tmp_path / "underflow.json"
+        cfg.write_text(json.dumps(minimal_config(young={"kind": "power", "p": 1.0000000001})))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", str(cfg), "--suite=boundedness", "--suite=essential-norm"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        suites = report["scenarios"][0]["suites"]
+        sandwich = suites["boundedness"]["checks"][0]
+        gap = suites["essential-norm"]["checks"][0]
+        assert sandwich["name"] == "norm_sandwich" and sandwich["bound"] == "NaN"
+        assert gap["name"] == "gap_within_scaled_threshold" and gap["beta"] == "NaN"
+        for check in (sandwich, gap):
+            assert check["passed"] is False and check["nonfinite"] is True
+
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():
             assert (
