@@ -51,7 +51,7 @@ _LAW_VERDICTS = {
 
 
 def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **details) -> dict:
-    """A check record; a non-finite value or bound fails it and is flagged `nonfinite`."""
+    """A check record; a non-finite value, bound, beta or betas entry fails it and is flagged `nonfinite`."""
     out = {"name": name, "passed": bool(passed)}
     if value is not None:
         out["value"] = float(value)
@@ -59,7 +59,8 @@ def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **de
         out["bound"] = float(bound)
     if tolerance is not None:
         out["tolerance"] = float(tolerance)
-    if not all(math.isfinite(out[k]) for k in ("value", "bound") if k in out):
+    numbers = [out.get("value", 0.0), out.get("bound", 0.0), details.get("beta", 0.0), *details.get("betas", ())]
+    if not all(math.isfinite(x) for x in numbers):
         out["passed"] = False
         out["nonfinite"] = True
     out.update(details)

@@ -267,44 +267,6 @@ def _newton_inverse(phi: YoungFunction, tt: np.ndarray) -> np.ndarray:
     return x.reshape(tt.shape)
 
 
-# Bisection down to `tol`.  No kind's inverse takes this route: the Newton
-# tests use it at tol = 1e-12 as their reference oracle, a route that shares
-# no code with _newton_inverse.
-def _bisect_inverse(phi: YoungFunction, tt: np.ndarray, tol: float) -> np.ndarray:
-    flat = np.atleast_1d(tt).astype(float).copy()
-    infinite = ~np.isfinite(flat)
-    flat[infinite] = 1.0  # placeholder; overwritten with inf below
-    hi = np.ones_like(flat)
-    for _ in range(200):
-        mask = evaluate(phi, hi) < flat
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    else:
-        raise BracketFailure(f"no bracket for the inverse of {phi.kind} within 200 doublings")
-    lo = np.zeros_like(flat)
-    scale = np.maximum(1.0, flat)
-    # The returned point must be the exact iterate the tolerance test saw, so
-    # the candidate midpoint is evaluated before the bracket moves past it.
-    mid = 0.5 * (lo + hi)
-    out = mid
-    for _ in range(200):
-        val = evaluate(phi, mid)
-        high = val > flat
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        out = mid
-        mid = 0.5 * (lo + hi)
-        if np.all(np.abs(val - flat) <= tol * scale):
-            break
-        if np.all(np.abs(mid - out) <= 1e-16 * np.maximum(1.0, np.abs(out))):
-            break  # bracket at machine resolution; tol is unreachably small
-    out = out.copy()
-    out[flat == 0.0] = 0.0
-    out[infinite] = np.inf
-    return out.reshape(tt.shape)
-
-
 _CONJUGATE_TABLE = {
     "scaled_power": lambda phi: scaled_power(phi.p / (phi.p - 1.0)),
     "power": lambda phi: conjugate_power(phi.p),
@@ -319,55 +281,70 @@ def conjugate_closed_form(phi: YoungFunction) -> YoungFunction:
     return _CONJUGATE_TABLE[phi.kind](phi)
 
 
-def conjugate_numeric(phi: YoungFunction, y: float, tol: float = CONJUGATE_TOL) -> float:
+def conjugate_numeric(phi: YoungFunction, y, tol: float = CONJUGATE_TOL):
     """sup over x >= 0 of x*y - phi(x), by ternary search on the concave objective.
 
-    The bracket is grown geometrically from x = 1 until the objective
-    decreases at the right endpoint; failure to bracket within 512 doublings
-    signals that phi grows at most linearly (BracketFailure).
+    Scalars and arrays of y are both accepted; a scalar gives a float.  Each row
+    is solved on its own, so its result is independent of the batch it came in.
+    Per row, the bracket [0, hi] doubles hi from 1 until the objective falls from
+    hi to 2*hi.  That premise needs the maximiser below 2**512, the end of the
+    512-doubling budget (for log_type, y below 512 log 2 ~ 354.9); a row past it,
+    or a phi growing at most linearly, raises BracketFailure naming the first such
+    y in input order.  The ternary search then narrows [lo, hi] until
+    hi - lo <= tol * max(1, lo), or for at most 2000 passes, keeping the best
+    objective value it saw.  A negative y raises ValueError; y = 0 gives 0.
     """
-    y = float(y)
-    if y < 0:
+    scalar = np.isscalar(y) or np.ndim(y) == 0
+    ys = np.asarray(y, dtype=float)
+    if np.any(ys < 0):
         raise ValueError("conjugate argument must be nonnegative")
-    if y == 0.0:
-        return 0.0
+    out = np.zeros(ys.size)  # y = 0 rows stay 0
+    rows = np.flatnonzero(ys.ravel() != 0.0)
+    ya = ys.ravel()[rows]
 
-    def obj(x: float) -> float:
-        v = x * y - evaluate(phi, x)
-        return v if math.isfinite(v) else -math.inf
+    def obj(x, yy):
+        v = x * yy - evaluate(phi, x)
+        v[~np.isfinite(v)] = -math.inf
+        return v
 
-    hi = 1.0
-    prev = obj(hi)
-    for _ in range(512):
-        nxt = obj(2.0 * hi)
-        if nxt < prev:
-            hi *= 2.0
-            break
-        hi *= 2.0
-        prev = nxt
-    else:
-        raise BracketFailure(
-            "objective never decreased within the doubling budget; "
-            "the function appears to grow at most linearly"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.ones_like(ya)
+        todo = np.arange(ya.size)
+        prev = obj(hi, ya)
+        for _ in range(512):
+            if not todo.size:
+                break
+            nxt = obj(2.0 * hi[todo], ya[todo])
+            hi[todo] *= 2.0
+            rising = ~(nxt < prev)
+            todo, prev = todo[rising], nxt[rising]
+        if todo.size:
+            raise BracketFailure(
+                f"no bracket for the conjugate of {phi.kind} at y = {ya[todo[0]]:.17g}: the objective "
+                "still rises at x = 2**512, where the doubling budget (512 doublings from x = 1) ends"
+            )
 
-    lo = 0.0
-    best = max(0.0, obj(hi))
-    for _ in range(2000):
-        if hi - lo <= tol * max(1.0, lo):
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1, v2 = obj(m1), obj(m2)
-        best = max(best, v1, v2)
-        if v1 < v2:
-            lo = m1
-        elif v1 > v2:
-            hi = m2
-        else:
-            lo, hi = m1, m2
-    best = max(best, obj(0.5 * (lo + hi)))
-    return best
+        # The rows still searching are held compacted in (todo, l, h, b, yy);
+        # a row that stops writes its bracket and best value back.
+        lo, best = np.zeros_like(ya), np.maximum(0.0, obj(hi, ya))
+        todo, l, h, b, yy = np.arange(ya.size), lo, hi, best, ya
+        for _ in range(2000):
+            stop = h - l <= tol * np.maximum(1.0, l)
+            if stop.any():
+                done, go = todo[stop], ~stop
+                lo[done], hi[done], best[done] = l[stop], h[stop], b[stop]
+                todo, l, h, b, yy = todo[go], l[go], h[go], b[go], yy[go]
+            if not todo.size:
+                break
+            third = (h - l) / 3.0
+            m1, m2 = l + third, h - third
+            v = obj(np.concatenate((m1, m2)), np.concatenate((yy, yy)))
+            v1, v2 = v[: todo.size], v[todo.size :]
+            b = np.maximum(np.maximum(b, v1), v2)
+            l, h = np.where(v1 > v2, l, m1), np.where(v1 < v2, h, m2)  # ties narrow to (m1, m2)
+        lo[todo], hi[todo], best[todo] = l, h, b
+        out[rows] = np.maximum(best, obj(0.5 * (lo + hi), ya))
+    return float(out[0]) if scalar else out.reshape(ys.shape)
 
 
 def conjugate_error(
@@ -378,11 +355,9 @@ def conjugate_error(
     `tol` is the numeric conjugation tolerance; a NaN anywhere propagates, so
     callers comparing with `err <= bound` reject it.
     """
-    errs = []
-    for y in ys:
-        want = conjugate_numeric(phi, float(y), tol=tol)
-        errs.append(abs(float(evaluate(psi, float(y))) - want) / max(1.0, abs(want)))
-    return float(np.max(errs))
+    ys = np.asarray(ys, dtype=float)
+    want = conjugate_numeric(phi, ys, tol=tol)
+    return float(np.max(np.abs(evaluate(psi, ys) - want) / np.maximum(1.0, np.abs(want))))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from orliczlab.scenarios import (
     materialize,
     to_config,
 )
+from orliczlab.suites import run_suite
 
 
 def minimal_config(**overrides):
@@ -289,6 +290,23 @@ class TestCli:
         assert gap["name"] == "gap_within_scaled_threshold" and gap["beta"] == "NaN"
         for check in (sandwich, gap):
             assert check["passed"] is False and check["nonfinite"] is True
+
+    def test_underflowed_family_betas_fail_as_nonfinite(self):
+        # The same underflow on a refinement family: every member's beta is NaN,
+        # and the family checks carry them in `betas`, not in a value or bound.
+        cfg = minimal_config(
+            space={"type": "family", "sizes": [16, 64], "atoms_per_block": 2},
+            young={"kind": "power", "p": 1.0000000001},
+            u={"type": "law", "name": "reciprocal"},
+        )
+        with np.errstate(all="ignore"):
+            result = run_suite("essential-norm", materialize(from_config(cfg)))
+        checks = {check["name"]: check for check in result["checks"]}
+        assert set(checks) == {"gap_within_scaled_threshold", "threshold_vanishes"}
+        for check in checks.values():
+            assert np.isnan(check["betas"]).all()
+            assert check["passed"] is False and check["nonfinite"] is True, check["name"]
+        assert result["passed"] is False
 
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():

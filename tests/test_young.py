@@ -74,6 +74,43 @@ def test_derivative_matches_central_differences(phi):
 # inversion
 
 
+# Bisection down to `tol`, the reference oracle of the Newton inverse: a route
+# that shares no code with young._newton_inverse.
+def bisect_inverse(phi, tt, tol):
+    flat = np.atleast_1d(tt).astype(float).copy()
+    infinite = ~np.isfinite(flat)
+    flat[infinite] = 1.0  # placeholder; overwritten with inf below
+    hi = np.ones_like(flat)
+    for _ in range(200):
+        mask = young.evaluate(phi, hi) < flat
+        if not mask.any():
+            break
+        hi[mask] *= 2.0
+    else:
+        raise BracketFailure(f"no bracket for the inverse of {phi.kind} within 200 doublings")
+    lo = np.zeros_like(flat)
+    scale = np.maximum(1.0, flat)
+    # The returned point must be the exact iterate the tolerance test saw, so
+    # the candidate midpoint is evaluated before the bracket moves past it.
+    mid = 0.5 * (lo + hi)
+    out = mid
+    for _ in range(200):
+        val = young.evaluate(phi, mid)
+        high = val > flat
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+        out = mid
+        mid = 0.5 * (lo + hi)
+        if np.all(np.abs(val - flat) <= tol * scale):
+            break
+        if np.all(np.abs(mid - out) <= 1e-16 * np.maximum(1.0, np.abs(out))):
+            break  # bracket at machine resolution; tol is unreachably small
+    out = out.copy()
+    out[flat == 0.0] = 0.0
+    out[infinite] = np.inf
+    return out.reshape(tt.shape)
+
+
 def test_inverse_closed_forms():
     assert young.scaled_power(2.0).inverse(2.0) == pytest.approx(2.0, abs=1e-12)
     assert young.power(3.0).inverse(8.0) == pytest.approx(2.0, abs=1e-12)
@@ -122,7 +159,7 @@ def test_newton_inverse_agrees_with_bisection_oracle(phi):
     # The bracket of the bisection reaches 2**200, so log_type targets stop near 1e60.
     ts = np.logspace(-8, 60, 300)
     fast = young.inverse(phi, ts)
-    slow = young._bisect_inverse(phi, ts, 1e-12)
+    slow = bisect_inverse(phi, ts, 1e-12)
     # Both solve phi(x) = t to within 1e-12 * max(1, t), hence lie this close.
     low = np.minimum(fast, slow)
     slope = np.expm1(low) if phi.kind == "exp_type" else np.log1p(low)
@@ -138,7 +175,7 @@ def test_newton_inverse_fails_loudly_at_its_iteration_cap(monkeypatch):
 def test_bisection_fails_loudly_without_a_bracket():
     # phi(2**200) = 2**400 < 1e300: the doubling budget ends before phi reaches the target.
     with pytest.raises(BracketFailure):
-        young._bisect_inverse(young.power(2.0), np.array([1e300]), 1e-10)
+        bisect_inverse(young.power(2.0), np.array([1e300]), 1e-10)
 
 
 def test_log_type_evaluates_finite_up_to_float_max():
@@ -195,27 +232,159 @@ def test_conjugate_numeric_brute_force_cross_check():
 
 
 def test_conjugate_consistency_on_log_grid():
+    ys = np.logspace(-3, 3, 40)
     for phi in (young.scaled_power(1.5), young.scaled_power(3.0), young.power(2.0), young.exp_type()):
-        psi = young.conjugate_closed_form(phi)
-        for y in np.logspace(-3, 3, 40):
-            want = float(young.evaluate(psi, y))
-            got = young.conjugate_numeric(phi, float(y), tol=1e-9)
-            assert abs(got - want) <= 1e-6 * max(1.0, want)
+        want = young.evaluate(young.conjugate_closed_form(phi), ys)
+        got = young.conjugate_numeric(phi, ys, tol=1e-9)
+        assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, want))
 
 
 def test_biconjugation_recovers_scaled_power():
     phi = young.scaled_power(2.5)
     psi = young.conjugate_closed_form(phi)
-    for x in np.logspace(-2, 2, 15):
-        twice = young.conjugate_numeric(psi, float(x), tol=1e-9)
-        want = float(phi(x))
-        assert abs(twice - want) <= 1e-5 * max(1.0, want)
+    xs = np.logspace(-2, 2, 15)
+    twice = young.conjugate_numeric(psi, xs, tol=1e-9)
+    want = phi(xs)
+    assert np.all(np.abs(twice - want) <= 1e-5 * np.maximum(1.0, want))
 
 
 def test_bracket_failure_for_linear_growth():
     # x**(1 + 1e-9) stays below 2x until x = 2**(1e9): far past 512 doublings from x = 1.
     with pytest.raises(BracketFailure):
         young.conjugate_numeric(young.power(1.0 + 1e-9), 2.0)
+
+
+# The scalar ternary search that conjugate_numeric runs on every row at once,
+# kept as its oracle.  phi is evaluated on 1-element arrays: a 0-d x**p takes
+# another libm route and can differ from the array loop in the last ulp.
+def conjugate_scalar(phi, y, tol):
+    y = float(y)
+    if y < 0:
+        raise ValueError("conjugate argument must be nonnegative")
+    if y == 0.0:
+        return 0.0
+
+    def obj(x):
+        v = x * y - float(young.evaluate(phi, np.array([x]))[0])
+        return v if math.isfinite(v) else -math.inf
+
+    hi = 1.0
+    prev = obj(hi)
+    for _ in range(512):
+        nxt = obj(2.0 * hi)
+        if nxt < prev:
+            hi *= 2.0
+            break
+        hi *= 2.0
+        prev = nxt
+    else:
+        raise BracketFailure(f"no bracket for the conjugate of {phi.kind} at y = {y}")
+
+    lo = 0.0
+    best = max(0.0, obj(hi))
+    for _ in range(2000):
+        if hi - lo <= tol * max(1.0, lo):
+            break
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        v1, v2 = obj(m1), obj(m2)
+        best = max(best, v1, v2)
+        if v1 < v2:
+            lo = m1
+        elif v1 > v2:
+            hi = m2
+        else:
+            lo, hi = m1, m2
+    return max(best, obj(0.5 * (lo + hi)))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# power 1.5 is the kind whose 0-d and array x**p differ in the last ulp.
+ALL_KINDS = [
+    young.power(1.5),
+    young.scaled_power(2.0),
+    young.conjugate_power(3.0),
+    young.exp_type(),
+    young.log_type(),
+]
+
+# The grids and tolerances of conjugate_numeric's callers: young-calculus,
+# verify_conjugate_pair and the numeric conjugate_mode of materialize.
+CALLER_GRIDS = {
+    "young-calculus": (np.logspace(-3, 3, 64), 1e-9),
+    "verify-pair": (np.array([0.25, 1.0, 4.0]), 1e-10),
+    "materialize": (np.logspace(-2, 2, 9), 1e-10),
+}
+
+
+@pytest.mark.parametrize("grid", CALLER_GRIDS)
+@pytest.mark.parametrize("phi", ALL_KINDS, ids=lambda phi: f"{phi.kind}-{phi.p}")
+def test_batched_conjugate_is_the_scalar_oracle_bitwise(phi, grid):
+    grid, tol = CALLER_GRIDS[grid]
+    ys = np.concatenate(([0.0], grid, [0.0]))
+    want = {}
+    for y in ys:
+        try:
+            want[y] = conjugate_scalar(phi, y, tol)
+        except BracketFailure:
+            pass  # log_type past y = 355: its maximiser lies beyond 2**512
+    solved = np.array([y in want for y in ys])
+    if not solved.all():
+        with pytest.raises(BracketFailure):
+            young.conjugate_numeric(phi, ys, tol)
+    got = young.conjugate_numeric(phi, ys[solved], tol)
+    assert bits(got) == bits([want[y] for y in ys[solved]])
+
+
+@pytest.mark.parametrize(
+    "phi, ys",
+    [
+        (young.power(1.0 + 1e-9), [0.5, 2.0, 0.0]),
+        (young.log_type(), [1.0, 356.0, 354.0, 400.0]),
+    ],
+    ids=["near-linear", "log_type-past-355"],
+)
+def test_a_row_without_a_bracket_fails_both_routes(phi, ys):
+    with pytest.raises(BracketFailure):
+        [conjugate_scalar(phi, y, 1e-9) for y in ys]
+    with pytest.raises(BracketFailure):
+        young.conjugate_numeric(phi, np.array(ys), 1e-9)
+
+
+def test_bracket_failure_names_the_first_failing_y():
+    phi = young.log_type()
+    # The maximiser of x*y - phi(x) is e**y - 1, which passes 2**512 near y = 512 log 2 = 354.9.
+    assert young.conjugate_numeric(phi, 354.0) == pytest.approx(young.exp_type()(354.0), rel=1e-6)
+    with pytest.raises(BracketFailure, match=r"y = 356\b.*2\*\*512"):
+        young.conjugate_numeric(phi, np.array([1.0, 354.0, 356.0, 400.0]))
+    with pytest.raises(BracketFailure, match=r"y = 400\b"):
+        young.conjugate_numeric(phi, np.array([400.0, 356.0]))
+
+
+@pytest.mark.parametrize("phi", ALL_KINDS[:4], ids=lambda phi: f"{phi.kind}-{phi.p}")
+def test_a_row_alone_equals_its_value_in_a_batch(phi):
+    ys = np.logspace(-3, 3, 64)
+    batch = young.conjugate_numeric(phi, ys, 1e-9)
+    assert bits(batch[::7]) == bits([young.conjugate_numeric(phi, y, 1e-9) for y in ys[::7]])
+
+
+def test_conjugate_numeric_input_shapes():
+    phi = young.scaled_power(2.0)
+    for y in (3.0, 3, np.float64(3.0), np.array(3.0)):
+        got = young.conjugate_numeric(phi, y)
+        assert type(got) is float and got == pytest.approx(4.5, rel=1e-8)
+    grid = young.conjugate_numeric(phi, np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert grid.shape == (2, 2) and bits(grid.ravel()) == bits(young.conjugate_numeric(phi, [0.0, 1.0, 2.0, 3.0]))
+    assert young.conjugate_numeric(phi, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("ys", [-1.0, [1.0, -1e-300, 2.0], [0.0, -math.inf]])
+def test_conjugate_numeric_rejects_a_negative_row(ys):
+    with pytest.raises(ValueError):
+        young.conjugate_numeric(young.power(2.0), ys)
 
 
 # growth conditions
