@@ -14,6 +14,8 @@ from the same PCG64 positions as the one-shot batches.  Each range keeps its
 own leader, and the leaders are folded in range order by the streaming rule
 (a strictly greater score leads; a NaN leads once and keeps it), so every
 result is bit for bit the one-shot batch's, whatever W and the chunk size.
+Every score reads a sample only through |f| and |g|, so the ranges draw the
+magnitudes alone, and only the constant search's reported row gets its signs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConjugateMismatch, PreconditionViolated
 from .measure import MeasureSpace, Partition, _block_mean, as_values, domination_constant
-from .sampling import signed_log_uniform_chunks
+from .sampling import log_uniform_chunks, signed_log_uniform_chunks
 from .young import YoungFunction, conjugate_error, evaluate, inverse
 
 __all__ = [
@@ -162,12 +164,12 @@ def _worker_count(rows: int) -> int:
 
 
 def _search_ranges(space: MeasureSpace, budget: int, seed: int, scan) -> list:
-    """scan(chunks) on each of W contiguous row ranges of the search's batches, in range order.
+    """scan(chunks) on each of W contiguous row ranges of the search's magnitudes, in range order.
 
-    The batches are the two (budget, n) batches that signed_log_uniform draws
-    in turn from default_rng(seed).  Range 0 runs on the calling thread and
-    each other range on its own thread; numpy releases the GIL in the draws
-    and kernels, so the ranges run in parallel.  Each range streams
+    The chunks are (|f|, |g|) row chunks of the two (budget, n) batches that
+    signed_log_uniform draws in turn from default_rng(seed).  Range 0 runs on
+    the calling thread and each other range on its own thread; numpy releases
+    the GIL in the draws and kernels, so the ranges run in parallel.  Each range streams
     _SEARCH_CHUNK // W elements at a time, so as many elements are in flight
     as with one range.  Every thread is joined before this returns, and the
     first range's exception (a helper's BracketFailure, say) is raised here.
@@ -183,7 +185,7 @@ def _search_ranges(space: MeasureSpace, budget: int, seed: int, scan) -> list:
 
     def run(k: int) -> None:
         try:
-            chunks = signed_log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1])
+            chunks = log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1])
             results[k] = scan(chunks)
         except BaseException as exc:  # re-raised on the calling thread
             errors[k] = exc
@@ -214,36 +216,39 @@ def empirical_holder_constant(
     Magnitudes are log-uniform over [1e-3, 1e3] with random signs, so the
     search reaches both scale extremes where non-homogeneous kinds misbehave.
     The samples are the two (budget, n) batches that signed_log_uniform draws
-    in turn from default_rng(seed), bitwise.  They are split into W
-    contiguous row ranges scored in parallel (_search_ranges), each drawn and
-    scored in chunks, so memory stays bounded whatever the budget.  Each
-    range keeps its own leader, and the leaders are folded in range order by
-    the same rule: a strictly greater score takes the lead, and a NaN takes
-    it once and keeps it.  So the report records the first maximal (sample,
-    atom) in row-major order, as np.argmax over the whole batch finds it (a
-    NaN ratio wins), bit for bit whatever W and the chunk size.
+    in turn from default_rng(seed), bitwise, scored in W contiguous row
+    ranges in parallel (_search_ranges), chunk by chunk, so memory stays
+    bounded whatever the budget.  The ratio reads only |f|, |g| and
+    |fg| = |f|*|g| (exact in IEEE arithmetic), so the ranges score the
+    magnitudes alone.  The range leaders fold in range order by one rule (a
+    strictly greater score leads; a NaN leads once and keeps it), so the
+    report holds the first maximal (sample, atom) in row-major order, as
+    np.argmax over the whole batch finds it, bit for bit whatever W and the
+    chunk size; worst_f and worst_g are that row alone, redrawn with signs.
     """
     verify_conjugate_pair(phi, psi)
     mass = partition.block_measures(space)
 
     def scan(chunks):
-        lead, worst = _RunningMax(), None
+        lead, atom_ratios = _RunningMax(), None
         for f, g in chunks:
             ratios = _holder_ratios(space, partition, mass, phi, psi, f, g)
             k = lead.update(ratios)
             if k is not None:
-                worst = ratios[k, partition.labels], f[k].copy(), g[k].copy()
-        return lead, worst
+                atom_ratios = ratios[k, partition.labels]
+        return lead, atom_ratios
 
-    (lead, worst), *later = _search_ranges(space, budget, seed, scan)
-    for other, other_worst in later:
+    (lead, atom_ratios), *later = _search_ranges(space, budget, seed, scan)
+    for other, other_ratios in later:
         if lead.merge(other):
-            worst = other_worst
-    atom_ratios, worst_f, worst_g = worst
+            atom_ratios = other_ratios
+    ((worst_f, worst_g),) = signed_log_uniform_chunks(
+        seed, (budget, space.n_atoms), 1, lead.row, lead.row + 1
+    )
     atom = int(np.argmax(atom_ratios))
     best = float(atom_ratios[atom])
     holds = None if claimed_C is None else best <= claimed_C * (1.0 + 1e-9)
-    return HolderReport(best, worst_f, worst_g, atom, claimed_C, holds, budget)
+    return HolderReport(best, worst_f[0], worst_g[0], atom, claimed_C, holds, budget)
 
 
 def normalization_constants(
@@ -264,7 +269,7 @@ def normalization_constants(
     draws in turn from default_rng(seed), bitwise, split into row ranges and
     chunks and folded in range order as in empirical_holder_constant, so the
     result does not depend on W or the chunk size; a NaN value wins, as under
-    np.max.
+    np.max.  No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
     """
     mass = partition.block_measures(space)
 

@@ -1,23 +1,20 @@
 """Seeded random generators shared by the randomized checks.
 
-All helpers take an explicit numpy Generator so every caller's determinism
-contract reduces to its master seed.  Magnitudes default to log-uniform over
-[1e-3, 1e3]: ratio extremes for non-homogeneous kinds occur at scale
-boundaries, which uniform sampling would almost never reach.
+All helpers take an explicit numpy Generator, or the chunked runs its seed, so
+every caller's determinism contract reduces to its master seed.  Magnitudes
+default to log-uniform over [1e-3, 1e3]: ratio extremes for non-homogeneous
+kinds occur at scale boundaries, which uniform sampling would almost never reach.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import MeasureSpace, Partition
-
 __all__ = [
     "log_uniform",
     "signed_log_uniform",
+    "log_uniform_chunks",
     "signed_log_uniform_chunks",
-    "random_space",
-    "random_partition",
 ]
 
 LOG_LO = 1e-3
@@ -38,6 +35,21 @@ def _signs(rng: np.random.Generator, size):
     return rng.choice([-1.0, 1.0], size)
 
 
+def log_uniform_chunks(
+    seed: int, shape: tuple[int, int], chunk_rows: int, start: int = 0, stop: int | None = None
+):
+    """The chunks of signed_log_uniform_chunks with no sign drawn: (|first|, |second|)
+    pairs, bitwise, from its two magnitude runs at words a and N + S + a."""
+    rows, n = shape
+    stop = rows if stop is None else stop
+    count = rows * n
+    a = start * n
+    f_mag, g_mag = _run(seed, 2 * a), _run(seed, 2 * (count + (count + 1) // 2 + a))
+    for lo in range(start, stop, chunk_rows):
+        size = (min(chunk_rows, stop - lo), n)
+        yield log_uniform(f_mag, size), log_uniform(g_mag, size)
+
+
 def signed_log_uniform_chunks(
     seed: int, shape: tuple[int, int], chunk_rows: int, start: int = 0, stop: int | None = None
 ):
@@ -47,7 +59,9 @@ def signed_log_uniform_chunks(
     most `chunk_rows` rows, bitwise equal to the matching rows of the two
     one-shot batches, while holding one chunk of each.  `stop` defaults to all
     rows, so any split of the rows into contiguous ranges yields, range after
-    range, the same rows as one call over all of them.
+    range, the same rows as one call over all of them.  The Hölder searches
+    score log_uniform_chunks, the magnitudes alone, and draw only their
+    reported row from here, as a one-row range.
 
     The one-shot draws spend the PCG64 stream in four runs: N = rows*n
     magnitudes of one 64-bit word each, N signs of one 32-bit half each (a
@@ -63,55 +77,30 @@ def signed_log_uniform_chunks(
     explicitly.
     """
     rows, n = shape
-    stop = rows if stop is None else stop
     count = rows * n
     sign_words = (count + 1) // 2
     a = start * n
-    f_mag, f_sign = _run(seed, a), _run_at_half(seed, 2 * count + a)
-    g_mag = _run(seed, count + sign_words + a)
-    if a == 0 and count % 2:
-        g_sign = _run(seed, 2 * count + sign_words, carry=count + sign_words - 1)
-    else:
-        g_sign = _run_at_half(seed, 2 * (2 * count + sign_words) + a - count % 2)
-    for lo in range(start, stop, chunk_rows):
-        size = (min(chunk_rows, stop - lo), n)
-        f = log_uniform(f_mag, size) * _signs(f_sign, size)
-        yield f, log_uniform(g_mag, size) * _signs(g_sign, size)
+    f_sign = _run(seed, 2 * count + a)
+    carry = count + sign_words - 1 if a == 0 and count % 2 else None
+    g_sign = _run(seed, 2 * (2 * count + sign_words) + a - count % 2, carry)
+    for f, g in log_uniform_chunks(seed, shape, chunk_rows, start, stop):
+        yield f * _signs(f_sign, f.shape), g * _signs(g_sign, g.shape)
 
 
-def _run(seed: int, word: int, carry: int | None = None) -> np.random.Generator:
-    """The seeded stream from its `word`-th 64-bit output, with the upper half
-    of output `carry` (< word) as the buffered 32-bit half."""
+def _run(seed: int, half: int, carry: int | None = None) -> np.random.Generator:
+    """The seeded stream from its `half`-th 32-bit output: the low half of word
+    half // 2 when `half` is even, else that word's upper half, buffered, or in
+    its place the upper half of an earlier word `carry`."""
     bits = np.random.PCG64(seed)
-    if carry is None:
+    word = half // 2
+    if half % 2 == 0:
         bits.advance(word)
         return np.random.Generator(bits)
+    carry = word if carry is None else carry
     bits.advance(carry)
     upper = int(bits.random_raw()) >> 32
-    bits.advance(word - carry - 1)  # advancing drops a buffered half, so set it after
+    bits.advance(word - carry)  # advancing drops a buffered half, so set it after
     state = bits.state
     state["has_uint32"], state["uinteger"] = 1, upper
     bits.state = state
     return np.random.Generator(bits)
-
-
-def _run_at_half(seed: int, half: int) -> np.random.Generator:
-    """The seeded stream from its `half`-th 32-bit output: the low half of word
-    half // 2 when `half` is even, else that word's upper half, buffered."""
-    if half % 2:
-        return _run(seed, half // 2 + 1, carry=half // 2)
-    return _run(seed, half // 2)
-
-
-def random_space(rng: np.random.Generator, n_atoms: int) -> MeasureSpace:
-    """Weights log-uniform over [0.1, 10], a mild spread around unit mass."""
-    return MeasureSpace(log_uniform(rng, n_atoms, 0.1, 10.0))
-
-
-def random_partition(rng: np.random.Generator, n_atoms: int) -> Partition:
-    """Uniformly random block labels, relabeled to the dense range 0..k-1."""
-    n_blocks = int(rng.integers(1, n_atoms + 1))
-    raw = rng.integers(0, n_blocks, n_atoms)
-    raw[rng.permutation(n_atoms)[:n_blocks]] = np.arange(n_blocks)  # no empty block
-    _, dense = np.unique(raw, return_inverse=True)
-    return Partition(dense)

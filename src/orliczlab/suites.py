@@ -324,6 +324,8 @@ def _suite_resolvent(mat: Materialized) -> list[dict]:
     rng = np.random.default_rng(mat.scenario.seed + 23)
     eu = np.unique(np.append(mean_multiplier(op), 0.0))
     span = float(np.max(np.abs(eu))) + 2.0
+    if not math.isfinite(2.0 * span):  # no lambda is drawn from [-span, span]; the residuals are unknown
+        return [_check("inversion_residuals", False, value=math.nan, tolerance=1e-9, cases=0, margin=0.5)]
     worst = 0.0
     ok = True
     for _ in range(20):

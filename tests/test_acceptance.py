@@ -34,9 +34,10 @@ from orliczlab.orlicz import (
     luxemburg_norm,
     luxemburg_norm_closed_form,
 )
-from orliczlab.sampling import random_partition, random_space
 from orliczlab.scenarios import builtin_scenario, materialize
 from orliczlab.young import check_delta_prime, conjugate_numeric, evaluate
+
+from oracles import random_partition, random_space
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import holder, young
+from orliczlab import holder, sampling, young
 from orliczlab.errors import BracketFailure, ConjugateMismatch, PreconditionViolated
 from orliczlab.holder import (
     HolderReport,
@@ -30,7 +30,7 @@ from orliczlab.measure import (
     build_symmetric_space,
     domination_constant,
 )
-from orliczlab.sampling import signed_log_uniform, signed_log_uniform_chunks
+from orliczlab.sampling import log_uniform_chunks, signed_log_uniform, signed_log_uniform_chunks
 
 
 def scaled_pair(p):
@@ -199,14 +199,18 @@ CASES = {
     "symmetric-power": (build_symmetric_space(4), scaled_pair(3.0), 1_000, 13),
     "rotation-exp": (build_rotation_space(3, 3), (young.exp_type(), young.log_type()), 501, 14),
 }
-# Rows per chunk: 1, a count dividing no budget above, and one chunk for the whole budget.
-CHUNK_ROWS = (1, 7, None)
+# (case, rows per chunk), rows being 1, a count dividing no budget above, or one chunk for
+# the whole budget.  One-row chunks run on the two 37-row budgets only: the generator range
+# test at one row per chunk and the hand-built _RunningMax streams cover them on every range.
+CHUNK_GRID = [(case, rows) for case in sorted(CASES) for rows in (1, 7, None) if rows != 1 or CASES[case][2] == 37]
 # Row ranges forced on the searches, whatever the CPU count: one, the cap of 2, and one more.
 WORKERS = (1, 2, 3)
 
 
 class TestStreamedSearch:
-    @pytest.mark.parametrize("rows, n, chunk_rows", [(37, 127, 5), (37, 127, 37), (3, 1, 2), (64, 8, 64), (9, 3, 4)])
+    @pytest.mark.parametrize(
+        "rows, n, chunk_rows", [(37, 127, 5), (37, 127, 37), (3, 1, 2), (64, 8, 64), (9, 3, 4), (9, 3, 1), (6, 4, 1)]
+    )
     def test_chunks_are_the_one_shot_rows(self, rows, n, chunk_rows):
         rng = np.random.default_rng(rows + n)
         first = signed_log_uniform(rng, (rows, n))
@@ -215,15 +219,20 @@ class TestStreamedSearch:
         assert [len(f) for f, _ in chunks][:-1] == [chunk_rows] * (len(chunks) - 1)
         assert bits(np.concatenate([f for f, _ in chunks])) == bits(first)
         assert bits(np.concatenate([g for _, g in chunks])) == bits(second)
-        # Every row range, as the split searches draw it; N = rows * n is odd in three cases.
+        # Every row range, as the split searches draw it, and their magnitudes, as the searches
+        # score them; N = rows * n is odd in five cases.  At one row per chunk, [row, row + 1)
+        # is the searches' one-row signed draw, at row 0 (the carried 32-bit half) and the last.
         for start in range(rows):
             for stop in range(start + 1, rows + 1):
                 chunks = list(signed_log_uniform_chunks(rows + n, (rows, n), chunk_rows, start, stop))
                 assert bits(np.concatenate([f for f, _ in chunks])) == bits(first[start:stop])
                 assert bits(np.concatenate([g for _, g in chunks])) == bits(second[start:stop])
+                mags = list(log_uniform_chunks(rows + n, (rows, n), chunk_rows, start, stop))
+                assert [len(f) for f, _ in mags] == [len(f) for f, _ in chunks]
+                assert bits(np.concatenate([f for f, _ in mags])) == bits(np.abs(first[start:stop]))
+                assert bits(np.concatenate([g for _, g in mags])) == bits(np.abs(second[start:stop]))
 
-    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case, chunk_rows", CHUNK_GRID)
     def test_streamed_search_equals_one_shot(self, monkeypatch, case, chunk_rows):
         (space, part), (phi, psi), budget, seed = CASES[case]
         if chunk_rows is not None:
@@ -240,8 +249,7 @@ class TestStreamedSearch:
             assert bits(got.worst_g) == bits(want.worst_g)
             assert (got.claimed_C, got.holds_with_claimed, got.samples) == (2.0, want.holds_with_claimed, budget)
 
-    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case, chunk_rows", CHUNK_GRID)
     def test_streamed_normalization_equals_one_shot(self, monkeypatch, case, chunk_rows):
         (space, part), (phi, psi), budget, seed = CASES[case]
         if chunk_rows is not None:
@@ -251,6 +259,24 @@ class TestStreamedSearch:
             monkeypatch.setattr(holder, "_worker_count", lambda rows, w=workers: min(w, rows))
             got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
             assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_signs_are_drawn_for_the_reported_row_only(self, monkeypatch, workers):
+        drawn, signs = [], sampling._signs
+
+        def counted_signs(rng, size):
+            out = signs(rng, size)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(sampling, "_signs", counted_signs)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        space, part = build_symmetric_space(4)
+        report = empirical_holder_constant(space, part, *scaled_pair(2.0), budget=300, seed=3)
+        assert 0 < sum(drawn) <= 2 * space.n_atoms and report.worst_f.shape == (space.n_atoms,)
+        drawn.clear()
+        normalization_constants(space, part, *scaled_pair(2.0), sample_budget=300, seed=3)
+        assert sum(drawn) == 0
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
     def test_a_range_failure_reaches_the_caller_after_every_join(self, monkeypatch, where):
@@ -281,6 +307,9 @@ class TestStreamedSearch:
         assert [lead.update(chunk) for chunk in stream[2:]] == [0, None]
         assert math.isnan(lead.value) and lead.row == 3
         assert lead.row == np.argmax(np.max(np.concatenate(stream), axis=-1))
+        one_row = _RunningMax()  # the same rows, one chunk each
+        assert [one_row.update(row[None]) for row in np.concatenate(stream)] == [0, None, None, 0, None, None]
+        assert math.isnan(one_row.value) and one_row.row == 3
 
     def test_merged_range_leaders_are_the_streamed_leader(self):
         stream = [

@@ -17,7 +17,8 @@ from orliczlab.orlicz import (
     luxemburg_norm_closed_form,
     modular,
 )
-from orliczlab.sampling import random_space
+
+from oracles import random_space
 
 
 def unit_space(n):

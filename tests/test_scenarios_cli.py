@@ -308,6 +308,33 @@ class TestCli:
             assert check["passed"] is False and check["nonfinite"] is True, check["name"]
         assert result["passed"] is False
 
+    def test_infinite_multiplier_mean_fails_spectrum_and_resolvent_as_nonfinite(self, capsys, tmp_path):
+        # w * u overflows on the first block, so E(u) and the oracle matrix hold inf:
+        # eigvals refuses the block, and no lambda can be drawn from [-span, span].
+        cfg = tmp_path / "inf_spectrum.json"
+        scenario = {
+            "name": "inf-spectrum",
+            "space": {"type": "explicit", "weights": [1e139, 1.0, 1.0, 1e-3]},
+            "partition": {"labels": [0, 0, 1, 1]},
+            "young": {"kind": "power", "p": 2.0},
+            "u": {"type": "explicit", "values": [1e300, 1.0, 2.0, 1e300]},
+            "budget": 20,
+        }
+        cfg.write_text(json.dumps({"scenarios": [scenario]}))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", str(cfg), "--suite=spectrum", "--suite=resolvent"])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err
+        suites = json.loads(out, parse_constant=reject)["scenarios"][0]["suites"]
+        for name in ("spectrum", "resolvent"):
+            (check,) = suites[name]["checks"]
+            assert check["value"] == "NaN", name
+            assert check["passed"] is False and check["nonfinite"] is True, name
+
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():
             assert (
