@@ -188,7 +188,11 @@ def inverse(phi: YoungFunction, t):
     - exp_type, log_type: Newton's method from an upper bracket, iterated until
       the decreasing iterate stops moving, i.e. to machine resolution.  It meets
       BISECT_TOL (near float max it comes within about 1e-13 * t) and lands
-      within a few ulps of the root.
+      within a few ulps of the root.  The passes run on one working set: while
+      at least half its rows still move, a row that stopped is frozen in place
+      (the next pass recomputes its same step, so it stays put), and once fewer
+      than half move the set is compacted.  Each row sees the same operations
+      in the same order either way, so its root is the same to the bit.
 
     Scalars and ndarrays of targets are both accepted, and each result is
     independent of the batch it came in.  A target of +inf maps to +inf: it
@@ -198,7 +202,7 @@ def inverse(phi: YoungFunction, t):
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0) or np.any(np.isnan(tt)):
+    if not np.all(tt >= 0):  # a NaN fails >= too
         raise ValueError("inverse target must be nonnegative and not nan")
     if phi.kind == "power":
         out = tt ** (1.0 / phi.p)
@@ -221,6 +225,14 @@ def inverse(phi: YoungFunction, t):
 #   exp_type  z = x,          phi = e**z - 1 - z          = sum_{k>=2} z**k / k!
 #   log_type  z = log1p(y),   phi = 1 + (z - 1) e**z      = sum_{k>=2} (k-1) z**k / k!
 # For z <= 1/4 the terms past k = 15 fall below 1e-17 of the sum.
+#
+# The passes run on one working set of rows that carries over from pass to
+# pass.  While at least half its rows still move, a row that stopped is frozen
+# in place: it keeps its iterate, and the next pass recomputes the same step
+# from the same inputs, so it stays put.  Once fewer than half move, the set is
+# compacted to the moving rows; the loop ends when no row moves.  Each row sees
+# the same operations in the same order as on its own, so its root is
+# bit-identical whatever batch it came in and whenever it stopped.
 _NEWTON_SERIES = {
     "exp_type": np.array([1.0 / math.factorial(k) for k in range(15, 1, -1)]),
     "log_type": np.array([(k - 1.0) / math.factorial(k) for k in range(15, 1, -1)]),
@@ -240,27 +252,47 @@ def _newton_inverse(phi: YoungFunction, tt: np.ndarray) -> np.ndarray:
         x = np.minimum(np.minimum(root_t, math.log(2.0) + np.log1p(t)), _LOG_MAX)
     else:
         x = t + root_t
+    # The working set: row indices, their iterates and targets, and scratch.
     todo = np.flatnonzero((t > 0.0) & (t < math.inf))
+    xa, ta = x[todo], t[todo]
+    step_buf, aux_buf = np.empty(todo.size), np.empty(todo.size)
+    series = _NEWTON_SERIES[phi.kind]
     for _ in range(_NEWTON_ITERS):
-        xa = x[todo]
+        m = xa.size
         slope = derivative(phi, xa)
+        step = step_buf[:m]  # phi(x)/phi'(x), then the step, then the next iterate
         if phi.kind == "exp_type":
             z = xa
-            phi_over_slope = 1.0 - xa / slope
+            np.subtract(1.0, np.divide(xa, slope, out=step), out=step)
         else:
             z = slope
-            phi_over_slope = 1.0 + xa - xa / slope
-        small = z < _SERIES_BELOW
-        if small.any():
+            np.subtract(np.add(xa, 1.0, out=step), np.divide(xa, slope, out=aux_buf[:m]), out=step)
+        # Integer indices: a boolean gather costs several times nonzero + take.
+        small = (z < _SERIES_BELOW).nonzero()[0]
+        if small.size:
             zs = z[small]
-            series = np.polyval(_NEWTON_SERIES[phi.kind], zs)
-            phi_over_slope[small] = zs * series * (zs / slope[small])
-        nxt = xa - (phi_over_slope - t[todo] / slope)
+            # np.polyval's Horner loop in place (its first step, 0*z + c0, is c0),
+            # then z * series * (z / phi'), in that order.
+            poly = np.full_like(zs, series[0])
+            for c in series[1:]:
+                poly *= zs
+                poly += c
+            poly *= zs
+            poly *= np.divide(zs, slope[small], out=zs)
+            step[small] = poly
+        np.divide(ta, slope, out=slope)
+        np.subtract(step, slope, out=step)
+        nxt = np.subtract(xa, step, out=step)
         moving = nxt < xa
-        x[todo[moving]] = nxt[moving]
-        todo = todo[moving]
-        if not todo.size:
+        n_moving = np.count_nonzero(moving)
+        if n_moving and 2 * n_moving >= m:
+            np.fmin(xa, nxt, out=xa)  # nxt where it is smaller, else (NaN too) xa
+            continue
+        x[todo] = xa
+        if not n_moving:
             break
+        keep = moving.nonzero()[0]
+        todo, xa, ta = todo[keep], nxt[keep], ta[keep]
     else:
         raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {_NEWTON_ITERS} passes")
     x[t == math.inf] = math.inf

@@ -1,7 +1,12 @@
-"""Random spaces and partitions for the tests; no CLI path draws them."""
+"""Reference routes for the tests: random spaces and partitions, and the
+pass-by-pass Newton inverse.  No CLI path uses them."""
+
+import math
 
 import numpy as np
 
+from orliczlab import young
+from orliczlab.errors import BracketFailure
 from orliczlab.measure import MeasureSpace, Partition
 from orliczlab.sampling import log_uniform
 
@@ -18,3 +23,41 @@ def random_partition(rng: np.random.Generator, n_atoms: int) -> Partition:
     raw[rng.permutation(n_atoms)[:n_blocks]] = np.arange(n_blocks)  # no empty block
     _, dense = np.unique(raw, return_inverse=True)
     return Partition(dense)
+
+
+def newton_inverse_masked(phi: young.YoungFunction, tt: np.ndarray) -> np.ndarray:
+    """young._newton_inverse as a masked loop: each pass gathers the rows still
+    moving and scatters their next iterate back.  The bitwise reference for the
+    working-set loop; it reads the pass cap and series tables from `young` at
+    call time, so a test that patches the cap changes both."""
+    t = np.ravel(tt)
+    root_t = math.sqrt(2.0) * np.sqrt(t)
+    if phi.kind == "exp_type":
+        x = np.minimum(np.minimum(root_t, math.log(2.0) + np.log1p(t)), young._LOG_MAX)
+    else:
+        x = t + root_t
+    todo = np.flatnonzero((t > 0.0) & (t < math.inf))
+    for _ in range(young._NEWTON_ITERS):
+        xa = x[todo]
+        slope = young.derivative(phi, xa)
+        if phi.kind == "exp_type":
+            z = xa
+            phi_over_slope = 1.0 - xa / slope
+        else:
+            z = slope
+            phi_over_slope = 1.0 + xa - xa / slope
+        small = z < young._SERIES_BELOW
+        if small.any():
+            zs = z[small]
+            series = np.polyval(young._NEWTON_SERIES[phi.kind], zs)
+            phi_over_slope[small] = zs * series * (zs / slope[small])
+        nxt = xa - (phi_over_slope - t[todo] / slope)
+        moving = nxt < xa
+        x[todo[moving]] = nxt[moving]
+        todo = todo[moving]
+        if not todo.size:
+            break
+    else:
+        raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {young._NEWTON_ITERS} passes")
+    x[t == math.inf] = math.inf
+    return x.reshape(tt.shape)

@@ -1,5 +1,6 @@
 """Young-function calculus: evaluation, inversion, conjugation, growth certificates."""
 
+import functools
 import json
 import math
 import pathlib
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import newton_inverse_masked
 from orliczlab import young
 from orliczlab.errors import BracketFailure, ConfigError
+from orliczlab.measure import block_mean, build_symmetric_space
+from orliczlab.sampling import log_uniform
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden.json").read_text())
 
@@ -170,6 +174,79 @@ def test_newton_inverse_fails_loudly_at_its_iteration_cap(monkeypatch):
     monkeypatch.setattr(young, "_NEWTON_ITERS", 2)
     with pytest.raises(BracketFailure):
         young.inverse(young.log_type(), 1e300)
+
+
+NEWTON_KINDS = [young.exp_type(), young.log_type()]
+
+
+@functools.cache
+def _newton_targets(kind: str) -> dict[str, np.ndarray]:
+    """Target sets for the working-set Newton loop, by name."""
+    phi = young.YoungFunction(kind)
+    # The block means of one search chunk: 1,024 rows of 128 log-uniform atoms on 64 blocks.
+    space, partition = build_symmetric_space(64)
+    f = log_uniform(np.random.default_rng(0), (1024, 128))
+    with np.errstate(over="ignore"):
+        chunk = block_mean(space, partition, young.evaluate(phi, f)).ravel()
+    edges = np.array(
+        [0.0, 5e-324, 1e-300, 1e-12, 1e-9, phi(0.25), 1.0, 17.0, 1e62, 1e300, sys.float_info.max, math.inf]
+    )
+    sets = {"search-chunk": chunk, "edges": edges, "logspace": np.logspace(-300, 300, 20001)}
+    mix = np.concatenate(list(sets.values()))
+    np.random.default_rng(1).shuffle(mix)
+    sets["mix"] = mix
+    for ts in sets.values():
+        ts.setflags(write=False)  # shared between tests; the inverse must not write its targets
+    return sets
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["search-chunk", "edges", "logspace", "mix"])
+@pytest.mark.parametrize("phi", NEWTON_KINDS, ids=lambda phi: phi.kind)
+def test_newton_inverse_is_bitwise_the_masked_loop(phi, name):
+    ts = _newton_targets(phi.kind)[name]
+    assert _same_bits(young.inverse(phi, ts), newton_inverse_masked(phi, ts))
+
+
+@pytest.mark.parametrize("name", ["search-chunk", "edges", "one"])
+@pytest.mark.parametrize("phi", NEWTON_KINDS, ids=lambda phi: phi.kind)
+def test_newton_inverse_cap_matches_the_masked_loop(phi, name, monkeypatch):
+    # The smallest cap that settles is the one where the set empties on the last allowed pass.
+    ts = np.array([1.0]) if name == "one" else _newton_targets(phi.kind)[name]
+    settled = []
+    for cap in range(1, 11):
+        monkeypatch.setattr(young, "_NEWTON_ITERS", cap)
+        try:
+            want = newton_inverse_masked(phi, ts)
+        except BracketFailure:
+            with pytest.raises(BracketFailure):
+                young.inverse(phi, ts)
+            settled.append(False)
+        else:
+            assert _same_bits(young.inverse(phi, ts), want), cap
+            settled.append(True)
+    assert not settled[0] and settled[-1] and settled == sorted(settled)
+
+
+@pytest.mark.parametrize(
+    "ts", [np.zeros(5), np.full(5, math.inf), np.empty(0), np.empty((0, 3))], ids=["zero", "inf", "size-0", "0x3"]
+)
+@pytest.mark.parametrize("phi", NEWTON_KINDS, ids=lambda phi: phi.kind)
+def test_newton_inverse_returns_on_an_empty_working_set(phi, ts, monkeypatch):
+    monkeypatch.setattr(young, "_NEWTON_ITERS", 1)  # an empty set must not run on to the cap
+    got = young.inverse(phi, ts)
+    assert got.shape == ts.shape and np.array_equal(got, ts)
+
+
+@pytest.mark.parametrize("phi", [young.power(2.0), *NEWTON_KINDS], ids=lambda phi: phi.kind)
+def test_inverse_checks_its_targets(phi):
+    for bad in (-1.0, math.nan, np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(ValueError, match="nonnegative and not nan"):
+            young.inverse(phi, bad)
+    assert young.inverse(phi, -0.0) == 0.0
 
 
 def test_bisection_fails_loudly_without_a_bracket():
