@@ -44,7 +44,8 @@ __all__ = [
 
 # Elements drawn and scored at once by the randomized searches: bounds each
 # sample array and temporary to 2**18 doubles (2 MiB) whatever the budget and
-# space, as measure._BLOCK_MEAN_CHUNK bounds the block-averaging temporaries.
+# space; the block means' own temporaries are no larger (two rows x n_blocks
+# arrays for the member gather, measure._BLOCK_MEAN_CHUNK for bincount).
 _SEARCH_CHUNK = 1 << 18
 # Most row ranges a search runs in parallel (see _search_ranges); only 2 CPUs
 # have been measured.
@@ -85,20 +86,23 @@ def _holder_ratios(
 
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
-    `mass` is partition.block_measures(space).
+    `mass` is partition.block_measures(space).  The elementwise passes run in
+    place on arrays this call made, the inverses first and |fg| last, so no
+    more than one (..., n) temporary is alive beside f and g.
     """
     rhs = inverse(phi, _block_mean(space, partition, mass, evaluate(phi, f)))
     rhs *= inverse(psi, _block_mean(space, partition, mass, evaluate(psi, g)))
-    return _ratio_atoms(_block_mean(space, partition, mass, np.abs(f * g)), rhs)
+    fg = np.multiply(f, g)
+    return _ratio_atoms(_block_mean(space, partition, mass, np.abs(fg, out=fg)), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Elementwise lhs/rhs with the conventions 0/0 -> 0 and positive/0 -> inf."""
-    out = np.zeros_like(lhs)
+    """Elementwise lhs/rhs, written into lhs, with the conventions 0/0 -> 0 and positive/0 -> inf."""
     zero = rhs == 0.0
-    np.divide(lhs, rhs, out=out, where=~zero)
-    out[zero & (lhs > 0)] = math.inf
-    return out
+    np.divide(lhs, rhs, out=lhs, where=~zero)
+    if zero.any():
+        lhs[zero] = np.where(lhs[zero] > 0, math.inf, 0.0)
+    return lhs
 
 
 def conditional_holder_ratio(
@@ -275,8 +279,8 @@ def normalization_constants(
 
     def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
         denom = inverse(theta, _block_mean(space, partition, mass, evaluate(theta, batch)))
-        denom = denom[..., partition.labels]
-        return _block_mean(space, partition, mass, evaluate(theta, batch / denom))
+        x = denom[..., partition.labels]
+        return _block_mean(space, partition, mass, evaluate(theta, np.divide(batch, x, out=x)))
 
     def scan(chunks):
         c1, c2 = _RunningMax(), _RunningMax()

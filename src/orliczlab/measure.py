@@ -5,6 +5,13 @@ represented by a partition of the atoms into blocks.  Conditional expectation
 averages a function over each block with respect to the weights, which makes it
 an exact projection: idempotent, positive, and multiplicative against
 block-measurable factors.
+
+All block averaging runs through one kernel, _block_mean.  It sums a batch
+either by member gather (one pass per member rank, over the partition's
+members listed once by their rank inside their block) or by one bincount over
+labels offset by row, choosing from the shapes alone.  Both add each block's
+weighted values to +0.0 in ascending atom order, so they agree to the bit and
+every batched row equals a single call on it.
 """
 
 from __future__ import annotations
@@ -54,6 +61,11 @@ class MeasureSpace:
     def n_atoms(self) -> int:
         return int(self.weights.size)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Values solved once for this space, by once()."""
+        return {}
+
     @property
     def total(self) -> float:
         return float(np.sum(self.weights))
@@ -98,6 +110,31 @@ class Partition:
     def n_blocks(self) -> int:
         return int(self.labels.max()) + 1
 
+    @cached_property
+    def _ranks(self) -> tuple[list, np.ndarray | None]:
+        """(ranks, pos): the members of every block, listed by their rank inside it.
+
+        Blocks are ordered by size, largest first (ties by block id), and
+        ranks[j] = (sel, count) holds the j-th member, in ascending atom order,
+        of each of the first `count` blocks, those with more than j members.
+        sel is a slice where those atoms are evenly spaced and at least
+        _SLICE_MIN (symmetric and rotation spaces), else an index array.
+        pos[b] is block b's place in that order, or None for the identity.
+        """
+        lab = self.labels
+        sizes = np.bincount(lab)
+        order = np.argsort(-sizes, kind="stable")
+        pos = np.argsort(order)
+        by_block = np.argsort(lab, kind="stable")  # ascending atoms within each block
+        rank = np.empty_like(lab)
+        rank[by_block] = np.arange(lab.size) - (np.cumsum(sizes) - sizes)[lab[by_block]]
+        members = np.argsort(rank * sizes.size + pos[lab])
+        ranks, lo = [], 0
+        for count in np.bincount(rank).tolist():
+            ranks.append((_as_slice(members[lo : lo + count]), count))
+            lo += count
+        return ranks, None if np.all(np.diff(sizes) <= 0) else pos
+
     def block_members(self, block: int) -> np.ndarray:
         return np.flatnonzero(self.labels == block)
 
@@ -110,6 +147,35 @@ class Partition:
             raise SpaceMismatch(
                 f"partition covers {self.n_atoms} atoms but the space has {space.n_atoms}"
             )
+
+
+_SLICE_MIN = 8
+
+
+def _as_slice(index: np.ndarray):
+    """index as an equivalent slice when it holds at least _SLICE_MIN evenly
+    spaced entries, else index itself.  A slice selects a view, which saves a
+    copy but leaves a strided pass with a cost per row: on 2 CPUs it took
+    0.5-0.7x the index array's time from 16 atoms per rank up, and 1.7-3x at
+    2 and 4."""
+    step = int(index[1] - index[0]) if index.size > 1 else 1
+    if index.size < _SLICE_MIN or np.any(np.diff(index) != step):
+        return index
+    stop = int(index[-1]) + step
+    return slice(int(index[0]), stop if stop >= 0 else None, step)
+
+
+def once(owner, key, solve):
+    """solve() the first time `key` is asked of `owner`, a frozen object with a
+    `_memo` dict (a space or an operator); later calls return that value, and
+    an array comes back read-only, since every caller shares it."""
+    memo = owner._memo
+    if key not in memo:
+        value = solve()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        memo[key] = value
+    return memo[key]
 
 
 def as_values(space: MeasureSpace, f) -> np.ndarray:
@@ -130,17 +196,25 @@ def _rows(space: MeasureSpace, f) -> np.ndarray:
     return v
 
 
-# Elements per bincount call in a batched block_mean: bounds the offset-label
-# and weighted-chunk temporaries (2**16 doubles, 512 KiB) whatever the batch.
+# Elements per bincount call in _bincount_sums: bounds the offset-label and
+# weighted-chunk temporaries (2**16 doubles, 512 KiB) whatever the batch.
 _BLOCK_MEAN_CHUNK = 1 << 16
+# The member gather is taken for a batch whose partition has at most
+# _GATHER_RANKS member ranks (its largest block's size) and which holds at
+# least _GATHER_VALUES values per rank.  Each rank costs a few calls and a pass
+# that reads every row of the batch, which a short batch or many ranks do not
+# repay; bincount costs the same per value whatever the partition.  Both
+# limits were measured on 2 CPUs (ROADMAP, "at numpy's floor").
+_GATHER_RANKS = 16
+_GATHER_VALUES = 4096
 
 
 def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     """Weighted mean of `values` over each block: shape (..., n) -> (..., n_blocks).
 
-    The one block-averaging kernel.  Batched rows are summed by one bincount
-    over labels offset by row, in chunks of whole rows, so every row is summed
-    in the same order as a single vector and the results are bit-identical.
+    The one block-averaging kernel (_block_mean): every row is summed in the
+    same order as a single vector, so a batched row equals, to the bit, a
+    single call on it.
     """
     values = _rows(space, values)
     return _block_mean(space, partition, partition.block_measures(space), values)
@@ -150,21 +224,52 @@ def _block_mean(space: MeasureSpace, partition: Partition, mass: np.ndarray, val
     """block_mean of an (..., n) array, given mass = partition.block_measures(space).
 
     For callers that average many batches on one space: they compute the
-    block masses, and check the space against the partition, once.
+    block masses, and check the space against the partition, once.  One
+    function is summed by one bincount; a batch by member gather or by
+    bincount over row-offset labels, as its shape favours (_GATHER_RANKS).
+    Each strategy adds w_i * x_i to +0.0 in ascending atom order per block,
+    as a bincount does, so the sums are the same to the bit either way.
     """
     lab, k = partition.labels, partition.n_blocks
     if values.ndim == 1:
         return np.bincount(lab, weights=values * space.weights, minlength=k) / mass
     rows = values.reshape(-1, space.n_atoms)
+    ranks = len(partition._ranks[0])
+    if ranks <= _GATHER_RANKS and rows.size >= _GATHER_VALUES * ranks:
+        sums = _gather_sums(space.weights, partition, rows)
+    else:
+        sums = _bincount_sums(space.weights, partition, rows)
+    sums /= mass
+    return sums.reshape(values.shape[:-1] + (k,))
+
+
+def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
+    """Block sums of (rows, n) by member rank: the rank-0 members' w * x plus
+    +0.0, then for each further rank one in-place add on the blocks that have
+    a member of that rank, a prefix in size order (Partition._ranks)."""
+    ranks, pos = partition._ranks
+    (sel, _), *later = ranks
+    acc = rows[:, sel] * w[sel]
+    acc += 0.0
+    part = np.empty_like(acc)
+    for sel, count in later:
+        np.multiply(rows[:, sel], w[sel], out=part[:, :count])
+        acc[:, :count] += part[:, :count]
+    return acc if pos is None else acc[:, pos]
+
+
+def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
+    """Block sums of (rows, n) by bincount over labels offset by row, in chunks of whole rows."""
+    lab, k = partition.labels, partition.n_blocks
     sums = np.empty((rows.shape[0], k))
-    step = max(1, _BLOCK_MEAN_CHUNK // space.n_atoms)
+    step = max(1, _BLOCK_MEAN_CHUNK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step] * space.weights
+        chunk = rows[start : start + step] * w
         index = lab + k * np.arange(len(chunk))[:, None]
         sums[start : start + step] = np.bincount(
             index.ravel(), weights=chunk.ravel(), minlength=len(chunk) * k
         ).reshape(-1, k)
-    return (sums / mass).reshape(values.shape[:-1] + (k,))
+    return sums
 
 
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:

@@ -4,8 +4,9 @@ T multiplies by a fixed function u and then projects onto the block
 sigma-algebra.  On a finite space T is the block-diagonal matrix of rank-one
 blocks M[i][j] = w_j u_j / mu(B(i)) for j in the block of i.  Every check runs
 through the averaging definition; M is an independent oracle, built only when
-read and from weights, u and labels alone, and the spectrum check solves it
-one diagonal block at a time after asserting that it has no off-block entry.
+read and from weights, u and labels alone, and the spectrum check builds its
+rows one block at a time and solves each diagonal block after asserting that
+the block's rows have no entry outside it.
 
 Infinite-space phenomena (compactness, essential norm) are emulated by
 refinement families: sequences of spaces with growing block counts sharing a
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, SingularLambda, SpectralOracleError
-from .measure import MeasureSpace, Partition, _rows, as_values, block_mean, cond_exp
+from .measure import MeasureSpace, Partition, _rows, as_values, block_mean, cond_exp, once
 from .orlicz import luxemburg_norm
 from .sampling import signed_log_uniform
 from .young import YoungFunction, _stable_sup, check_delta_prime, evaluate, inverse
@@ -58,18 +60,34 @@ class WeightedConditionalExpectation:
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Values solved once for this operator, by measure.once()."""
+        return {}
+
     @property
     def matrix(self) -> np.ndarray:
-        """M[i][j] = w_j u_j / mu(B(i)) on the block of i, else 0; shares no
-        code with block_mean, the averaging it cross-checks.  Not kept: at 2048
+        """The dense n x n matrix, filled from block_rows.  Not kept: at 2048
         atoms it is 32 MiB, which would stay resident through later suites."""
-        lab, wu = self.partition.labels, self.space.weights * self.u
-        mass = self.partition.block_measures(self.space)
         m = np.zeros((self.n_atoms, self.n_atoms))
-        for b in map(self.partition.block_members, range(self.partition.n_blocks)):
-            m[np.ix_(b, b)] = wu[b][None, :] / mass[lab[b]][:, None]
+        for members, rows in self.block_rows():
+            m[members] = rows
         m.setflags(write=False)
         return m
+
+    def block_rows(self):
+        """(members, rows) for each block in turn: its atoms in ascending order
+        and their rows of M, M[i][j] = w_j u_j / mu(B(i)) for j in the block of
+        i, else 0.  Built from weights, u and labels alone, so it shares no code
+        with block_mean, the averaging it cross-checks; one block's rows are
+        held at a time."""
+        wu = self.space.weights * self.u
+        mass = self.partition.block_measures(self.space)
+        for b in range(self.partition.n_blocks):
+            members = self.partition.block_members(b)
+            rows = np.zeros((members.size, self.n_atoms))
+            rows[:, members] = wu[members] / mass[b]
+            yield members, rows
 
     @property
     def n_atoms(self) -> int:
@@ -92,8 +110,11 @@ def mean_multiplier(op: WeightedConditionalExpectation) -> np.ndarray:
 
 
 def multiplier_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> np.ndarray:
-    """psi^{-1}(E(psi(|u|))) as one value per block; the level function of the theory."""
-    return inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u)))
+    """psi^{-1}(E(psi(|u|))) as one value per block; the level function of the theory.
+
+    Solved once per operator and psi; each call returns its own copy."""
+    levels = once(op, psi, lambda: inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u))))
+    return levels.copy()
 
 
 def _bound_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -392,25 +413,25 @@ class SpectrumReport:
 def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     """Predicted eigenvalues {E(u)(B)} plus 0 with multiplicity atoms - blocks.
 
-    The oracle solves each diagonal block of the dense matrix densely and
-    asserts that every nonzero entry lies in one of them.  The prediction is
-    real, so any oracle eigenvalue with imaginary part above 1e-8 is
-    rejected as a diagnostic rather than rounded away.  Both multisets are
-    sorted; for real values sorted order is the optimal pairing, and the
-    report carries the largest paired distance.  A block holding inf or NaN,
-    which eigvals refuses, gets NaN eigenvalues, so the distance is NaN.
+    The oracle takes the dense matrix's rows one block at a time
+    (WeightedConditionalExpectation.block_rows), asserts that every nonzero
+    entry of those rows lies in the block's columns, and solves that diagonal
+    block densely.  The prediction is real, so any oracle eigenvalue with
+    imaginary part above 1e-8 is rejected as a diagnostic rather than rounded
+    away.  Both multisets are sorted; for real values sorted order is the
+    optimal pairing, and the report carries the largest paired distance.  A
+    block holding inf or NaN, which eigvals refuses, gets NaN eigenvalues, so
+    the distance is NaN.
     """
     predicted = np.concatenate(
         [mean_multiplier(op), np.zeros(op.n_atoms - op.partition.n_blocks)]
     )
-    m = op.matrix
-    raw, inside = [], 0
-    for b in map(op.partition.block_members, range(op.partition.n_blocks)):
-        s = m[np.ix_(b, b)]
-        inside += np.count_nonzero(s)
+    raw = []
+    for members, rows in op.block_rows():
+        s = rows[:, members]
+        if np.count_nonzero(rows) != np.count_nonzero(s):  # a NaN counts, a -0.0 does not
+            raise SpectralOracleError("the dense matrix has a nonzero entry off its diagonal blocks")
         raw.append(np.linalg.eigvals(s) if np.isfinite(s).all() else np.full(len(s), np.nan))
-    if np.count_nonzero(m) != inside:  # no n**2 mask; a NaN counts, a -0.0 does not
-        raise SpectralOracleError("the dense matrix has a nonzero entry off its diagonal blocks")
     raw = np.concatenate(raw)
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
     if worst_imag > 1e-8:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import BracketFailure, PreconditionViolated
-from .measure import MeasureSpace, _rows, cond_exp
+from .measure import MeasureSpace, _rows, cond_exp, once
 from .young import YoungFunction, derivative, evaluate, inverse
 
 __all__ = [
@@ -86,7 +86,7 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
     hi = np.zeros_like(peak)
     live = np.flatnonzero(peak != 0.0)
     if live.size:
-        hi[live] = peak[live] / inverse(phi, 1.0 / space.total)
+        hi[live] = peak[live] / once(space, (phi, "total"), lambda: inverse(phi, 1.0 / space.total))
     # Rows holding an inf or a NaN keep k0 as their norm: inf or NaN.
     live = live[hi[live] < math.inf]
     # Numerical slack at the theoretical bracket; widen until feasible.
@@ -106,7 +106,8 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
     # and `lo`, the largest scale evaluated infeasible.
     floor = np.zeros_like(hi)
     if live.size:
-        floor[live] = np.minimum(np.max(np.abs(rows[live]) / inverse(phi, 1.0 / space.weights), axis=-1), hi[live])
+        atoms = once(space, (phi, "atoms"), lambda: inverse(phi, 1.0 / space.weights))
+        floor[live] = np.minimum(np.max(np.abs(rows[live]) / atoms, axis=-1), hi[live])
     lo = np.zeros_like(hi)
     k = hi.copy()
     settling = np.zeros(hi.shape, dtype=bool)  # Newton has converged; step up to feasibility

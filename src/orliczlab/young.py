@@ -132,19 +132,25 @@ def _conj_power_params(p: float) -> tuple[float, float]:
 def evaluate(phi: YoungFunction, x):
     """Evaluate phi at |x|.  Accepts scalars or ndarrays; exact for closed-form kinds."""
     ax = np.abs(np.asarray(x, dtype=float))
+    out = ax  # a new array (or a scalar), so the power kinds work it in place
     with np.errstate(over="ignore"):
         if phi.kind == "power":
-            out = ax**phi.p
+            out **= phi.p
         elif phi.kind == "scaled_power":
-            out = ax**phi.p / phi.p
+            out **= phi.p
+            out /= phi.p
         elif phi.kind == "conjugate_power":
             c, q = _conj_power_params(phi.p)
-            out = c * ax**q
+            out **= q
+            out *= c
         elif phi.kind == "exp_type":
-            out = np.expm1(ax) - ax
+            out = np.expm1(ax)
+            out -= ax
         else:  # log_type
             lg = np.log1p(ax)
-            out = (1.0 + ax) * lg - ax
+            out = ax + 1.0
+            out *= lg
+            out -= ax
             # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
             over = np.isinf(out) & (ax < math.inf)
             if np.any(over):
@@ -207,10 +213,12 @@ def inverse(phi: YoungFunction, t):
     if phi.kind == "power":
         out = tt ** (1.0 / phi.p)
     elif phi.kind == "scaled_power":
-        out = (phi.p * tt) ** (1.0 / phi.p)
+        out = phi.p * tt
+        out **= 1.0 / phi.p
     elif phi.kind == "conjugate_power":
         c, q = _conj_power_params(phi.p)
-        out = (tt / c) ** (1.0 / q)
+        out = tt / c
+        out **= 1.0 / q
     else:
         out = _newton_inverse(phi, tt)
     return float(out) if scalar else out

@@ -1,5 +1,5 @@
-"""Reference routes for the tests: random spaces and partitions, and the
-pass-by-pass Newton inverse.  No CLI path uses them."""
+"""Reference routes for the tests: random spaces and partitions, the scalar
+block mean and the pass-by-pass Newton inverse.  No CLI path uses them."""
 
 import math
 
@@ -23,6 +23,28 @@ def random_partition(rng: np.random.Generator, n_atoms: int) -> Partition:
     raw[rng.permutation(n_atoms)[:n_blocks]] = np.arange(n_blocks)  # no empty block
     _, dense = np.unique(raw, return_inverse=True)
     return Partition(dense)
+
+
+def block_mean_sequential(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
+    """measure.block_mean by a Python loop over Python floats: each block's
+    sum of w_i * x_i, and its mass, start from +0.0 and add the block's atoms
+    in ascending order, one row at a time.  Shares no code with either of the
+    kernel's strategies (member gather, bincount)."""
+    x = np.asarray(values, dtype=float)
+    n, k = space.n_atoms, partition.n_blocks
+    labels = [int(b) for b in partition.labels]
+    weights = [float(w) for w in space.weights]
+    mass = [0.0] * k
+    for i in range(n):
+        mass[labels[i]] += weights[i]
+    rows = x.reshape(-1, n)
+    out = np.empty((rows.shape[0], k))
+    for r, row in enumerate(rows.tolist()):
+        sums = [0.0] * k
+        for i in range(n):
+            sums[labels[i]] += row[i] * weights[i]
+        out[r] = [s / m for s, m in zip(sums, mass)]
+    return out.reshape(x.shape[:-1] + (k,))
 
 
 def newton_inverse_masked(phi: young.YoungFunction, tt: np.ndarray) -> np.ndarray:

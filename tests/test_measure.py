@@ -1,11 +1,15 @@
 """Measure spaces, partitions, and the block-averaging conditional expectation."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import young
+from orliczlab import measure, young
 from orliczlab.errors import ConfigError, NegativeInput, SpaceMismatch
 from orliczlab.holder import _holder_ratios, conditional_holder_ratio
 from orliczlab.measure import (
@@ -21,6 +25,7 @@ from orliczlab.measure import (
     generalized_jensen_check,
     jensen_check,
 )
+from oracles import block_mean_sequential
 
 
 def unit_space(n):
@@ -345,6 +350,146 @@ class TestBlockMean:
             batch = np.max(_holder_ratios(space, part, part.block_measures(space), phi, psi, fs, gs), axis=-1)
             rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
             assert np.array_equal(batch, rows)
+
+
+def _kernel_partitions():
+    """(name, space, partition) covering the shapes the two strategies handle differently."""
+    rng = np.random.default_rng(41)
+    n = 64
+    weights = rng.uniform(0.25, 4.0, n)
+    return [
+        ("equal", *build_symmetric_space(n // 2)),
+        ("rotation", *build_rotation_space(8, 8)),
+        ("rotation-wide", *build_rotation_space(4, 32)),  # gathers from 128 rows on
+        ("unequal", MeasureSpace(weights), Partition(np.repeat(np.arange(11), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 9]))),
+        ("singleton", MeasureSpace(weights), Partition(np.arange(n))),
+        ("one-wide-block", MeasureSpace(weights), Partition(np.zeros(n, dtype=int))),
+        ("skewed", MeasureSpace(weights), Partition(np.r_[np.zeros(n // 2, dtype=int), np.arange(1, n // 2 + 1)])),
+        ("shuffled", MeasureSpace(weights), Partition(rng.permutation(np.arange(n) % 5))),
+    ]
+
+
+_KERNEL_PARTITIONS = _kernel_partitions()
+_KERNEL_IDS = [name for name, _, _ in _KERNEL_PARTITIONS]
+
+
+def _hard_values(shape, seed):
+    """Normal draws with NaN, +-inf, -0.0, +0.0 and subnormals spread over them;
+    one row is all -0.0, whose block sums must come out +0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 3.0, shape)
+    flat = x.reshape(-1)
+    specials = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2e-308])
+    if flat.size:
+        at = rng.choice(flat.size, size=min(flat.size, 4 * specials.size), replace=False)
+        flat[at] = np.resize(specials, at.size)
+        x.reshape(-1, shape[-1])[0] = -0.0
+    return x
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _switch_rows(space, partition):
+    """The fewest rows the member gather takes for this partition (None: never)."""
+    ranks = len(partition._ranks[0])
+    if ranks > measure._GATHER_RANKS:
+        return None
+    return -(-measure._GATHER_VALUES * ranks // space.n_atoms)
+
+
+class TestBlockMeanKernel:
+    """Both strategies of the one kernel against a scalar loop, bit for bit (int64 views)."""
+
+    @pytest.mark.parametrize("name, space, part", _KERNEL_PARTITIONS, ids=_KERNEL_IDS)
+    def test_every_shape_matches_the_scalar_loop(self, name, space, part):
+        n, switch = space.n_atoms, _switch_rows(space, part)
+        rows = {1, 3}
+        if switch:
+            rows |= {switch - 1, switch}
+        shapes = [(n,), (0, n), (2, 3, n)] + [(r, n) for r in sorted(rows)]
+        mass = part.block_measures(space)
+        for seed, shape in enumerate(shapes):
+            x = _hard_values(shape, seed)
+            want = block_mean_sequential(space, part, x)
+            assert _same_bits(block_mean(space, part, x), want), shape
+            assert _same_bits(measure._block_mean(space, part, mass, x), want), shape
+            assert _same_bits(cond_exp(space, part, x), want[..., part.labels]), shape
+
+    @pytest.mark.parametrize("name, space, part", _KERNEL_PARTITIONS, ids=_KERNEL_IDS)
+    @pytest.mark.parametrize("strategy", ["_gather_sums", "_bincount_sums"])
+    def test_each_strategy_matches_the_scalar_loop(self, name, space, part, strategy):
+        # Whichever the shape rule would pick, each strategy is exact on every partition.
+        sums = getattr(measure, strategy)
+        mass = part.block_measures(space)
+        for rows in (0, 1, 7, 40):
+            x = _hard_values((rows, space.n_atoms), rows)
+            got = sums(space.weights, part, x)
+            got /= mass
+            assert _same_bits(got, block_mean_sequential(space, part, x)), rows
+
+    def test_the_shape_rule_reaches_both_strategies(self, monkeypatch):
+        # rotation 32 x 2: 32 ranks, more than 16, so bincount at any row count;
+        # symmetric 64 atoms: 2 ranks, so gather from 4096 * 2 / 64 = 128 rows on;
+        # rotation 4 x 32: 4 ranks on 128 atoms, so gather from 128 rows on.
+        taken = []
+        for strategy in ("_gather_sums", "_bincount_sums"):
+            kernel = getattr(measure, strategy)
+            monkeypatch.setattr(measure, strategy, lambda *a, k=kernel, s=strategy: taken.append(s) or k(*a))
+        cases = [
+            (build_rotation_space(32, 2), 3000, "_bincount_sums"),
+            (build_symmetric_space(32), 127, "_bincount_sums"),
+            (build_symmetric_space(32), 128, "_gather_sums"),
+            (build_rotation_space(4, 32), 127, "_bincount_sums"),
+            (build_rotation_space(4, 32), 128, "_gather_sums"),
+        ]
+        for (space, part), rows, strategy in cases:
+            taken.clear()
+            x = _hard_values((rows, space.n_atoms), rows)
+            assert _same_bits(block_mean(space, part, x), block_mean_sequential(space, part, x))
+            assert taken == [strategy], (part.n_blocks, rows)
+
+    def test_rank_table_lists_members_by_rank(self):
+        part = Partition([2, 0, 0, 1, 2, 0])
+        ranks, pos = part._ranks
+        # Blocks by size: 0 (atoms 1, 2, 5), 2 (0, 4), 1 (3).
+        assert [(list(np.arange(6)[sel]), count) for sel, count in ranks] == [([1, 0, 3], 3), ([2, 4], 2), ([5], 1)]
+        assert list(pos) == [0, 2, 1]
+        # Runs of at least 8 evenly spaced atoms become slices.
+        ranks, pos = build_symmetric_space(8)[1]._ranks
+        assert ranks == [(slice(0, 8, 1), 8), (slice(15, 7, -1), 8)] and pos is None
+        assert [list(sel) for sel, _ in build_symmetric_space(2)[1]._ranks[0]] == [[0, 1], [3, 2]]
+
+    def test_threads_average_on_a_fresh_partition(self):
+        # The threads may build the partition's rank table at once; each must
+        # still get the scalar loop's bits.  More threads than the 2 search
+        # workers, switching as often as the interpreter allows.
+        space, _ = build_rotation_space(2, 512)
+        x = _hard_values((64, space.n_atoms), 7)
+        want = block_mean_sequential(space, Partition(np.arange(space.n_atoms) % 512), x[:2])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                part = Partition(np.arange(space.n_atoms) % 512)
+                start, got = threading.Barrier(4, timeout=30), [None] * 4
+
+                def run(k, part=part, start=start, got=got):
+                    start.wait()
+                    got[k] = block_mean(space, part, x)
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for out in got:
+                    assert _same_bits(out[:2], want)
+                    assert _same_bits(out, got[0])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDominationConstant:
