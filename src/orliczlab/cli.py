@@ -27,13 +27,15 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .scenarios import BUILTIN_ORDER, builtin_scenario, from_config, materialize, to_config
+from .scenarios import BUILTIN_ORDER, as_seed, builtin_scenario, from_config, materialize, to_config
 from .suites import SUITE_ORDER, run_all_suites
 
 __all__ = ["main"]
 
 
 def _load_scenarios(config: str, seed_override: int | None) -> list:
+    if seed_override is not None:
+        as_seed(seed_override, "--seed")
     if config in BUILTIN_ORDER:
         return [builtin_scenario(config, seed_override)]
     if not os.path.exists(config):

@@ -135,9 +135,6 @@ class Partition:
             lo += count
         return ranks, None if np.all(np.diff(sizes) <= 0) else pos
 
-    def block_members(self, block: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == block)
-
     def block_measures(self, space: MeasureSpace) -> np.ndarray:
         self._check_space(space)
         return np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
@@ -366,12 +363,8 @@ class MinOfLinear:
         if any(c < 0 for row in self.coeffs for c in row):
             raise ConfigError("min_of_linear: coefficients must be nonnegative")
 
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs[0])
-
     def __call__(self, stacked):
-        """Evaluate on an array of shape (arity, ...) stacking the arguments."""
+        """Evaluate on an array of shape (n, ...) stacking the n arguments."""
         stacked = np.asarray(stacked, dtype=float)
         vals = np.tensordot(np.asarray(self.coeffs), stacked, axes=(1, 0))
         out = np.min(vals, axis=0)

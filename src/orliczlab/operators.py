@@ -80,11 +80,14 @@ class WeightedConditionalExpectation:
         and their rows of M, M[i][j] = w_j u_j / mu(B(i)) for j in the block of
         i, else 0.  Built from weights, u and labels alone, so it shares no code
         with block_mean, the averaging it cross-checks; one block's rows are
-        held at a time."""
+        held at a time.  Every block's members come from one stable argsort
+        of the labels, split at the cumulative block sizes."""
         wu = self.space.weights * self.u
+        labels = self.partition.labels
         mass = self.partition.block_measures(self.space)
-        for b in range(self.partition.n_blocks):
-            members = self.partition.block_members(b)
+        by_block = np.argsort(labels, kind="stable")
+        cuts = np.cumsum(np.bincount(labels))[:-1]
+        for b, members in enumerate(np.split(by_block, cuts)):
             rows = np.zeros((members.size, self.n_atoms))
             rows[:, members] = wu[members] / mass[b]
             yield members, rows

@@ -3,9 +3,8 @@
 The modular of f is the weighted sum of phi(|f|) over atoms; the Luxemburg norm
 is the smallest scale k with modular(f/k) <= 1, computed by safeguarded Newton
 on log modular(f/k) inside a bracket.  The result is feasible and satisfies
-||f|| <= result <= ||f|| + NORM_TOL * max(1, ||f||).  Closed forms exist for
-the power-type kinds and are kept in a separate oracle so the Newton route can
-be cross-checked against them.
+||f|| <= result <= ||f|| + NORM_TOL * max(1, ||f||).  The closed forms of the
+power-type kinds, the tests' oracle for the Newton route, live in the tests.
 """
 
 from __future__ import annotations
@@ -14,15 +13,13 @@ import math
 
 import numpy as np
 
-from .errors import BracketFailure, PreconditionViolated
+from .errors import BracketFailure
 from .measure import MeasureSpace, _rows, cond_exp, once
 from .young import YoungFunction, derivative, evaluate, inverse
 
 __all__ = [
     "modular",
     "luxemburg_norm",
-    "luxemburg_norm_closed_form",
-    "indicator_norm",
     "contraction_check",
 ]
 
@@ -159,37 +156,6 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
     if f.ndim == 1:
         return float(hi[0])
     return hi.reshape(f.shape[:-1])
-
-
-def luxemburg_norm_closed_form(
-    space: MeasureSpace, phi: YoungFunction, f: np.ndarray
-) -> float | None:
-    """Exact norm for kinds of the shape c * |x|**p; None when no closed form applies.
-
-    For phi = c*|x|**p the defining equation c * sum w |f/k|**p = 1 solves to
-    k = (c * sum w |f|**p)**(1/p).
-    """
-    if phi.kind == "power":
-        c, p = 1.0, phi.p
-    elif phi.kind == "scaled_power":
-        c, p = 1.0 / phi.p, phi.p
-    elif phi.kind == "conjugate_power":
-        q = phi.p / (phi.p - 1.0)
-        c, p = (phi.p - 1.0) * phi.p ** (-q), q
-    else:
-        return None
-    f = np.asarray(f, dtype=float)
-    s = space.integrate(np.abs(f) ** p)
-    return float((c * s) ** (1.0 / p))
-
-
-def indicator_norm(space: MeasureSpace, phi: YoungFunction, atoms: np.ndarray) -> float:
-    """Norm of an indicator function: 1 / phi^{-1}(1 / mu(A))."""
-    atoms = np.asarray(atoms, dtype=int)
-    mass = float(np.sum(space.weights[atoms]))
-    if mass <= 0.0:
-        raise PreconditionViolated("indicator support must have positive measure")
-    return 1.0 / inverse(phi, 1.0 / mass)
 
 
 def contraction_check(

@@ -62,6 +62,14 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def as_seed(value, where: str) -> int:
+    """A seed: numpy's generators take nonnegative integers only."""
+    v = _as_int(value, where)
+    if v < 0:
+        raise ConfigError(f"{where}: must be nonnegative, got {v}")
+    return v
+
+
 def _as_positive_int(value, where: str) -> int:
     v = _as_int(value, where)
     if v < 1:
@@ -124,7 +132,7 @@ def _parse_u(cfg, where: str = "scenario.u") -> dict:
             raise ConfigError(f"{where}.name: unknown generator {name!r}")
         out = {"type": "generator", "name": name}
         if name == "random_uniform":
-            out["seed"] = _as_int(cfg.get("seed", 0), f"{where}.seed")
+            out["seed"] = as_seed(cfg.get("seed", 0), f"{where}.seed")
         if name == "indicator":
             out["block"] = _as_int(_require(cfg, "block", where), f"{where}.block")
         return out
@@ -159,7 +167,7 @@ def from_config(cfg: dict) -> Scenario:
         u=_parse_u(_require(cfg, "u", "scenario")),
         partition=partition,
         conjugate_mode=mode,
-        seed=_as_int(cfg.get("seed", 0), "scenario.seed"),
+        seed=as_seed(cfg.get("seed", 0), "scenario.seed"),
         budget=_as_positive_int(cfg.get("budget", 10_000), "scenario.budget"),
     )
 

@@ -1,13 +1,16 @@
 """Reference routes for the tests: random spaces and partitions, the scalar
-block mean and the pass-by-pass Newton inverse.  No CLI path uses them."""
+block mean, the pass-by-pass Newton inverse, the power kinds' closed-form
+norms, the indicator norm and the single-pair Hölder ratio.  No CLI path uses
+them."""
 
 import math
 
 import numpy as np
 
 from orliczlab import young
-from orliczlab.errors import BracketFailure
-from orliczlab.measure import MeasureSpace, Partition
+from orliczlab.errors import BracketFailure, PreconditionViolated
+from orliczlab.holder import _holder_ratios, verify_conjugate_pair
+from orliczlab.measure import MeasureSpace, Partition, as_values
 from orliczlab.sampling import log_uniform
 
 
@@ -83,3 +86,54 @@ def newton_inverse_masked(phi: young.YoungFunction, tt: np.ndarray) -> np.ndarra
         raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {young._NEWTON_ITERS} passes")
     x[t == math.inf] = math.inf
     return x.reshape(tt.shape)
+
+
+def luxemburg_norm_closed_form(space: MeasureSpace, phi: young.YoungFunction, f) -> float | None:
+    """Exact norm for kinds of the shape c * |x|**p; None when no closed form applies.
+
+    For phi = c*|x|**p the defining equation c * sum w |f/k|**p = 1 solves to
+    k = (c * sum w |f|**p)**(1/p).
+    """
+    if phi.kind == "power":
+        c, p = 1.0, phi.p
+    elif phi.kind == "scaled_power":
+        c, p = 1.0 / phi.p, phi.p
+    elif phi.kind == "conjugate_power":
+        q = phi.p / (phi.p - 1.0)
+        c, p = (phi.p - 1.0) * phi.p ** (-q), q
+    else:
+        return None
+    f = np.asarray(f, dtype=float)
+    s = space.integrate(np.abs(f) ** p)
+    return float((c * s) ** (1.0 / p))
+
+
+def indicator_norm(space: MeasureSpace, phi: young.YoungFunction, atoms) -> float:
+    """Norm of an indicator function: 1 / phi^{-1}(1 / mu(A))."""
+    atoms = np.asarray(atoms, dtype=int)
+    mass = float(np.sum(space.weights[atoms]))
+    if mass <= 0.0:
+        raise PreconditionViolated("indicator support must have positive measure")
+    return 1.0 / young.inverse(phi, 1.0 / mass)
+
+
+def conditional_holder_ratio(
+    space: MeasureSpace,
+    partition: Partition,
+    phi: young.YoungFunction,
+    psi: young.YoungFunction,
+    f,
+    g,
+    check_pair: bool = True,
+) -> float:
+    """Max over atoms of E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))].
+
+    0/0 counts as 0 (the bound trivially holds there) and positive/0 as inf.
+    By default the pair is spot-checked by numeric conjugation first and a
+    mismatch raises ConjugateMismatch.
+    """
+    if check_pair:
+        verify_conjugate_pair(phi, psi)
+    f, g = as_values(space, f), as_values(space, g)
+    ratios = _holder_ratios(space, partition, partition.block_measures(space), phi, psi, f, g)
+    return float(np.max(ratios))

@@ -29,15 +29,11 @@ from orliczlab.operators import (
     spectrum,
     truncation_gap_check,
 )
-from orliczlab.orlicz import (
-    indicator_norm,
-    luxemburg_norm,
-    luxemburg_norm_closed_form,
-)
+from orliczlab.orlicz import luxemburg_norm
 from orliczlab.scenarios import builtin_scenario, materialize
 from orliczlab.young import check_delta_prime, conjugate_numeric, evaluate
 
-from oracles import random_partition, random_space
+from oracles import indicator_norm, luxemburg_norm_closed_form, random_partition, random_space
 
 
 @pytest.fixture
@@ -154,18 +150,18 @@ def test_criterion_04_conditional_holder_constants(announce):
     results = []
 
     mat = materialize(builtin_scenario("example-1.6a"))
-    rep_a = empirical_holder_constant(
+    c_a = empirical_holder_constant(
         mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
-        budget=10_000, seed=mat.scenario.seed, claimed_C=1.0,
+        budget=10_000, seed=mat.scenario.seed,
     )
-    results.append(("power pair unit constant", rep_a.empirical_C, 1.0 + 1e-9))
+    results.append(("power pair unit constant", c_a, 1.0 + 1e-9))
 
     mat = materialize(builtin_scenario("example-1.6b"))
-    rep_b = empirical_holder_constant(
+    c_b = empirical_holder_constant(
         mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
-        budget=10_000, seed=mat.scenario.seed, claimed_C=4.0,
+        budget=10_000, seed=mat.scenario.seed,
     )
-    results.append(("exp pair constant", rep_b.empirical_C, 4.0))
+    results.append(("exp pair constant", c_b, 4.0))
     c1, c2 = normalization_constants(
         mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
         sample_budget=10_000, seed=mat.scenario.seed,
@@ -174,11 +170,11 @@ def test_criterion_04_conditional_holder_constants(announce):
     results.append(("normalization C2", c2, float(evaluate(mat.psi, 2.0))))
 
     mat = materialize(builtin_scenario("example-1.6d"))
-    rep_d = empirical_holder_constant(
+    c_d = empirical_holder_constant(
         mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
-        budget=10_000, seed=mat.scenario.seed, claimed_C=9.0,
+        budget=10_000, seed=mat.scenario.seed,
     )
-    results.append(("rotation pair constant", rep_d.empirical_C, 9.0))
+    results.append(("rotation pair constant", c_d, 9.0))
 
     ok = all(value <= bound for _, value, bound in results)
     detail = "; ".join(f"{name} {value:.6g} <= {bound:.6g}" for name, value, bound in results)

@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from orliczlab import orlicz, young
 from orliczlab.errors import BracketFailure, PreconditionViolated, SpaceMismatch
 from orliczlab.measure import MeasureSpace, Partition, _rows
-from orliczlab.orlicz import (
-    contraction_check,
-    indicator_norm,
-    luxemburg_norm,
-    luxemburg_norm_closed_form,
-    modular,
-)
+from orliczlab.orlicz import contraction_check, luxemburg_norm, modular
 
-from oracles import random_space
+from oracles import indicator_norm, luxemburg_norm_closed_form, random_space
 
 
 def unit_space(n):

@@ -198,6 +198,22 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--suite", "spectrum"]) == 2
         assert field in capsys.readouterr().err
 
+    def test_negative_seed_option_exits_two(self, capsys):
+        assert cli.main(["run", "--config", "spectrum-demo", "--suite", "jensen", "--seed", "-20"]) == 2
+        assert "--seed: must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_scenario_seed_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(minimal_config(seed=-20)))
+        assert cli.main(["run", "--config", str(cfg), "--suite", "jensen"]) == 2
+        assert "scenario.seed: must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_multiplier_seed_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(minimal_config(u={"type": "generator", "name": "random_uniform", "seed": -1})))
+        assert cli.main(["run", "--config", str(cfg), "--suite", "spectrum"]) == 2
+        assert "scenario.u.seed: must be nonnegative" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, capsys):
         assert cli.main(["run", "--config", "no-such-scenario"]) == 2
         assert "config error" in capsys.readouterr().err
