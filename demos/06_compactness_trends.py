@@ -30,7 +30,7 @@ family = RefinementFamily("reciprocal", (16, 64, 256))
 op = family.member(64)
 print("level-set counts for u(j) = 1/j at m = 64:")
 for eps in (0.5, 0.2, 0.1, 0.05):
-    print(f"  epsilon {eps:<5} -> {level_set(op, psi, eps).count} blocks")
+    print(f"  epsilon {eps:<5} -> {level_set(op, psi, eps).size} blocks")
 
 # ---------------------------------------------------------------------------
 # Truncation: removing the blocks below level epsilon changes the operator by

@@ -313,14 +313,12 @@ def build_rotation_space(n: int, cells_per_block_orbit: int) -> tuple[MeasureSpa
     return MeasureSpace(np.full(total, 1.0 / total), labels=mids), Partition(labels)
 
 
-def jensen_check(
-    space: MeasureSpace,
-    partition: Partition,
-    phi,
-    f: np.ndarray,
-    tol: float = 1e-12,
-) -> dict:
-    """Verify the convexity inequality phi(E f) <= E(phi(|f|)) atomwise.
+# Relative slack of both Jensen checks: gap <= JENSEN_TOL * max(1, max|rhs|) per row.
+JENSEN_TOL = 1e-12
+
+
+def jensen_check(space: MeasureSpace, partition: Partition, phi, f: np.ndarray) -> dict:
+    """Verify the convexity inequality phi(E f) <= E(phi(|f|)) atomwise, up to JENSEN_TOL.
 
     phi is any callable convex function accepting arrays (a YoungFunction in
     practice, which evaluates on |x| and so absorbs the absolute value).  f may
@@ -329,15 +327,15 @@ def jensen_check(
     f = _rows(space, f)
     lhs = np.asarray(phi(cond_exp(space, partition, np.abs(f))))
     rhs = cond_exp(space, partition, np.asarray(phi(f)))
-    return _gap_report(lhs - rhs, rhs, tol)
+    return _gap_report(lhs - rhs, rhs)
 
 
-def _gap_report(gap: np.ndarray, rhs: np.ndarray, tol: float) -> dict:
-    """gap <= tol * max(1, max|rhs|) in every row, each row on its own scale; a NaN fails and shows."""
+def _gap_report(gap: np.ndarray, rhs: np.ndarray) -> dict:
+    """gap <= JENSEN_TOL * max(1, max|rhs|) in every row, each row on its own scale; a NaN fails and shows."""
     worst = np.max(gap, axis=-1)
     scale = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
     return {
-        "holds": bool(np.all(worst <= tol * scale)),
+        "holds": bool(np.all(worst <= JENSEN_TOL * scale)),
         "max_violation": float(np.max(worst)),
         "scale": float(np.max(scale)),
     }
@@ -371,14 +369,8 @@ class MinOfLinear:
         return float(out) if out.ndim == 0 else out
 
 
-def generalized_jensen_check(
-    space: MeasureSpace,
-    partition: Partition,
-    theta: MinOfLinear,
-    fs,
-    tol: float = 1e-12,
-) -> dict:
-    """Verify E(theta(f_1,..,f_n)) <= theta(E f_1,..,E f_n) for nonnegative inputs.
+def generalized_jensen_check(space: MeasureSpace, partition: Partition, theta: MinOfLinear, fs) -> dict:
+    """Verify E(theta(f_1,..,f_n)) <= theta(E f_1,..,E f_n) for nonnegative inputs, up to JENSEN_TOL.
 
     Each linear piece commutes with E exactly, so the min of the averaged
     pieces dominates the average of the min; this check confirms the sampled
@@ -391,7 +383,7 @@ def generalized_jensen_check(
         raise NegativeInput("generalized Jensen check needs nonnegative functions")
     lhs = cond_exp(space, partition, np.asarray(theta(stacked)))
     rhs = np.asarray(theta(cond_exp(space, partition, stacked)))
-    return _gap_report(lhs - rhs, rhs, tol)
+    return _gap_report(lhs - rhs, rhs)
 
 
 def domination_constant(space: MeasureSpace, partition: Partition) -> float:

@@ -29,7 +29,6 @@ from .young import YoungFunction, _stable_sup, check_delta_prime, evaluate, inve
 
 __all__ = [
     "WeightedConditionalExpectation",
-    "LevelSetReport",
     "SpectrumReport",
     "RefinementFamily",
     "mean_multiplier",
@@ -247,23 +246,11 @@ def norm_estimate(
     return best_r, best_f
 
 
-@dataclass(frozen=True)
-class LevelSetReport:
-    """Blocks where the level function psi^{-1}(E(psi|u|)) reaches epsilon."""
-
-    epsilon: float
-    blocks: tuple[int, ...]
-    count: int
-
-
-def level_set(
-    op: WeightedConditionalExpectation, psi: YoungFunction, epsilon: float
-) -> LevelSetReport:
+def level_set(op: WeightedConditionalExpectation, psi: YoungFunction, epsilon: float) -> np.ndarray:
+    """The blocks where the level function psi^{-1}(E(psi|u|)) reaches epsilon, ascending."""
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
-    levels = multiplier_levels(op, psi)
-    blocks = tuple(int(b) for b in np.flatnonzero(levels >= epsilon))
-    return LevelSetReport(float(epsilon), blocks, len(blocks))
+    return np.flatnonzero(multiplier_levels(op, psi) >= epsilon)
 
 
 def truncate(
@@ -274,8 +261,7 @@ def truncate(
     The truncated operator acts only on the blocks of the level set, so its
     rank is at most the level-set count.
     """
-    keep = level_set(op, psi, epsilon).blocks
-    mask = np.isin(op.partition.labels, np.asarray(keep, dtype=int))
+    mask = np.isin(op.partition.labels, level_set(op, psi, epsilon))
     return op.with_multiplier(op.u * mask)
 
 
@@ -406,11 +392,15 @@ def essential_norm_bound(
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Structural eigenvalue prediction against the dense linear-algebra oracle."""
+    """Structural eigenvalue prediction against the dense linear-algebra oracle.
+
+    `tolerance`, 1e-8 * (1 + max|predicted|), bounds both the paired distance
+    of a match and the oracle's imaginary parts."""
 
     predicted: np.ndarray
     computed: np.ndarray
     max_match_distance: float
+    tolerance: float
 
 
 def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
@@ -420,11 +410,13 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     (WeightedConditionalExpectation.block_rows), asserts that every nonzero
     entry of those rows lies in the block's columns, and solves that diagonal
     block densely.  The prediction is real, so any oracle eigenvalue with
-    imaginary part above 1e-8 is rejected as a diagnostic rather than rounded
-    away.  Both multisets are sorted; for real values sorted order is the
-    optimal pairing, and the report carries the largest paired distance.  A
-    block holding inf or NaN, which eigvals refuses, gets NaN eigenvalues, so
-    the distance is NaN.
+    imaginary part above the match tolerance 1e-8 * (1 + max|predicted|) is
+    rejected as a diagnostic rather than rounded away.  The bound is relative
+    because eigvals' rounding scales with the entries: u near 1e10 leaves
+    imaginary parts near 1e-6.  Both multisets are sorted; for real values
+    sorted order is the optimal pairing, and the report carries the largest
+    paired distance.  A block holding inf or NaN, which eigvals refuses, gets
+    NaN eigenvalues, so the distance is NaN.
     """
     predicted = np.concatenate(
         [mean_multiplier(op), np.zeros(op.n_atoms - op.partition.n_blocks)]
@@ -436,8 +428,9 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
             raise SpectralOracleError("the dense matrix has a nonzero entry off its diagonal blocks")
         raw.append(np.linalg.eigvals(s) if np.isfinite(s).all() else np.full(len(s), np.nan))
     raw = np.concatenate(raw)
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(predicted), initial=0.0)))
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > 1e-8:
+    if worst_imag > tol:
         raise SpectralOracleError(
             f"oracle produced imaginary parts up to {worst_imag:.3g}; "
             "the structural prediction is real"
@@ -445,7 +438,7 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     predicted = np.sort(predicted)
     computed = np.sort(raw.real)
     dist = float(np.max(np.abs(predicted - computed))) if predicted.size else 0.0
-    return SpectrumReport(predicted, computed, dist)
+    return SpectrumReport(predicted, computed, dist, tol)
 
 
 def resolvent_check(

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+# contraction_check's slack: ||E f|| <= ||f|| * (1 + CONTRACTION_TOL) + CONTRACTION_TOL.
+CONTRACTION_TOL = 1e-9
 
 
 def modular(space: MeasureSpace, phi: YoungFunction, f: np.ndarray):
@@ -45,7 +47,7 @@ _NEWTON_STEP = 1e-13
 _NEAR_ONE = 1e-10
 
 
-def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: float = NORM_TOL):
+def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray):
     """inf over k > 0 of modular(f/k) <= 1, by safeguarded Newton on log modular(f/k).
 
     One function of shape (n,) gives a float; a batch of shape (..., n) gives
@@ -72,9 +74,9 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
     Once Newton has converged, k steps up from the infeasible end to the first
     scale with modular(f/k) <= 1, by Newton's step but at least one ulp, and
     after the first move at least twice the last one.  A bisection stops once
-    the bracket is no wider than tol * max(1, k).  The result is the upper end
+    the bracket is no wider than NORM_TOL * max(1, k).  The result is the upper end
     of the final bracket, so modular(f/result) <= 1 holds by construction and
-    ||f|| <= result <= ||f|| + tol * max(1, ||f||).  A row that has not
+    ||f|| <= result <= ||f|| + NORM_TOL * max(1, ||f||).  A row that has not
     stopped after _NEWTON_ITERS passes raises BracketFailure.
     """
     f = _rows(space, f)
@@ -145,7 +147,7 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
         done = (
             (was_settling & feasible)
             | (now_settling & (nk >= hi_t))
-            | (~now_settling & ~inside & (hi_t - low <= tol * np.maximum(1.0, hi_t)))
+            | (~now_settling & ~inside & (hi_t - low <= NORM_TOL * np.maximum(1.0, hi_t)))
         )
         before[live], last[live] = last[live], np.abs(np.log(nk / kt))
         k[live] = nk
@@ -158,14 +160,8 @@ def luxemburg_norm(space: MeasureSpace, phi: YoungFunction, f: np.ndarray, tol: 
     return hi.reshape(f.shape[:-1])
 
 
-def contraction_check(
-    space: MeasureSpace,
-    partition,
-    phi: YoungFunction,
-    f: np.ndarray,
-    tol: float = 1e-9,
-) -> dict:
-    """Verify the averaging projection does not increase the Luxemburg norm.
+def contraction_check(space: MeasureSpace, partition, phi: YoungFunction, f: np.ndarray) -> dict:
+    """Verify the averaging projection does not increase the Luxemburg norm, up to CONTRACTION_TOL.
 
     The mechanism is the convexity inequality phi(|E f| / k) <= E(phi(|f| / k))
     pointwise, so every scale feasible for f stays feasible for E f.  f may be
@@ -176,7 +172,7 @@ def contraction_check(
     nf = luxemburg_norm(space, phi, f)
     nef = luxemburg_norm(space, phi, cond_exp(space, partition, f))
     return {
-        "holds": bool(np.all(nef <= nf * (1.0 + tol) + tol)),
+        "holds": bool(np.all(nef <= nf * (1.0 + CONTRACTION_TOL) + CONTRACTION_TOL)),
         "norm_f": nf,
         "norm_Ef": nef,
         "slack": nf - nef,

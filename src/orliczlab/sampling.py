@@ -27,8 +27,12 @@ def signed_log_uniform(rng: np.random.Generator, size, lo: float = LOG_LO, hi: f
     return log_uniform(rng, size, lo, hi) * _signs(rng, size)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _signs(rng: np.random.Generator, size):
-    return rng.choice([-1.0, 1.0], size)
+    """rng.choice([-1.0, 1.0], size), which draws the same integers, at less cost per call."""
+    return _SIGNS[rng.integers(0, 2, size)]
 
 
 def log_uniform_chunks(

@@ -1,7 +1,7 @@
 """Reference routes for the tests: random spaces and partitions, the scalar
 block mean, the pass-by-pass Newton inverse, the power kinds' closed-form
-norms, the indicator norm and the single-pair Hölder ratio.  No CLI path uses
-them."""
+norms, the indicator norm, the single-pair Hölder ratio and numpy's own sign
+draw.  No CLI path uses them."""
 
 import math
 
@@ -137,3 +137,10 @@ def conditional_holder_ratio(
     f, g = as_values(space, f), as_values(space, g)
     ratios = _holder_ratios(space, partition, partition.block_measures(space), phi, psi, f, g)
     return float(np.max(ratios))
+
+
+def signs_by_choice(rng: np.random.Generator, size) -> np.ndarray:
+    """Random signs by numpy's own route, rng.choice([-1.0, 1.0], size): the
+    draw sampling._signs must match in values and in the generator state it
+    leaves."""
+    return rng.choice([-1.0, 1.0], size)

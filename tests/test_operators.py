@@ -318,7 +318,8 @@ class TestLevelSetsAndTruncation:
         _, psi = pair(2.0)
         for eps in (0.011, 0.1, 0.3, 0.9, 1.5):
             want = min(16, int(np.floor(1.0 / eps)))
-            assert level_set(op, psi, eps).count == want
+            # the blocks 0..want-1, ascending: block j carries level 1/(j+1)
+            assert np.array_equal(level_set(op, psi, eps), np.arange(want))
 
     def test_rejects_nonpositive_epsilon(self):
         op = demo_op()
@@ -343,7 +344,7 @@ class TestLevelSetsAndTruncation:
         op = family.member(12)
         _, psi = pair(2.0)
         for eps in (0.09, 0.26, 0.55):
-            count = level_set(op, psi, eps).count
+            count = level_set(op, psi, eps).size
             rank = np.linalg.matrix_rank(truncate(op, psi, eps).matrix)
             assert rank <= count
 
@@ -352,7 +353,7 @@ class TestLevelSetsAndTruncation:
         op = family.member(10)
         _, psi = pair(2.0)
         eps = 0.25  # keeps blocks 1..4 (levels 1, 1/2, 1/3, 1/4)
-        keep = level_set(op, psi, eps).blocks
+        keep = level_set(op, psi, eps)
         rng = np.random.default_rng(70)
         f = rng.normal(0.0, 2.0, op.n_atoms)
         f[~np.isin(op.partition.labels, keep)] = 0.0
@@ -364,7 +365,7 @@ class TestLevelSetsAndTruncation:
         part = Partition(np.arange(6) % 3)
         op = WeightedConditionalExpectation(space, part, np.zeros(6))
         phi, psi = pair(2.0)
-        assert level_set(op, psi, 0.5).count == 0
+        assert level_set(op, psi, 0.5).size == 0
         report = truncation_gap_check(op, phi, psi, C=4.0, epsilon=0.5, budget=50, seed=0)
         assert report["holds"]
         assert report["gap_lower_bound"] == 0.0

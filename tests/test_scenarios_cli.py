@@ -351,6 +351,28 @@ class TestCli:
             assert check["value"] == "NaN", name
             assert check["passed"] is False and check["nonfinite"] is True, name
 
+    def test_large_multiplier_passes_spectrum(self, capsys, tmp_path):
+        # eigvals leaves imaginary parts near 1e-6 on this 5-atom block of
+        # entries near 1e10: rounding relative to the spectrum, not a defect.
+        cfg = tmp_path / "big_u.json"
+        scenario = {
+            "name": "big-u",
+            "space": {"type": "explicit", "weights": [1, 1, 1, 1, 1]},
+            "partition": {"labels": [0, 0, 0, 0, 0]},
+            "young": {"kind": "scaled_power", "p": 2.0},
+            "u": {"type": "explicit", "values": [1e10, 2e10, 3e10, 4e10, 5e10]},
+        }
+        cfg.write_text(json.dumps(scenario))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code = cli.main(["run", "--config", str(cfg), "--suite", "spectrum"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        (check,) = json.loads(out, parse_constant=reject)["scenarios"][0]["suites"]["spectrum"]["checks"]
+        assert check["name"] == "predicted_matches_oracle" and check["passed"] is True
+
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():
             assert (

@@ -470,15 +470,12 @@ def test_conjugate_numeric_rejects_a_negative_row(ys):
 def test_delta2_power_constant_matches_analytic():
     for p in (1.5, 2.0, 3.0):
         cert = young.check_delta2(young.power(p))
-        assert cert is not None
-        assert cert.observed == pytest.approx(2.0**p, rel=1e-9)
-        assert cert.kind == "delta2"
+        assert cert == pytest.approx(young.SAFETY_FACTOR * 2.0**p, rel=1e-9)
 
 
 def test_delta2_scaled_power_two():
     cert = young.check_delta2(young.scaled_power(2.0))
-    assert cert is not None
-    assert cert.observed == pytest.approx(4.0, rel=1e-9)
+    assert cert == pytest.approx(young.SAFETY_FACTOR * 4.0, rel=1e-9)
 
 
 def test_delta2_absent_for_exp_type():
@@ -496,14 +493,12 @@ def test_delta2_empirical_sup_grows_for_exp_type():
 
 def test_delta_prime_power_is_exactly_multiplicative():
     cert = young.check_delta_prime(young.power(2.0))
-    assert cert is not None
-    assert cert.observed == pytest.approx(1.0, rel=1e-9)
+    assert cert == pytest.approx(young.SAFETY_FACTOR, rel=1e-9)
 
 
 def test_delta_prime_scaled_power_constant_p():
     cert = young.check_delta_prime(young.scaled_power(3.0))
-    assert cert is not None
-    assert cert.observed == pytest.approx(3.0, rel=1e-6)
+    assert cert == pytest.approx(young.SAFETY_FACTOR * 3.0, rel=1e-6)
 
 
 def test_delta_prime_implies_delta2():
@@ -514,22 +509,21 @@ def test_delta_prime_implies_delta2():
 
 def test_nabla_prime_power_unit_factor():
     cert = young.check_nabla_prime(young.power(2.0))
-    assert cert is not None
-    assert cert.observed == pytest.approx(1.0, abs=1e-6)
-    assert cert.constant >= cert.observed
+    # the bisected factor is 1 within 1e-6, and the safety factor only raises it
+    assert cert == pytest.approx(young.SAFETY_FACTOR, abs=young.SAFETY_FACTOR * 1e-6)
+    assert cert >= 1.0
 
 
 def test_ordering_same_function():
     cert = young.check_ordering(young.power(2.0), young.power(2.0))
-    assert cert is not None
-    assert cert.constant == pytest.approx(1.0, rel=1e-6)
+    assert cert == pytest.approx(1.0, rel=1e-6)
 
 
 def test_ordering_higher_power_dominates_above_one():
     grid = young.GridSpec(lo=1.0, hi=1e3, n=512)
     cert = young.check_ordering(young.power(3.0), young.power(2.0), grid=grid)
     assert cert is not None
-    assert cert.constant <= 1.0 + 1e-9
+    assert cert <= 1.0 + 1e-9
 
 
 def test_ordering_absent_when_growth_outpaces():
@@ -537,12 +531,59 @@ def test_ordering_absent_when_growth_outpaces():
     assert cert is None
 
 
+# check_delta2 and check_delta_prime pinned to the bit, so that no change to
+# _certify or to either side moves a constant; exp_type has neither.
+CERTIFICATE_PINS = [
+    (young.power(1.5), 2.8567113959936528, 1.0100000000000005),
+    (young.power(2.0), 4.04, 1.0100000000000005),
+    (young.power(3.0), 8.08, 1.0100000000000007),
+    (young.scaled_power(2.0), 4.04, 2.020000000000001),
+    (young.scaled_power(2.5), 5.7134227919873055, 2.5250000000000017),
+    (young.scaled_power(3.0), 8.08, 3.0300000000000025),
+    (young.conjugate_power(3.0), 2.856711395993653, 2.6240569734668506),
+    (young.exp_type(), None, None),
+    (young.log_type(), 4.038654902369619, 131.9504847601564),
+]
+
+
+@pytest.mark.parametrize("phi, delta2, delta_prime", CERTIFICATE_PINS, ids=lambda v: getattr(v, "kind", None))
+def test_certificates_are_pinned_to_the_bit(phi, delta2, delta_prime):
+    assert young.check_delta2(phi) == delta2
+    assert young.check_delta_prime(phi) == delta_prime
+
+
+def test_certify_takes_the_sup_on_three_grids_and_bounds_the_last():
+    seen = []
+
+    def sides(m):
+        seen.append(m)
+        xs = np.arange(1.0, m + 1.0)
+        return 2.0 * xs, xs
+
+    assert young._certify(sides, 5) == 2.0 * young.SAFETY_FACTOR
+    assert seen == [5, 10, 20]  # the final bound reuses the 20-point arrays
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [
+        lambda m: (np.ones(m), np.zeros(m)),  # the ratio is inf
+        lambda m: (np.zeros(m), np.zeros(m)),  # the ratio is NaN
+        lambda m: (np.full(m, float(m)), np.ones(m)),  # the sup doubles with the grid
+        lambda m: (-np.ones(m), -np.ones(m)),  # ratio 1, but -1 > 1.01 * -1
+    ],
+    ids=["infinite-ratio", "nan-ratio", "unstable-sups", "final-bound-fails"],
+)
+def test_certify_returns_none(sides):
+    assert young._certify(sides, 4) is None
+
+
 def test_certificates_validate_on_fresh_grid():
     # the stored constant must hold on a grid the checker never saw
     cert = young.check_delta2(young.scaled_power(2.5))
     xs = np.logspace(-2.7, 2.7, 1777)
     phi = young.scaled_power(2.5)
-    assert np.all(phi(2 * xs) <= cert.constant * phi(xs))
+    assert np.all(phi(2 * xs) <= cert * phi(xs))
 
 
 # product convexity and the two-function inequality
@@ -576,9 +617,7 @@ def test_young_inequality_conjugate_pair_touching_point():
 def test_young_inequality_samples():
     phi = young.scaled_power(3.0)
     psi = young.conjugate_closed_form(phi)
-    rep = young.young_inequality_check(phi, psi, samples=10_000, seed=42)
-    assert rep.holds
-    assert rep.max_violation <= 1e-9
+    assert young.young_inequality_check(phi, psi, samples=10_000, seed=42) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
