@@ -170,7 +170,7 @@ def _cmd_list_scenarios(_args) -> int:
 
 def _cmd_export_matrix(args) -> int:
     scenarios = _load_scenarios(args.config, args.seed)
-    op = materialize(scenarios[0]).representative()
+    op = materialize(scenarios[0]).operator
     out = _resolve_out(args.out)
     if out:
         try:

@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from .errors import ConjugateMismatch, PreconditionViolated
-from .measure import MeasureSpace, Partition, _block_mean, domination_constant
+from .measure import MeasureSpace, Partition, block_mean, domination_constant
 from .sampling import log_uniform_chunks
 from .young import YoungFunction, conjugate_error, evaluate, inverse
 
@@ -59,7 +59,6 @@ def verify_conjugate_pair(phi: YoungFunction, psi: YoungFunction) -> None:
 def _holder_ratios(
     space: MeasureSpace,
     partition: Partition,
-    mass: np.ndarray,
     phi: YoungFunction,
     psi: YoungFunction,
     f: np.ndarray,
@@ -69,14 +68,14 @@ def _holder_ratios(
 
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
-    `mass` is partition.block_measures(space).  The elementwise passes run in
-    place on arrays this call made, the inverses first and |fg| last, so no
-    more than one (..., n) temporary is alive beside f and g.
+    The elementwise passes run in place on arrays this call made, the inverses
+    first and |fg| last, so no more than one (..., n) temporary is alive beside
+    f and g.
     """
-    rhs = inverse(phi, _block_mean(space, partition, mass, evaluate(phi, f)))
-    rhs *= inverse(psi, _block_mean(space, partition, mass, evaluate(psi, g)))
+    rhs = inverse(phi, block_mean(space, partition, evaluate(phi, f)))
+    rhs *= inverse(psi, block_mean(space, partition, evaluate(psi, g)))
     fg = np.multiply(f, g)
-    return _ratio_atoms(_block_mean(space, partition, mass, np.abs(fg, out=fg)), rhs)
+    return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg)), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,8 +158,7 @@ def empirical_holder_constant(
     bit np.max over the whole batch, whatever W and the chunk size.
     """
     verify_conjugate_pair(phi, psi)
-    mass = partition.block_measures(space)
-    (best,) = _search_max(space, budget, seed, lambda f, g: _holder_ratios(space, partition, mass, phi, psi, f, g))
+    (best,) = _search_max(space, budget, seed, lambda f, g: _holder_ratios(space, partition, phi, psi, f, g))
     return float(best)
 
 
@@ -184,12 +182,10 @@ def normalization_constants(
     one-shot batch, NaN if any value is NaN, whatever W and the chunk size.
     No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
     """
-    mass = partition.block_measures(space)
-
     def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
-        denom = inverse(theta, _block_mean(space, partition, mass, evaluate(theta, batch)))
+        denom = inverse(theta, block_mean(space, partition, evaluate(theta, batch)))
         x = denom[..., partition.labels]
-        return _block_mean(space, partition, mass, evaluate(theta, np.divide(batch, x, out=x)))
+        return block_mean(space, partition, evaluate(theta, np.divide(batch, x, out=x)))
 
     c1, c2 = _search_max(space, sample_budget, seed, lambda f, g: normalized(phi, f), lambda f, g: normalized(psi, g))
     return float(c1), float(c2)

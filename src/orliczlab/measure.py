@@ -6,12 +6,14 @@ averages a function over each block with respect to the weights, which makes it
 an exact projection: idempotent, positive, and multiplicative against
 block-measurable factors.
 
-All block averaging runs through one kernel, _block_mean.  It sums a batch
-either by member gather (one pass per member rank, over the partition's
+All block averaging runs through one entry point, block_mean.  It sums a
+batch either by member gather (one pass per member rank, over the partition's
 members listed once by their rank inside their block) or by one bincount over
 labels offset by row, choosing from the shapes alone.  Both add each block's
 weighted values to +0.0 in ascending atom order, so they agree to the bit and
-every batched row equals a single call on it.
+every batched row equals a single call on it.  The block masses it divides by
+are computed only by Partition.block_measures, which keeps them for the last
+space it was asked about.
 """
 
 from __future__ import annotations
@@ -136,14 +138,19 @@ class Partition:
         return ranks, None if np.all(np.diff(sizes) <= 0) else pos
 
     def block_measures(self, space: MeasureSpace) -> np.ndarray:
-        self._check_space(space)
-        return np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
-
-    def _check_space(self, space: MeasureSpace) -> None:
-        if self.n_atoms != space.n_atoms:
-            raise SpaceMismatch(
-                f"partition covers {self.n_atoms} atoms but the space has {space.n_atoms}"
-            )
+        """The weight of each block, read-only.  The last (space, masses) pair
+        is kept, so a repeat call on the same space object costs an identity
+        test; another space is checked against the partition and recomputed."""
+        last = self.__dict__.get("_last_measures")
+        if last is None or last[0] is not space:
+            if self.n_atoms != space.n_atoms:
+                raise SpaceMismatch(
+                    f"partition covers {self.n_atoms} atoms but the space has {space.n_atoms}"
+                )
+            mass = np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
+            mass.setflags(write=False)
+            last = self.__dict__["_last_measures"] = (space, mass)
+        return last[1]
 
 
 _SLICE_MIN = 8
@@ -209,24 +216,14 @@ _GATHER_VALUES = 4096
 def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     """Weighted mean of `values` over each block: shape (..., n) -> (..., n_blocks).
 
-    The one block-averaging kernel (_block_mean): every row is summed in the
-    same order as a single vector, so a batched row equals, to the bit, a
-    single call on it.
+    The one block-averaging kernel.  One function is summed by one bincount; a
+    batch by member gather or by bincount over row-offset labels, as its shape
+    favours (_GATHER_RANKS).  Each strategy adds w_i * x_i to +0.0 in
+    ascending atom order per block, as a bincount does, so the sums are the
+    same to the bit either way and a batched row equals a single call on it.
     """
     values = _rows(space, values)
-    return _block_mean(space, partition, partition.block_measures(space), values)
-
-
-def _block_mean(space: MeasureSpace, partition: Partition, mass: np.ndarray, values: np.ndarray):
-    """block_mean of an (..., n) array, given mass = partition.block_measures(space).
-
-    For callers that average many batches on one space: they compute the
-    block masses, and check the space against the partition, once.  One
-    function is summed by one bincount; a batch by member gather or by
-    bincount over row-offset labels, as its shape favours (_GATHER_RANKS).
-    Each strategy adds w_i * x_i to +0.0 in ascending atom order per block,
-    as a bincount does, so the sums are the same to the bit either way.
-    """
+    mass = partition.block_measures(space)
     lab, k = partition.labels, partition.n_blocks
     if values.ndim == 1:
         return np.bincount(lab, weights=values * space.weights, minlength=k) / mass
@@ -288,7 +285,7 @@ def build_symmetric_space(n_half: int) -> tuple[MeasureSpace, Partition]:
     symmetrization f(x) -> (f(x) + f(-x)) / 2.  Labels are cell midpoints.
     """
     if n_half < 1:
-        raise ConfigError("n_half must be at least 1")
+        raise ConfigError(f"space.n_half: must be at least 1, got {n_half}")
     n = 2 * n_half
     mids = tuple(-1.0 + (2 * i + 1) / n for i in range(n))
     labels = np.minimum(np.arange(n), n - 1 - np.arange(n))
@@ -304,8 +301,10 @@ def build_rotation_space(n: int, cells_per_block_orbit: int) -> tuple[MeasureSpa
     an explicit 1/n factor; the plain orbit sum would not be idempotent, which
     forces the averaged convention here.  Labels are cell midpoints.
     """
-    if n < 2 or cells_per_block_orbit < 1:
-        raise ConfigError("need n >= 2 and cells_per_block_orbit >= 1")
+    if n < 2:
+        raise ConfigError(f"space.n: need at least 2 cells per orbit, got {n}")
+    if cells_per_block_orbit < 1:
+        raise ConfigError(f"space.cells_per_block_orbit: must be at least 1, got {cells_per_block_orbit}")
     m = cells_per_block_orbit
     total = n * m
     mids = tuple((i + 0.5) / total for i in range(total))

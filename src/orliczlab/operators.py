@@ -31,6 +31,7 @@ __all__ = [
     "WeightedConditionalExpectation",
     "SpectrumReport",
     "RefinementFamily",
+    "law_values",
     "mean_multiplier",
     "multiplier_levels",
     "norm_upper_bound",
@@ -114,9 +115,8 @@ def mean_multiplier(op: WeightedConditionalExpectation) -> np.ndarray:
 def multiplier_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> np.ndarray:
     """psi^{-1}(E(psi(|u|))) as one value per block; the level function of the theory.
 
-    Solved once per operator and psi; each call returns its own copy."""
-    levels = once(op, psi, lambda: inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u))))
-    return levels.copy()
+    Solved once per operator and psi; every call returns that read-only array."""
+    return once(op, psi, lambda: inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u))))
 
 
 def _bound_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +159,8 @@ def norm_estimate(
     phi: YoungFunction,
     budget: int = 400,
     seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Certified lower bound on the operator norm, with the function achieving it.
+) -> float:
+    """Certified lower bound on the operator norm.
 
     Block indicators are exact extremal candidates: T maps the indicator of
     block B to E(u)(B) times itself, so the norm ratio is |E(u)(B)| with no
@@ -190,9 +190,8 @@ def norm_estimate(
     eu = np.abs(mean_multiplier(op))
     b_star = int(np.argmax(eu))
     best_r = float(eu[b_star])
-    best_f = (op.partition.labels == b_star).astype(float)
 
-    starts: list[np.ndarray] = [best_f]
+    starts: list[np.ndarray] = [(op.partition.labels == b_star).astype(float)]
     if np.any(op.u != 0.0):
         starts.append(op.u.copy())
     starts.append(np.ones(n))
@@ -201,8 +200,7 @@ def norm_estimate(
 
     scored = sorted(zip(ratios(np.stack(starts)).tolist(), range(len(starts))), reverse=True)
     evals = len(starts)
-    if scored[0][0] > best_r:
-        best_r, best_f = scored[0][0], starts[scored[0][1]].copy()
+    best_r = max(best_r, scored[0][0])
 
     coords = np.arange(n) if n <= 32 else rng.permutation(n)[:32]
     for r, idx in scored[:NORM_RESTARTS]:
@@ -241,9 +239,8 @@ def norm_estimate(
                         break
             if not improved:
                 step *= 0.5
-        if r > best_r:
-            best_r, best_f = r, f
-    return best_r, best_f
+        best_r = max(best_r, r)
+    return best_r
 
 
 def level_set(op: WeightedConditionalExpectation, psi: YoungFunction, epsilon: float) -> np.ndarray:
@@ -281,7 +278,7 @@ def truncation_gap_check(
     bound) must stay below C*epsilon up to 1e-6 relative slack.
     """
     residual = op.with_multiplier(op.u - truncate(op, psi, epsilon).u)
-    gap, _ = norm_estimate(residual, phi, budget=budget, seed=seed)
+    gap = norm_estimate(residual, phi, budget=budget, seed=seed)
     bound = C * epsilon
     return {
         "epsilon": float(epsilon),
@@ -313,25 +310,31 @@ class RefinementFamily:
 
     def __post_init__(self) -> None:
         if self.law not in self.LAWS:
-            raise ConfigError(f"family.law: unknown law {self.law!r}")
+            raise ConfigError(f"u.name: unknown law {self.law!r}")
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ConfigError("family.sizes: need strictly increasing block counts")
+            raise ConfigError("space.sizes: need strictly increasing block counts")
         if self.atoms_per_block < 1:
-            raise ConfigError("family.atoms_per_block: must be at least 1")
-
-    def law_values(self, m: int) -> np.ndarray:
-        fn = self.LAWS[self.law]
-        return np.asarray([fn(j) for j in range(1, m + 1)])
+            raise ConfigError("space.atoms_per_block: must be at least 1")
 
     def member(self, m: int) -> WeightedConditionalExpectation:
+        """A new operator for m blocks; `members` holds the family's own."""
         n = m * self.atoms_per_block
         space = MeasureSpace(np.full(n, 1.0 / n))
         labels = np.arange(n) // self.atoms_per_block
-        u = self.law_values(m)[labels]
+        u = law_values(self.law, m)[labels]
         return WeightedConditionalExpectation(space, Partition(labels), u)
 
-    def members(self):
-        return [(m, self.member(m)) for m in self.sizes]
+    @cached_property
+    def members(self) -> tuple[tuple[int, WeightedConditionalExpectation], ...]:
+        """(m, operator) for each size, built once, so every reader shares the
+        operators and the levels and norm brackets solved on them."""
+        return tuple((m, self.member(m)) for m in self.sizes)
+
+
+def law_values(law: str, m: int) -> np.ndarray:
+    """law(j) for the blocks j = 1..m, law a name in RefinementFamily.LAWS."""
+    fn = RefinementFamily.LAWS[law]
+    return np.asarray([fn(j) for j in range(1, m + 1)])
 
 
 # How far above beta the essential-norm surrogate tests the truncation gap.
@@ -379,7 +382,7 @@ def essential_norm_bound(
     beta_m + ESSENTIAL_DELTA must stay below C*(beta_m + ESSENTIAL_DELTA).  The
     sequence of beta_m values is reported as the trend.
     """
-    rows = [{"m": m, **essential_gap(op, phi, psi, C, budget, seed)} for m, op in family.members()]
+    rows = [{"m": m, **essential_gap(op, phi, psi, C, budget, seed)} for m, op in family.members]
     betas = [row["beta"] for row in rows]
     decreasing = all(b2 <= b1 * 1.01 for b1, b2 in zip(betas, betas[1:]))
     return {
@@ -494,7 +497,7 @@ def boundedness_classifier(
 
     sups = []
     counts = []
-    for _, op in family.members():
+    for _, op in family.members:
         levels = multiplier_levels(op, psi)
         sups.append(float(np.max(levels)))
         counts.append([int(np.sum(levels >= e)) for e in grid])

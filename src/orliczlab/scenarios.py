@@ -8,20 +8,20 @@ failure names the offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import young as young_mod
-from .errors import ConfigError
+from .errors import BracketFailure, ConfigError
 from .measure import (
     MeasureSpace,
     Partition,
     build_rotation_space,
     build_symmetric_space,
 )
-from .operators import RefinementFamily, WeightedConditionalExpectation, boundedness_classifier
+from .operators import RefinementFamily, WeightedConditionalExpectation, boundedness_classifier, law_values
 from .young import YoungFunction, _as_float
 
 __all__ = [
@@ -173,19 +173,11 @@ def from_config(cfg: dict) -> Scenario:
 
 
 def to_config(scenario: Scenario) -> dict:
-    """Serialize back to the config dict form; from_config round-trips it."""
-    out = {
-        "name": scenario.name,
-        "description": scenario.description,
-        "space": dict(scenario.space),
-        "young": dict(scenario.young),
-        "u": dict(scenario.u),
-        "conjugate_mode": scenario.conjugate_mode,
-        "seed": scenario.seed,
-        "budget": scenario.budget,
-    }
-    if scenario.partition is not None:
-        out["partition"] = dict(scenario.partition)
+    """Serialize back to the config dict form, one key per Scenario field with
+    an unset partition left out; from_config round-trips it."""
+    out = asdict(scenario)
+    if out["partition"] is None:
+        del out["partition"]
     return out
 
 
@@ -193,26 +185,22 @@ def to_config(scenario: Scenario) -> dict:
 class Materialized:
     """Module-level objects resolved from a scenario.
 
-    A single-operator scenario has `operator` (which holds the space,
-    partition and u); a family scenario has `family`.
+    `operator` holds the space, partition and u the single-space suites read.
+    A family scenario also has `family`, and its `operator` is the family's
+    own middle member, so the classifier, the essential-norm trend and every
+    single-space suite share one set of operators and the levels and norm
+    brackets solved on them.
     """
 
     scenario: Scenario
     phi: YoungFunction
     psi: YoungFunction
+    operator: WeightedConditionalExpectation = field(repr=False)
     family: RefinementFamily | None = None
-    operator: WeightedConditionalExpectation | None = field(default=None, repr=False)
 
     @property
     def is_family(self) -> bool:
         return self.family is not None
-
-    def representative(self) -> WeightedConditionalExpectation:
-        """The single operator, or the middle family member for family scenarios."""
-        if self.operator is not None:
-            return self.operator
-        sizes = self.family.sizes
-        return self.family.member(sizes[len(sizes) // 2])
 
     @cached_property
     def trend_verdict(self) -> dict:
@@ -226,12 +214,11 @@ def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition
         values = np.asarray(spec["values"], dtype=float)
         if values.size != space.n_atoms:
             raise ConfigError(
-                f"scenario.u.values: got {values.size} values for {space.n_atoms} atoms"
+                f"u.values: got {values.size} values for {space.n_atoms} atoms"
             )
         return values
     if spec["type"] == "law":
-        family = RefinementFamily(spec["name"], (partition.n_blocks,))
-        return family.law_values(partition.n_blocks)[partition.labels]
+        return law_values(spec["name"], partition.n_blocks)[partition.labels]
     name = spec["name"]
     if name == "identity":
         if space.labels is not None:
@@ -243,33 +230,23 @@ def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition
     block = spec["block"]
     if not 0 <= block < partition.n_blocks:
         raise ConfigError(
-            f"scenario.u.block: block {block} out of range for {partition.n_blocks} blocks"
+            f"u.block: block {block} out of range for {partition.n_blocks} blocks"
         )
     return (partition.labels == block).astype(float)
 
 
-def materialize(scenario: Scenario) -> Materialized:
-    """Resolve the scenario into module objects, failing with field-precise errors."""
-    phi = young_mod.from_config(scenario.young)
-    psi = young_mod.conjugate_closed_form(phi)
-    if scenario.conjugate_mode == "numeric":
-        # Stricter cross-validation of the pair on a small log grid.
-        err = young_mod.conjugate_error(phi, psi, np.logspace(-2, 2, 9), tol=1e-10)
-        if not err <= 1e-6:
-            raise ConfigError(
-                f"scenario.conjugate_mode: numeric conjugate disagrees by {err:.3g} (relative)"
-            )
-
+def _operator(scenario: Scenario) -> tuple[WeightedConditionalExpectation, RefinementFamily | None]:
+    """(operator, family); a ConfigError names its field below `scenario.`."""
     sp = scenario.space
     if sp["type"] == "family":
         if scenario.u["type"] != "law":
-            raise ConfigError("scenario.u.type: family scenarios need a block law multiplier")
+            raise ConfigError("u.type: family scenarios need a block law multiplier")
         family = RefinementFamily(
             law=scenario.u["name"],
             sizes=tuple(sp["sizes"]),
             atoms_per_block=sp["atoms_per_block"],
         )
-        return Materialized(scenario, phi, psi, family=family)
+        return family.members[len(family.sizes) // 2][1], family
 
     if sp["type"] == "symmetric":
         space, partition = build_symmetric_space(sp["n_half"])
@@ -281,15 +258,34 @@ def materialize(scenario: Scenario) -> Materialized:
         labels = np.asarray(scenario.partition["labels"], dtype=int)
         if labels.size != space.n_atoms:
             raise ConfigError(
-                f"scenario.partition.labels: got {labels.size} labels for {space.n_atoms} atoms"
+                f"partition.labels: got {labels.size} labels for {space.n_atoms} atoms"
             )
         partition = Partition(labels)
     elif partition is None:
-        raise ConfigError("scenario.partition: required for explicit spaces")
-
+        raise ConfigError("partition: required for explicit spaces")
     u = _materialize_u(scenario, space, partition)
-    op = WeightedConditionalExpectation(space, partition, u)
-    return Materialized(scenario, phi, psi, operator=op)
+    return WeightedConditionalExpectation(space, partition, u), None
+
+
+def materialize(scenario: Scenario) -> Materialized:
+    """Resolve the scenario into module objects, failing with field-precise errors."""
+    phi = young_mod.from_config(scenario.young)
+    psi = young_mod.conjugate_closed_form(phi)
+    if scenario.conjugate_mode == "numeric":
+        # Stricter cross-validation of the pair on a small log grid.
+        try:
+            err = young_mod.conjugate_error(phi, psi, np.logspace(-2, 2, 9), tol=1e-10)
+        except BracketFailure as exc:
+            raise ConfigError(f"scenario.conjugate_mode: the numeric conjugate failed: {exc}") from exc
+        if not err <= 1e-6:
+            raise ConfigError(
+                f"scenario.conjugate_mode: numeric conjugate disagrees by {err:.3g} (relative)"
+            )
+    try:
+        op, family = _operator(scenario)
+    except ConfigError as exc:
+        raise ConfigError(f"scenario.{exc}") from exc
+    return Materialized(scenario, phi, psi, op, family)
 
 
 _BUILTINS = {

@@ -3,8 +3,10 @@
 Each suite is a pure function of a materialized scenario returning a dict with
 one entry per check; a check carries its measured value, the bound it was
 compared against, and the tolerance used, so every number in a report is
-auditable.  Family scenarios route the single-space suites to a representative
-member and the trend suites to the whole family.
+auditable.  Every single-space suite reads `mat.operator`, which for a family
+scenario is the family's own middle member; the trend checks read the family's
+members, so all suites share one set of operators and the levels and norm
+brackets solved on them.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _suite_young_calculus(mat: Materialized) -> list[dict]:
 
 
 def _suite_jensen(mat: Materialized) -> list[dict]:
-    op = mat.representative()
+    op = mat.operator
     space, n = op.space, op.n_atoms
     rng = np.random.default_rng(mat.scenario.seed + 11)
     fs = np.stack([signed_log_uniform(rng, n) for _ in range(200)])
@@ -119,7 +121,7 @@ def _suite_jensen(mat: Materialized) -> list[dict]:
 
 
 def _suite_contraction(mat: Materialized) -> list[dict]:
-    op = mat.representative()
+    op = mat.operator
     space, part = op.space, op.partition
     rng = np.random.default_rng(mat.scenario.seed + 13)
     fs = np.stack([signed_log_uniform(rng, space.n_atoms) for _ in range(200)])
@@ -144,7 +146,7 @@ def _suite_contraction(mat: Materialized) -> list[dict]:
 
 
 def _suite_gcthi(mat: Materialized) -> list[dict]:
-    op = mat.representative()
+    op = mat.operator
     space, part = op.space, op.partition
     phi, psi = mat.phi, mat.psi
     budget = mat.scenario.budget
@@ -168,7 +170,7 @@ def _suite_gcthi(mat: Materialized) -> list[dict]:
 def _sandwich_checks(mat: Materialized, op: WeightedConditionalExpectation, seed: int) -> list[dict]:
     C = domination_holder_constant(op.space, op.partition)
     upper = norm_upper_bound(op, mat.phi, mat.psi, C)
-    lower, _ = norm_estimate(op, mat.phi, budget=300, seed=seed)
+    lower = norm_estimate(op, mat.phi, budget=300, seed=seed)
     # max|E(u)| against the computed ratio ||T 1_B|| / ||1_B|| on the top block
     # B.  Each norm lies in [||g||, ||g|| + NORM_TOL * max(1, ||g||)], which
     # bounds the ratio's error by `slack`.
@@ -200,7 +202,7 @@ def _sandwich_checks(mat: Materialized, op: WeightedConditionalExpectation, seed
 
 def _suite_boundedness(mat: Materialized) -> list[dict]:
     seed = mat.scenario.seed + 19
-    checks = _sandwich_checks(mat, mat.representative(), seed)
+    checks = _sandwich_checks(mat, mat.operator, seed)
     if mat.is_family:
         verdict = mat.trend_verdict
         expected_bounded = _LAW_VERDICTS[mat.scenario.u["name"]][0]
@@ -219,7 +221,7 @@ def _suite_boundedness(mat: Materialized) -> list[dict]:
 
 def _suite_compactness(mat: Materialized) -> list[dict]:
     psi = mat.psi
-    op = mat.representative()
+    op = mat.operator
     levels = multiplier_levels(op, psi)
     positive = levels[levels > 0]
     checks = []
@@ -257,7 +259,7 @@ def _suite_compactness(mat: Materialized) -> list[dict]:
 
 
 def _suite_spectrum(mat: Materialized) -> list[dict]:
-    op = mat.representative()
+    op = mat.operator
     rep = spectrum(op)
     return [
         _check(
@@ -271,7 +273,7 @@ def _suite_spectrum(mat: Materialized) -> list[dict]:
 
 
 def _suite_resolvent(mat: Materialized) -> list[dict]:
-    op = mat.representative()
+    op = mat.operator
     rng = np.random.default_rng(mat.scenario.seed + 23)
     eu = np.unique(np.append(mean_multiplier(op), 0.0))
     span = float(np.max(np.abs(eu))) + 2.0
@@ -301,11 +303,11 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
     phi, psi = mat.phi, mat.psi
     seed = mat.scenario.seed + 29
     if mat.is_family:
-        first = mat.family.member(mat.family.sizes[0])
+        first = mat.family.members[0][1]
         C = domination_holder_constant(first.space, first.partition)
         report = essential_norm_bound(mat.family, phi, psi, C, budget=150, seed=seed)
         betas = report["betas"]
-        law = mat.scenario.u["name"]
+        bounded, compact = _LAW_VERDICTS[mat.scenario.u["name"]]
         checks = [
             _check(
                 "gap_within_scaled_threshold",
@@ -314,10 +316,10 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
                 members=report["members"],
             )
         ]
-        if law == "reciprocal":
+        if compact:
             vanishing = report["trend_decreasing"] and betas[-1] <= 0.5 * betas[0]
             checks.append(_check("threshold_vanishes", vanishing, betas=betas))
-        elif law == "flat":
+        elif bounded:
             level = betas[0]
             stable = all(abs(b - level) <= 0.01 * max(level, 1e-300) for b in betas)
             checks.append(_check("threshold_stabilizes", stable, value=level, betas=betas))

@@ -135,7 +135,7 @@ def conditional_holder_ratio(
     if check_pair:
         verify_conjugate_pair(phi, psi)
     f, g = as_values(space, f), as_values(space, g)
-    ratios = _holder_ratios(space, partition, partition.block_measures(space), phi, psi, f, g)
+    ratios = _holder_ratios(space, partition, phi, psi, f, g)
     return float(np.max(ratios))
 
 

@@ -195,7 +195,7 @@ def test_criterion_05_norm_sandwich(announce):
         phi, psi = power_pair(p)
         C = domination_constant(op.space, op.partition) ** 2
         upper = norm_upper_bound(op, phi, psi, C)
-        lower, _ = norm_estimate(op, phi, budget=120, seed=case)
+        lower = norm_estimate(op, phi, budget=120, seed=case)
         worst_rel = max(worst_rel, lower / upper if upper else 0.0)
         eu = np.abs(mean_multiplier(op))
         b_star = int(np.argmax(eu))
@@ -274,7 +274,7 @@ def test_criterion_08_truncation_gap(announce):
     C = 4.0  # domination constant 2 for paired equal-weight atoms, squared
     eps_grid = np.geomspace(0.02, 1.2, 16)
     worst = 0.0
-    for m, op in family.members():
+    for m, op in family.members:
         assert domination_constant(op.space, op.partition) == pytest.approx(2.0)
         for eps in eps_grid:
             report = truncation_gap_check(op, phi, psi, C, float(eps), budget=80, seed=m)

@@ -154,7 +154,7 @@ def one_shot_search(space, part, phi, psi, budget, seed):
     rng = np.random.default_rng(seed)
     fs = signed_log_uniform(rng, (budget, space.n_atoms))
     gs = signed_log_uniform(rng, (budget, space.n_atoms))
-    return float(np.max(_holder_ratios(space, part, part.block_measures(space), phi, psi, fs, gs)))
+    return float(np.max(_holder_ratios(space, part, phi, psi, fs, gs)))
 
 
 def one_shot_normalization(space, part, phi, psi, budget, seed):

@@ -83,6 +83,21 @@ class TestPartition:
         with pytest.raises(SpaceMismatch):
             Partition([0, 1]).block_measures(MeasureSpace([1.0, 1.0, 1.0]))
 
+    def test_block_measures_are_kept_for_the_last_space(self):
+        part = Partition([0, 1, 0])
+        space = MeasureSpace([1.0, 2.0, 3.0])
+        mass = part.block_measures(space)
+        assert part.block_measures(space) is mass
+        assert not mass.flags.writeable
+        with pytest.raises(ValueError):
+            mass[0] = 9.0
+        # Another space object is checked and solved afresh, even after a hit.
+        assert list(part.block_measures(MeasureSpace([2.0, 2.0, 2.0]))) == [4.0, 2.0]
+        with pytest.raises(SpaceMismatch):
+            part.block_measures(MeasureSpace([1.0, 1.0]))
+        assert part.block_measures(space) is not mass
+        assert list(part.block_measures(space)) == [4.0, 2.0]
+
 
 class TestSimpleFunction:
     """as_values: exactly one function on the space, shape (n,)."""
@@ -346,7 +361,7 @@ class TestBlockMean:
 
         for phi in (young.scaled_power(3.0), young.exp_type()):
             psi = young.conjugate_closed_form(phi)
-            batch = np.max(_holder_ratios(space, part, part.block_measures(space), phi, psi, fs, gs), axis=-1)
+            batch = np.max(_holder_ratios(space, part, phi, psi, fs, gs), axis=-1)
             rows = [conditional_holder_ratio(space, part, phi, psi, f, g) for f, g in zip(fs, gs)]
             assert np.array_equal(batch, rows)
 
@@ -408,12 +423,10 @@ class TestBlockMeanKernel:
         if switch:
             rows |= {switch - 1, switch}
         shapes = [(n,), (0, n), (2, 3, n)] + [(r, n) for r in sorted(rows)]
-        mass = part.block_measures(space)
         for seed, shape in enumerate(shapes):
             x = _hard_values(shape, seed)
             want = block_mean_sequential(space, part, x)
             assert _same_bits(block_mean(space, part, x), want), shape
-            assert _same_bits(measure._block_mean(space, part, mass, x), want), shape
             assert _same_bits(cond_exp(space, part, x), want[..., part.labels]), shape
 
     @pytest.mark.parametrize("name, space, part", _KERNEL_PARTITIONS, ids=_KERNEL_IDS)

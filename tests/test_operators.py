@@ -21,6 +21,7 @@ from orliczlab.operators import (
     WeightedConditionalExpectation,
     boundedness_classifier,
     essential_norm_bound,
+    law_values,
     level_set,
     mean_multiplier,
     multiplier_levels,
@@ -186,14 +187,17 @@ class TestNormEstimate:
         phi, _ = pair(2.0)
         for c in (0.5, -3.0):
             op = WeightedConditionalExpectation(space, part, np.full(6, c))
-            lower, witness = norm_estimate(op, phi, budget=100, seed=1)
+            lower = norm_estimate(op, phi, budget=100, seed=1)
             assert lower == pytest.approx(abs(c), rel=1e-4)
-            assert witness.shape == (6,)
 
     def test_lower_bound_is_a_true_ratio(self):
         op, _ = random_op(60)
         phi, _ = pair(2.0)
-        lower, witness = norm_estimate(op, phi, budget=150, seed=2)
+        # The batched search returns the bound alone; the sequential oracle,
+        # bitwise equal to it (TestBatchedNormSearch), also returns its witness.
+        lower = norm_estimate(op, phi, budget=150, seed=2)
+        want, witness, _, _ = sequential_norm_estimate(op, phi, 150, 2)
+        assert lower == want
         nf = luxemburg_norm(op.space, phi, witness)
         ratio = luxemburg_norm(op.space, phi, op.apply(witness)) / nf
         assert lower <= ratio * (1.0 + 1e-9)
@@ -201,10 +205,7 @@ class TestNormEstimate:
     def test_deterministic_for_a_fixed_seed(self):
         op, _ = random_op(61)
         phi, _ = pair(2.0)
-        a = norm_estimate(op, phi, budget=120, seed=9)
-        b = norm_estimate(op, phi, budget=120, seed=9)
-        assert a[0] == b[0]
-        assert np.array_equal(a[1], b[1])
+        assert norm_estimate(op, phi, budget=120, seed=9) == norm_estimate(op, phi, budget=120, seed=9)
 
     def test_sandwich_against_certified_upper_bound(self):
         from orliczlab.measure import domination_constant
@@ -214,7 +215,7 @@ class TestNormEstimate:
             op, _ = random_op(seed + 300)
             c = domination_constant(op.space, op.partition) ** 2
             upper = norm_upper_bound(op, phi, psi, c)
-            lower, _ = norm_estimate(op, phi, budget=120, seed=seed)
+            lower = norm_estimate(op, phi, budget=120, seed=seed)
             assert lower <= upper * (1.0 + 1e-6)
 
 
@@ -287,10 +288,9 @@ class TestBatchedNormSearch:
         ran_out_mid_sweep = over_budget = 0
         for k, (op, phi) in enumerate(zip(ops, kinds)):
             for seed, budget in ((k, 4), (k + 1, 23), (k + 2, 61)):
-                got_r, got_f = norm_estimate(op, phi, budget=budget, seed=seed)
-                want_r, want_f, evals, mid_sweep = sequential_norm_estimate(op, phi, budget, seed)
+                got_r = norm_estimate(op, phi, budget=budget, seed=seed)
+                want_r, _, evals, mid_sweep = sequential_norm_estimate(op, phi, budget, seed)
                 assert got_r == want_r and type(got_r) is float
-                assert np.array_equal(got_f, want_f)
                 # The documented bound on ratio evaluations, and its +1 is reached.
                 assert evals <= max(budget + 1, 3 + 3)
                 over_budget += evals == budget + 1
@@ -408,12 +408,12 @@ class TestRefinementFamily:
         assert np.all(op.u == 1.0)
 
     def test_law_values(self):
-        family = RefinementFamily("log_growth", (4, 8))
-        assert np.allclose(family.law_values(3), np.log1p([1, 2, 3]))
+        assert np.allclose(law_values("log_growth", 3), np.log1p([1, 2, 3]))
 
     def test_member_listing_matches_sizes(self):
         family = RefinementFamily("reciprocal", (4, 8, 16))
-        assert [m for m, _ in family.members()] == [4, 8, 16]
+        assert [m for m, _ in family.members] == [4, 8, 16]
+        assert family.members is family.members
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from orliczlab import cli, young
+from orliczlab import cli, operators, young
 from orliczlab.errors import ConfigError
 from orliczlab.scenarios import (
     BUILTIN_ORDER,
@@ -65,6 +65,12 @@ class TestScenarioSchema:
             (partial(young.from_config, {"kind": "power", "p": "two"}), "young.p"),
             ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.kind"),
             ({"young": {"kind": "piecewise_linear", "breakpoints": [0.0], "slopes": ["a"]}}, "scenario.young.kind"),
+            ({"space": {"type": "rotation", "n": 1}}, "scenario.space.n:"),
+            ({"space": {"type": "family", "sizes": [64, 16]}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
+            ({"space": {"type": "explicit", "weights": [1, -1]}, "partition": {"labels": [0, 0]}}, "scenario.space.weights"),
+            ({"space": {"type": "explicit", "weights": [1, 1]}, "partition": {"labels": [0, 2]}}, "scenario.partition.labels"),
+            ({"young": {"kind": "power", "p": 1.01}, "conjugate_mode": "numeric"}, "scenario.conjugate_mode"),
+            ({"young": {"kind": "scaled_power", "p": 1.001}, "conjugate_mode": "numeric"}, "scenario.conjugate_mode"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -88,12 +94,20 @@ class TestMaterialize:
     def test_every_builtin_materializes(self):
         for name in BUILTIN_ORDER:
             mat = materialize(builtin_scenario(name))
+            assert mat.operator.n_atoms > 0
+            assert mat.phi.kind is not None
             if mat.is_family:
-                assert mat.family is not None
-                assert mat.representative().n_atoms > 0
-            else:
-                assert mat.operator is not None
-                assert mat.phi.kind is not None
+                # The single-space suites read the family's own middle member.
+                assert mat.operator is mat.family.members[1][1]
+
+    def test_family_suites_solve_each_members_levels_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(operators, "inverse", lambda *a: calls.append(a) or young.inverse(*a))
+        mat = materialize(builtin_scenario("decay-family"))
+        for name in ("boundedness", "compactness-trend", "essential-norm"):
+            assert run_suite(name, mat)["passed"], name
+        assert len(mat.family.members) == 3
+        assert len(calls) == 3
 
     def test_spectrum_demo_objects(self):
         mat = materialize(builtin_scenario("spectrum-demo"))
@@ -197,6 +211,18 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_config(**mutation)))
         assert cli.main(["run", "--config", str(cfg), "--suite", "spectrum"]) == 2
         assert field in capsys.readouterr().err
+
+    def test_failed_numeric_conjugate_exits_two_from_every_verb(self, capsys, tmp_path):
+        # The conjugate check's bracket does not close for p = 1.01 on its grid;
+        # main() would raise the solver's BracketFailure if it escaped.
+        cfg = tmp_path / "scenario.json"
+        young_cfg = {"kind": "power", "p": 1.01}
+        u = {"type": "generator", "name": "random_uniform"}
+        cfg.write_text(json.dumps(minimal_config(young=young_cfg, u=u, conjugate_mode="numeric")))
+        for verb in ("run", "export-matrix"):
+            assert cli.main([verb, "--config", str(cfg)]) == 2, verb
+            err = capsys.readouterr().err
+            assert "scenario.conjugate_mode" in err and "doubling budget" in err, verb
 
     def test_negative_seed_option_exits_two(self, capsys):
         assert cli.main(["run", "--config", "spectrum-demo", "--suite", "jensen", "--seed", "-20"]) == 2
@@ -462,6 +488,14 @@ class TestCli:
             ]
         )
         assert np.array_equal(got, want)
+
+    def test_export_matrix_of_a_family_is_its_middle_member(self, tmp_path):
+        out_file = tmp_path / "matrix.csv"
+        assert cli.main(["export-matrix", "--config", "decay-family", "--out", str(out_file)]) == 0
+        got = np.loadtxt(out_file, delimiter=",")
+        assert got.shape == (128, 128)
+        want = materialize(builtin_scenario("decay-family")).family.members[1][1]
+        assert want.n_atoms == 128 and np.array_equal(got, want.matrix)
 
     def test_out_dir_override_prefixes_relative_paths(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ORLICZLAB_OUT_DIR", str(tmp_path))

@@ -1,4 +1,4 @@
-"""Compare `orliczlab run` reports between two source trees.
+"""Compare `orliczlab run` reports and `export-matrix` CSVs between two source trees.
 
 Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 
@@ -6,12 +6,14 @@ OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
 as the `src/` of two checkouts.  Each tree runs every builtin scenario and the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), each at seeds 0, 1 and 2.  A builtin runs with `--seed`, a
-workload config is built at the seed.  The `timing` block is dropped, each
-report whose JSON or exit code differs is printed, and the exit code is 1 if
-any differs, else 0.  For a differing pair of reports the line also gives the
-number of checks whose `passed` flipped and the largest relative move
-|new - old| / max(1, |old|) of any number found at the same place in both,
-with its path.  Standard library only; runs one child at a time.
+workload config is built at the seed.  Each tree also writes every builtin's
+operator with `export-matrix`.  The `timing` block is dropped, each report or
+CSV whose text or exit code differs is printed, the last line gives both
+totals, and the exit code is 1 if any differs, else 0.  For a differing pair
+of reports the line also gives the number of checks whose `passed` flipped and
+the largest relative move |new - old| / max(1, |old|) of any number found at
+the same place in both, with its path.  Standard library only; runs one child
+at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (0, 1, 2)
+EXPORT = "export-matrix"
 
 # Run under one tree: print the builtin names and every workload config.
 _CASES = """
@@ -46,7 +49,7 @@ def _python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
 
 
 def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
-    """Label -> `orliczlab run` arguments, with workload configs written under tmp."""
+    """Label -> `orliczlab` arguments, with workload configs written under tmp."""
     proc = _python(src, ["-c", _CASES, *map(str, SEEDS)])
     if proc.returncode != 0:
         raise SystemExit(f"{src}: cannot list the cases:\n{proc.stderr}")
@@ -54,22 +57,25 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
     cases = {}
     for name in listed["builtins"]:
         for seed in SEEDS:
-            cases[f"{name} --seed {seed}"] = ["--config", name, "--seed", str(seed)]
+            cases[f"{name} --seed {seed}"] = ["run", "--config", name, "--seed", str(seed)]
+        cases[f"{EXPORT} {name}"] = [EXPORT, "--config", name]
     for name, configs in listed["workloads"].items():
         for seed, cfg in zip(SEEDS, configs):
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
-            cases[f"{name} workload, seed {seed}"] = ["--config", str(path)]
+            cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
     return cases
 
 
 def _run(src: Path, args: list[str]) -> tuple[int, str, object]:
     """Exit code, the report without `timing` as text (or stdout and stderr if it
-    is no report), and the parsed report (None if it is no report)."""
-    proc = _python(src, ["-m", "orliczlab", "run", *args])
+    is no report, such as a CSV), and the parsed report (None if it is no report)."""
+    proc = _python(src, ["-m", "orliczlab", *args])
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
+        report = None
+    if not isinstance(report, dict):  # a one-value CSV parses as a JSON number
         return proc.returncode, proc.stdout + proc.stderr, None
     report.pop("timing", None)
     return proc.returncode, json.dumps(report, indent=2, sort_keys=True), report
@@ -127,16 +133,17 @@ def main(argv: list[str]) -> int:
         (tmp / "new").mkdir()
         old_cases = _cases(old_src, tmp / "old")
         new_cases = _cases(new_src, tmp / "new")
-        differ = 0
-        for label in sorted(old_cases.keys() | new_cases.keys()):
+        labels = old_cases.keys() | new_cases.keys()
+        differ_labels = set()
+        for label in sorted(labels):
             if label not in old_cases or label not in new_cases:
-                differ += 1
+                differ_labels.add(label)
                 print(f"DIFFERS {label}: present in one tree only")
                 continue
             old_code, old, old_report = _run(old_src, old_cases[label])
             new_code, new, new_report = _run(new_src, new_cases[label])
             if (old_code, old) != (new_code, new):
-                differ += 1
+                differ_labels.add(label)
                 detail = f"exit {old_code} -> {new_code}"
                 if old != new:
                     detail += "; " + _first_difference(old, new)
@@ -145,8 +152,13 @@ def main(argv: list[str]) -> int:
                 print(f"DIFFERS {label}: {detail}")
             else:
                 print(f"same    {label} (exit {new_code})")
-    print(f"{differ} of {len(old_cases.keys() | new_cases.keys())} reports differ")
-    return 1 if differ else 0
+    csvs = [label for label in labels if label.startswith(EXPORT)]
+    differ_csv = sum(label in differ_labels for label in csvs)
+    print(
+        f"{len(differ_labels) - differ_csv} of {len(labels) - len(csvs)} reports and "
+        f"{differ_csv} of {len(csvs)} {EXPORT} CSVs differ"
+    )
+    return 1 if differ_labels else 0
 
 
 if __name__ == "__main__":
