@@ -7,13 +7,14 @@ an exact projection: idempotent, positive, and multiplicative against
 block-measurable factors.
 
 All block averaging runs through one entry point, block_mean.  It sums a
-batch either by member gather (one pass per member rank, over the partition's
-members listed once by their rank inside their block) or by one bincount over
-labels offset by row, choosing from the shapes alone.  Both add each block's
-weighted values to +0.0 in ascending atom order, so they agree to the bit and
-every batched row equals a single call on it.  The block masses it divides by
-are computed only by Partition.block_measures, which keeps them for the last
-space it was asked about.
+batch either by member gather (one pass per member rank, for a partition of
+equal-size blocks) or by one bincount over labels offset by row, choosing from
+the shapes alone.  Both add each block's weighted values to +0.0 in ascending
+atom order, so they agree to the bit and every batched row equals a single
+call on it.  The block masses it divides by are solved only by
+Partition.block_measures, once per space and partition.  Spaces, partitions
+and operators compare and hash by identity, so a partition can key a space's
+memo.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Atoms 0..n-1 with strictly positive weights and optional position labels."""
 
@@ -83,7 +84,7 @@ class MeasureSpace:
         return float(out) if values.ndim == 1 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Blocks of atom indices covering a space exactly once.
 
@@ -113,44 +114,31 @@ class Partition:
         return int(self.labels.max()) + 1
 
     @cached_property
-    def _ranks(self) -> tuple[list, np.ndarray | None]:
-        """(ranks, pos): the members of every block, listed by their rank inside it.
-
-        Blocks are ordered by size, largest first (ties by block id), and
-        ranks[j] = (sel, count) holds the j-th member, in ascending atom order,
-        of each of the first `count` blocks, those with more than j members.
-        sel is a slice where those atoms are evenly spaced and at least
-        _SLICE_MIN (symmetric and rotation spaces), else an index array.
-        pos[b] is block b's place in that order, or None for the identity.
-        """
-        lab = self.labels
-        sizes = np.bincount(lab)
-        order = np.argsort(-sizes, kind="stable")
-        pos = np.argsort(order)
-        by_block = np.argsort(lab, kind="stable")  # ascending atoms within each block
-        rank = np.empty_like(lab)
-        rank[by_block] = np.arange(lab.size) - (np.cumsum(sizes) - sizes)[lab[by_block]]
-        members = np.argsort(rank * sizes.size + pos[lab])
-        ranks, lo = [], 0
-        for count in np.bincount(rank).tolist():
-            ranks.append((_as_slice(members[lo : lo + count]), count))
-            lo += count
-        return ranks, None if np.all(np.diff(sizes) <= 0) else pos
+    def _ranks(self) -> list | None:
+        """The members of every block listed by their rank inside it, or None
+        when block sizes differ: _ranks[j] selects the j-th member, in
+        ascending atom order, of every block in block order, as a slice where
+        those atoms are evenly spaced and at least _SLICE_MIN (symmetric and
+        rotation spaces), else as an index array."""
+        sizes = np.bincount(self.labels)
+        if np.any(sizes != sizes[0]):
+            return None
+        by_block = np.argsort(self.labels, kind="stable").reshape(sizes.size, -1)
+        return [_as_slice(members) for members in by_block.T.copy()]
 
     def block_measures(self, space: MeasureSpace) -> np.ndarray:
-        """The weight of each block, read-only.  The last (space, masses) pair
-        is kept, so a repeat call on the same space object costs an identity
-        test; another space is checked against the partition and recomputed."""
-        last = self.__dict__.get("_last_measures")
-        if last is None or last[0] is not space:
+        """The weight of each block, read-only, solved once per space by
+        once(space, self, ...); a space of another size raises SpaceMismatch
+        and keeps nothing."""
+
+        def solve():
             if self.n_atoms != space.n_atoms:
                 raise SpaceMismatch(
                     f"partition covers {self.n_atoms} atoms but the space has {space.n_atoms}"
                 )
-            mass = np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
-            mass.setflags(write=False)
-            last = self.__dict__["_last_measures"] = (space, mass)
-        return last[1]
+            return np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
+
+        return once(space, self, solve)
 
 
 _SLICE_MIN = 8
@@ -172,7 +160,9 @@ def _as_slice(index: np.ndarray):
 def once(owner, key, solve):
     """solve() the first time `key` is asked of `owner`, a frozen object with a
     `_memo` dict (a space or an operator); later calls return that value, and
-    an array comes back read-only, since every caller shares it."""
+    an array comes back read-only, since every caller shares it.  A key may
+    be a partition, which hashes by identity; if solve() raises, nothing is
+    kept."""
     memo = owner._memo
     if key not in memo:
         value = solve()
@@ -203,12 +193,12 @@ def _rows(space: MeasureSpace, f) -> np.ndarray:
 # Elements per bincount call in _bincount_sums: bounds the offset-label and
 # weighted-chunk temporaries (2**16 doubles, 512 KiB) whatever the batch.
 _BLOCK_MEAN_CHUNK = 1 << 16
-# The member gather is taken for a batch whose partition has at most
-# _GATHER_RANKS member ranks (its largest block's size) and which holds at
-# least _GATHER_VALUES values per rank.  Each rank costs a few calls and a pass
-# that reads every row of the batch, which a short batch or many ranks do not
-# repay; bincount costs the same per value whatever the partition.  Both
-# limits were measured on 2 CPUs (ROADMAP, "at numpy's floor").
+# The member gather is taken for a batch whose partition has equal-size blocks
+# of at most _GATHER_RANKS members and which holds at least _GATHER_VALUES
+# values per rank.  Each rank costs a few calls and a pass that reads every
+# row of the batch, which a short batch or many ranks do not repay; bincount
+# costs the same per value whatever the partition.  Both limits were measured
+# on 2 CPUs (ROADMAP, "at numpy's floor").
 _GATHER_RANKS = 16
 _GATHER_VALUES = 4096
 
@@ -216,40 +206,36 @@ _GATHER_VALUES = 4096
 def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     """Weighted mean of `values` over each block: shape (..., n) -> (..., n_blocks).
 
-    The one block-averaging kernel.  One function is summed by one bincount; a
-    batch by member gather or by bincount over row-offset labels, as its shape
-    favours (_GATHER_RANKS).  Each strategy adds w_i * x_i to +0.0 in
-    ascending atom order per block, as a bincount does, so the sums are the
-    same to the bit either way and a batched row equals a single call on it.
+    The one block-averaging kernel.  The values are summed by member gather
+    when the partition has a rank table of at most _GATHER_RANKS ranks and
+    the batch is tall, else by bincount over row-offset labels.  Each
+    strategy adds w_i * x_i to +0.0 in ascending atom order per block, as a
+    bincount does, so the sums are the same to the bit either way and a
+    batched row equals a single call on it.
     """
     values = _rows(space, values)
     mass = partition.block_measures(space)
-    lab, k = partition.labels, partition.n_blocks
-    if values.ndim == 1:
-        return np.bincount(lab, weights=values * space.weights, minlength=k) / mass
     rows = values.reshape(-1, space.n_atoms)
-    ranks = len(partition._ranks[0])
-    if ranks <= _GATHER_RANKS and rows.size >= _GATHER_VALUES * ranks:
+    ranks = partition._ranks
+    if ranks is not None and len(ranks) <= _GATHER_RANKS and rows.size >= _GATHER_VALUES * len(ranks):
         sums = _gather_sums(space.weights, partition, rows)
     else:
         sums = _bincount_sums(space.weights, partition, rows)
     sums /= mass
-    return sums.reshape(values.shape[:-1] + (k,))
+    return sums.reshape(values.shape[:-1] + (partition.n_blocks,))
 
 
 def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
-    """Block sums of (rows, n) by member rank: the rank-0 members' w * x plus
-    +0.0, then for each further rank one in-place add on the blocks that have
-    a member of that rank, a prefix in size order (Partition._ranks)."""
-    ranks, pos = partition._ranks
-    (sel, _), *later = ranks
-    acc = rows[:, sel] * w[sel]
+    """Block sums of (rows, n) by member rank (Partition._ranks): the rank-0
+    members' w * x plus +0.0, then one in-place add per further rank."""
+    first, *later = partition._ranks
+    acc = rows[:, first] * w[first]
     acc += 0.0
     part = np.empty_like(acc)
-    for sel, count in later:
-        np.multiply(rows[:, sel], w[sel], out=part[:, :count])
-        acc[:, :count] += part[:, :count]
-    return acc if pos is None else acc[:, pos]
+    for sel in later:
+        np.multiply(rows[:, sel], w[sel], out=part)
+        acc += part
+    return acc
 
 
 def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
@@ -259,7 +245,7 @@ def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.
     step = max(1, _BLOCK_MEAN_CHUNK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         chunk = rows[start : start + step] * w
-        index = lab + k * np.arange(len(chunk))[:, None]
+        index = np.arange(0, len(chunk) * k, k)[:, None] + lab
         sums[start : start + step] = np.bincount(
             index.ravel(), weights=chunk.ravel(), minlength=len(chunk) * k
         ).reshape(-1, k)

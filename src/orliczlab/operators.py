@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedConditionalExpectation:
     """T f = E(u f), with a dense matrix built on each read as an independent oracle."""
 
@@ -301,11 +301,13 @@ class RefinementFamily:
     sizes: tuple[int, ...]
     atoms_per_block: int = 2
 
-    # The one multiplier-law table; scenarios parse and materialize through it.
+    # The one multiplier-law table, name -> (law(j), bounded, compact): the
+    # trend each law predicts.  Scenarios parse and materialize through it and
+    # the suites check the family's verdicts against it.
     LAWS = {
-        "reciprocal": lambda j: 1.0 / j,
-        "flat": lambda j: 1.0,
-        "log_growth": lambda j: math.log1p(j),
+        "reciprocal": (lambda j: 1.0 / j, True, True),
+        "flat": (lambda j: 1.0, True, False),
+        "log_growth": (lambda j: math.log1p(j), False, False),
     }
 
     def __post_init__(self) -> None:
@@ -333,7 +335,7 @@ class RefinementFamily:
 
 def law_values(law: str, m: int) -> np.ndarray:
     """law(j) for the blocks j = 1..m, law a name in RefinementFamily.LAWS."""
-    fn = RefinementFamily.LAWS[law]
+    fn = RefinementFamily.LAWS[law][0]
     return np.asarray([fn(j) for j in range(1, m + 1)])
 
 

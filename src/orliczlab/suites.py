@@ -20,6 +20,7 @@ from .errors import BracketFailure
 from .holder import domination_holder_constant, empirical_holder_constant, normalization_constants
 from .measure import JENSEN_TOL, MinOfLinear, cond_exp, domination_constant, generalized_jensen_check, jensen_check
 from .operators import (
+    RefinementFamily,
     WeightedConditionalExpectation,
     essential_gap,
     essential_norm_bound,
@@ -38,13 +39,6 @@ from .scenarios import Materialized
 from .young import evaluate
 
 __all__ = ["SUITE_ORDER", "run_suite", "run_all_suites"]
-
-# Trend expectations implied by each multiplier law: (bounded, compact).
-_LAW_VERDICTS = {
-    "reciprocal": (True, True),
-    "flat": (True, False),
-    "log_growth": (False, False),
-}
 
 
 def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **details) -> dict:
@@ -67,6 +61,19 @@ def _check(name: str, passed: bool, value=None, bound=None, tolerance=None, **de
 def _at_most(name: str, value: float, bound: float, tolerance: float, **details) -> dict:
     """The check value <= bound * (1 + tolerance)."""
     return _check(name, value <= bound * (1.0 + tolerance), value, bound, tolerance, **details)
+
+
+def _trend_check(mat: Materialized, which: str, *shown: str) -> dict:
+    """trend_verdict_<which>: the classifier's verdict on whether the family is
+    `which` (bounded or compact) against the trend its law predicts
+    (RefinementFamily.LAWS), with the verdict's `shown` entries."""
+    verdict = mat.trend_verdict
+    _, bounded, compact = RefinementFamily.LAWS[mat.scenario.u["name"]]
+    expected = bounded if which == "bounded" else compact
+    details = {key: verdict[key] for key in shown}
+    return _check(
+        f"trend_verdict_{which}", verdict[which] == expected, expected=expected, verdict=verdict[which], **details
+    )
 
 
 def _norm_str(x: float) -> str:
@@ -204,18 +211,7 @@ def _suite_boundedness(mat: Materialized) -> list[dict]:
     seed = mat.scenario.seed + 19
     checks = _sandwich_checks(mat, mat.operator, seed)
     if mat.is_family:
-        verdict = mat.trend_verdict
-        expected_bounded = _LAW_VERDICTS[mat.scenario.u["name"]][0]
-        checks.append(
-            _check(
-                "trend_verdict_bounded",
-                verdict["bounded"] == expected_bounded,
-                expected=expected_bounded,
-                verdict=verdict["bounded"],
-                level_sups=verdict["level_sups"],
-                flags=verdict["flags"],
-            )
-        )
+        checks.append(_trend_check(mat, "bounded", "level_sups", "flags"))
     return checks
 
 
@@ -243,18 +239,7 @@ def _suite_compactness(mat: Materialized) -> list[dict]:
             _check("truncation_above_max_level_is_zero", z <= 1e-14, value=z, tolerance=1e-14)
         )
     if mat.is_family:
-        verdict = mat.trend_verdict
-        expected_compact = _LAW_VERDICTS[mat.scenario.u["name"]][1]
-        checks.append(
-            _check(
-                "trend_verdict_compact",
-                verdict["compact"] == expected_compact,
-                expected=expected_compact,
-                verdict=verdict["compact"],
-                level_counts=verdict["level_counts"],
-                eps_grid=verdict["eps_grid"],
-            )
-        )
+        checks.append(_trend_check(mat, "compact", "level_counts", "eps_grid"))
     return checks
 
 
@@ -307,7 +292,7 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
         C = domination_holder_constant(first.space, first.partition)
         report = essential_norm_bound(mat.family, phi, psi, C, budget=150, seed=seed)
         betas = report["betas"]
-        bounded, compact = _LAW_VERDICTS[mat.scenario.u["name"]]
+        _, bounded, compact = RefinementFamily.LAWS[mat.scenario.u["name"]]
         checks = [
             _check(
                 "gap_within_scaled_threshold",

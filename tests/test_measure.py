@@ -80,23 +80,30 @@ class TestPartition:
             Partition([])
 
     def test_space_size_must_match(self):
-        with pytest.raises(SpaceMismatch):
-            Partition([0, 1]).block_measures(MeasureSpace([1.0, 1.0, 1.0]))
+        part, space = Partition([0, 1]), MeasureSpace([1.0, 1.0, 1.0])
+        for _ in range(2):
+            with pytest.raises(SpaceMismatch):
+                part.block_measures(space)
+        assert part not in space._memo
 
-    def test_block_measures_are_kept_for_the_last_space(self):
+    def test_block_measures_are_kept_per_space(self):
         part = Partition([0, 1, 0])
-        space = MeasureSpace([1.0, 2.0, 3.0])
-        mass = part.block_measures(space)
-        assert part.block_measures(space) is mass
-        assert not mass.flags.writeable
+        one, two = MeasureSpace([1.0, 2.0, 3.0]), MeasureSpace([2.0, 2.0, 2.0])
+        first = {space: part.block_measures(space) for space in (one, two)}
+        for space in (one, two, one, two):
+            mass = part.block_measures(space)
+            assert mass is first[space]
+            assert not mass.flags.writeable
+        assert list(first[one]) == [4.0, 2.0] and list(first[two]) == [4.0, 2.0]
         with pytest.raises(ValueError):
-            mass[0] = 9.0
-        # Another space object is checked and solved afresh, even after a hit.
-        assert list(part.block_measures(MeasureSpace([2.0, 2.0, 2.0]))) == [4.0, 2.0]
-        with pytest.raises(SpaceMismatch):
-            part.block_measures(MeasureSpace([1.0, 1.0]))
-        assert part.block_measures(space) is not mass
-        assert list(part.block_measures(space)) == [4.0, 2.0]
+            first[one][0] = 9.0
+
+    def test_compares_and_hashes_by_identity(self):
+        for make in (lambda: Partition([0, 1, 0]), lambda: MeasureSpace([1.0, 2.0])):
+            a, b = make(), make()
+            assert (a == b) is False and a != b
+            assert a == a
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestSimpleFunction:
@@ -407,10 +414,19 @@ def _same_bits(got, want):
 
 def _switch_rows(space, partition):
     """The fewest rows the member gather takes for this partition (None: never)."""
-    ranks = len(partition._ranks[0])
-    if ranks > measure._GATHER_RANKS:
+    ranks = partition._ranks
+    if ranks is None or len(ranks) > measure._GATHER_RANKS:
         return None
-    return -(-measure._GATHER_VALUES * ranks // space.n_atoms)
+    return -(-measure._GATHER_VALUES * len(ranks) // space.n_atoms)
+
+
+# The member gather takes only partitions of equal-size blocks; bincount takes all.
+_STRATEGY_CASES = [
+    (strategy, name, space, part)
+    for strategy in ("_gather_sums", "_bincount_sums")
+    for name, space, part in _KERNEL_PARTITIONS
+    if strategy == "_bincount_sums" or part._ranks is not None
+]
 
 
 class TestBlockMeanKernel:
@@ -429,10 +445,11 @@ class TestBlockMeanKernel:
             assert _same_bits(block_mean(space, part, x), want), shape
             assert _same_bits(cond_exp(space, part, x), want[..., part.labels]), shape
 
-    @pytest.mark.parametrize("name, space, part", _KERNEL_PARTITIONS, ids=_KERNEL_IDS)
-    @pytest.mark.parametrize("strategy", ["_gather_sums", "_bincount_sums"])
-    def test_each_strategy_matches_the_scalar_loop(self, name, space, part, strategy):
-        # Whichever the shape rule would pick, each strategy is exact on every partition.
+    @pytest.mark.parametrize(
+        "strategy, name, space, part", _STRATEGY_CASES, ids=[f"{c[0]}-{c[1]}" for c in _STRATEGY_CASES]
+    )
+    def test_each_strategy_matches_the_scalar_loop(self, strategy, name, space, part):
+        # Whichever the shape rule would pick, each strategy is exact on every partition it takes.
         sums = getattr(measure, strategy)
         mass = part.block_measures(space)
         for rows in (0, 1, 7, 40):
@@ -444,17 +461,20 @@ class TestBlockMeanKernel:
     def test_the_shape_rule_reaches_both_strategies(self, monkeypatch):
         # rotation 32 x 2: 32 ranks, more than 16, so bincount at any row count;
         # symmetric 64 atoms: 2 ranks, so gather from 4096 * 2 / 64 = 128 rows on;
-        # rotation 4 x 32: 4 ranks on 128 atoms, so gather from 128 rows on.
+        # rotation 4 x 32: 4 ranks on 128 atoms, so gather from 128 rows on;
+        # unequal blocks of at most 10 members: no rank table, so bincount.
         taken = []
         for strategy in ("_gather_sums", "_bincount_sums"):
             kernel = getattr(measure, strategy)
             monkeypatch.setattr(measure, strategy, lambda *a, k=kernel, s=strategy: taken.append(s) or k(*a))
+        unequal = next((space, part) for name, space, part in _KERNEL_PARTITIONS if name == "unequal")
         cases = [
             (build_rotation_space(32, 2), 3000, "_bincount_sums"),
             (build_symmetric_space(32), 127, "_bincount_sums"),
             (build_symmetric_space(32), 128, "_gather_sums"),
             (build_rotation_space(4, 32), 127, "_bincount_sums"),
             (build_rotation_space(4, 32), 128, "_gather_sums"),
+            (unequal, 3000, "_bincount_sums"),
         ]
         for (space, part), rows, strategy in cases:
             taken.clear()
@@ -463,15 +483,14 @@ class TestBlockMeanKernel:
             assert taken == [strategy], (part.n_blocks, rows)
 
     def test_rank_table_lists_members_by_rank(self):
-        part = Partition([2, 0, 0, 1, 2, 0])
-        ranks, pos = part._ranks
-        # Blocks by size: 0 (atoms 1, 2, 5), 2 (0, 4), 1 (3).
-        assert [(list(np.arange(6)[sel]), count) for sel, count in ranks] == [([1, 0, 3], 3), ([2, 4], 2), ([5], 1)]
-        assert list(pos) == [0, 2, 1]
+        # Blocks 0 (atoms 1, 3), 1 (0, 5), 2 (2, 4): rank j holds each block's j-th member.
+        ranks = Partition([1, 0, 2, 0, 2, 1])._ranks
+        assert [list(np.arange(6)[sel]) for sel in ranks] == [[1, 0, 2], [3, 5, 4]]
         # Runs of at least 8 evenly spaced atoms become slices.
-        ranks, pos = build_symmetric_space(8)[1]._ranks
-        assert ranks == [(slice(0, 8, 1), 8), (slice(15, 7, -1), 8)] and pos is None
-        assert [list(sel) for sel, _ in build_symmetric_space(2)[1]._ranks[0]] == [[0, 1], [3, 2]]
+        assert build_symmetric_space(8)[1]._ranks == [slice(0, 8, 1), slice(15, 7, -1)]
+        assert [list(sel) for sel in build_symmetric_space(2)[1]._ranks] == [[0, 1], [3, 2]]
+        # Blocks of different sizes have no rank table.
+        assert Partition([2, 0, 0, 1, 2, 0])._ranks is None
 
     def test_threads_average_on_a_fresh_partition(self):
         # The threads may build the partition's rank table at once; each must

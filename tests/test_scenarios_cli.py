@@ -115,6 +115,13 @@ class TestMaterialize:
         assert mat.operator.partition.n_blocks == 2
         assert list(mat.operator.u) == [1.0, 3.0, 2.0, 2.0]
 
+    def test_materialized_scenarios_compare_by_their_operators(self):
+        # Operators compare by identity, so two builds differ and neither raises.
+        first, second = (materialize(builtin_scenario("spectrum-demo")) for _ in range(2))
+        assert first == first
+        assert (first == second) is False
+        assert first.operator != second.operator and len({first.operator, second.operator}) == 2
+
     def test_numeric_conjugate_mode_validates_the_pair(self):
         s = from_config(minimal_config(conjugate_mode="numeric"))
         mat = materialize(s)

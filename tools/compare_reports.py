@@ -3,11 +3,12 @@
 Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
-as the `src/` of two checkouts.  Each tree runs every builtin scenario and the
+as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
-own `orliczlab`), each at seeds 0, 1 and 2.  A builtin runs with `--seed`, a
-workload config is built at the seed.  Each tree also writes every builtin's
-operator with `export-matrix`.  The `timing` block is dropped, each report or
+own `orliczlab`) and UNEQUAL_BLOCKS, a search on a partition of unequal
+blocks, each at seeds 0, 1 and 2.  A builtin and UNEQUAL_BLOCKS run with
+`--seed`, a workload config is built at the seed.  Each tree also writes every
+builtin's operator with `export-matrix`.  The `timing` block is dropped, each report or
 CSV whose text or exit code differs is printed, the last line gives both
 totals, and the exit code is 1 if any differs, else 0.  For a differing pair
 of reports the line also gives the number of checks whose `passed` flipped and
@@ -28,6 +29,16 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (0, 1, 2)
 EXPORT = "export-matrix"
+# 8 blocks of 1 to 9 members on 24 weighted atoms: the one case here whose
+# Hölder search averages a partition of unequal blocks.
+UNEQUAL_BLOCKS = {
+    "name": "unequal-blocks",
+    "space": {"type": "explicit", "weights": list(range(1, 25))},
+    "partition": {"labels": [0] * 9 + [1] * 4 + [2] * 3 + [3] * 2 + [4] + [5] * 3 + [6, 7]},
+    "young": {"kind": "scaled_power", "p": 3.0},
+    "u": {"type": "generator", "name": "identity"},
+    "budget": 12000,
+}
 
 # Run under one tree: print the builtin names and every workload config.
 _CASES = """
@@ -64,6 +75,10 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
+    path = tmp / "unequal-blocks.json"
+    path.write_text(json.dumps(UNEQUAL_BLOCKS), encoding="utf-8")
+    for seed in SEEDS:
+        cases[f"unequal-blocks --seed {seed}"] = ["run", "--config", str(path), "--seed", str(seed)]
     return cases
 
 
