@@ -5,6 +5,12 @@ Verbs:
   list-scenarios  one line per builtin scenario
   export-matrix   write the operator matrix as CSV for external cross-checks
 
+A `run` materializes every scenario first, so a config error exits 2 with the
+first bad scenario's message before any suite runs.  The scenarios then run
+whole on W = min(CPUs, 2, scenarios) forked workers, gathered in config order;
+with W = 1 they run in this process and nothing is forked.  The timing block
+holds total_seconds, workers (W) and, per scenario, its seconds and each suite's.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
 Reports are deterministic for a fixed config and seed, except the timing block,
 and strict JSON: a non-finite float is written as "NaN", "Infinity" or "-Infinity".
@@ -27,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
+from .holder import _worker_count
 from .scenarios import BUILTIN_ORDER, as_seed, builtin_scenario, from_config, materialize, to_config
 from .suites import SUITE_ORDER, run_all_suites
 
@@ -76,19 +83,40 @@ def _validate_suites(names) -> tuple:
     return tuple(names)
 
 
+def _run_scenario(mat, suite_names) -> tuple:
+    """A scenario's report section, and its timing: its seconds and each suite's."""
+    start = time.perf_counter()
+    result = run_all_suites(mat, suite_names)
+    section = {"scenario": to_config(mat.scenario), "suites": result["suites"], "passed": result["passed"]}
+    return section, {"seconds": time.perf_counter() - start, "suites": result["seconds"]}
+
+
+# (materialized scenario, suite names) per scenario of a fanned-out run.  Forked
+# workers inherit them and receive only indices; fork spares each a fresh
+# import, and no thread of this package runs when it forks (searches join theirs).
+_FANNED: list = []
+
+
+def _run_fanned(index: int) -> tuple:
+    return _run_scenario(*_FANNED[index])
+
+
 def _build_report(scenarios, suite_names) -> dict:
     t0 = time.perf_counter()
-    sections = []
-    for scenario in scenarios:
-        mat = materialize(scenario)
-        result = run_all_suites(mat, suite_names)
-        sections.append(
-            {
-                "scenario": to_config(scenario),
-                "suites": result["suites"],
-                "passed": result["passed"],
-            }
-        )
+    jobs = [(materialize(s), suite_names) for s in scenarios]  # a ConfigError exits 2 before any fork
+    workers = _worker_count(len(jobs)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        runs = [_run_scenario(*job) for job in jobs]
+    else:
+        import multiprocessing  # here alone, so a serial run never imports it
+
+        _FANNED[:] = jobs
+        try:  # leaving the pool's block terminates and joins every worker
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                runs = pool.map(_run_fanned, range(len(jobs)), chunksize=1)
+        finally:
+            _FANNED.clear()
+    sections = [section for section, _ in runs]
     return {
         "schema": "orliczlab-report/1",
         "versions": {
@@ -98,7 +126,11 @@ def _build_report(scenarios, suite_names) -> dict:
         },
         "scenarios": sections,
         "passed": all(s["passed"] for s in sections),
-        "timing": {"total_seconds": time.perf_counter() - t0},
+        "timing": {
+            "total_seconds": time.perf_counter() - t0,
+            "workers": workers,
+            "scenarios": [timing for _, timing in runs],
+        },
     }
 
 

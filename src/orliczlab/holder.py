@@ -43,9 +43,10 @@ __all__ = [
 # space; the block means' own temporaries are no larger (two rows x n_blocks
 # arrays for the member gather, measure._BLOCK_MEAN_CHUNK for bincount).
 _SEARCH_CHUNK = 1 << 18
-# Most row ranges a search runs in parallel (see _search_max); only 2 CPUs
-# have been measured.
-_SEARCH_WORKERS = 2
+# Most row ranges a search runs in parallel (see _search_max), and most
+# scenarios a `run` runs in parallel (cli._build_report); only 2 CPUs have
+# been measured.
+_MAX_WORKERS = 2
 
 
 def verify_conjugate_pair(phi: YoungFunction, psi: YoungFunction) -> None:
@@ -87,10 +88,10 @@ def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def _worker_count(rows: int) -> int:
-    """Row ranges a search splits into: min(CPUs this process may run on, _SEARCH_WORKERS, rows)."""
+def _worker_count(tasks: int) -> int:
+    """Workers for `tasks` rows or scenarios: min(CPUs this process may run on, _MAX_WORKERS, tasks)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, _SEARCH_WORKERS, rows)
+    return min(cpus or 1, _MAX_WORKERS, tasks)
 
 
 def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndarray:

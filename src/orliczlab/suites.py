@@ -12,6 +12,7 @@ brackets solved on them.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -355,10 +356,15 @@ def run_suite(name: str, mat: Materialized) -> dict:
 
 
 def run_all_suites(mat: Materialized, names=None) -> dict:
-    names = tuple(names) if names else SUITE_ORDER
-    results = {name: run_suite(name, mat) for name in names}
+    """Run the named suites (default all) in order; "seconds" holds each one's wall time."""
+    results, seconds = {}, {}
+    for name in tuple(names) if names else SUITE_ORDER:
+        start = time.perf_counter()
+        results[name] = run_suite(name, mat)
+        seconds[name] = time.perf_counter() - start
     return {
         "scenario": mat.scenario.name,
         "suites": results,
         "passed": all(r["passed"] for r in results.values()),
+        "seconds": seconds,
     }

@@ -1,12 +1,17 @@
 """Scenario schema round-trips, builtin catalog, CLI verbs and exit codes."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
 from orliczlab import cli, operators, young
+from orliczlab import suites as suites_mod
 from orliczlab.errors import ConfigError
 from orliczlab.scenarios import (
     BUILTIN_ORDER,
@@ -292,6 +297,7 @@ class TestCli:
                     }
                 },
                 "passed": False,
+                "seconds": {"spectrum": 0.0},
             }
 
         monkeypatch.setattr(cli, "run_all_suites", failing)
@@ -534,3 +540,101 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "example-1.6b" in proc.stdout
+
+
+def three_scenarios(tmp_path, replace=None):
+    """A 3-scenario config file (two Young kinds, three seeds, small budgets), with items replaced by index."""
+    items = [
+        minimal_config(name="a", budget=300, seed=1),
+        minimal_config(name="b", budget=300, seed=2, young={"kind": "exp_type"}),
+        minimal_config(name="c", budget=300, seed=3, space={"type": "symmetric", "n_half": 4}),
+    ]
+    for index, item in (replace or {}).items():
+        items[index] = item
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({"scenarios": items}))
+    return str(cfg)
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
+
+
+class TestScenarioWorkers:
+    """A `run` of several scenarios forks min(CPUs, 2, scenarios) workers; one worker forks none."""
+
+    def test_report_does_not_depend_on_the_worker_count(self, capsys, monkeypatch, tmp_path):
+        config = three_scenarios(tmp_path)
+        reports = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            with np.errstate(all="ignore"):
+                code = cli.main(["run", "--config", config])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        timings = [report.pop("timing") for _, report in reports]
+        assert reports[0] == reports[1]
+        assert [t["workers"] for t in timings] == [1, 2]
+        for timing in timings:
+            assert len(timing["scenarios"]) == 3
+            for scenario in timing["scenarios"]:
+                assert sorted(scenario["suites"]) == sorted(suites_mod.SUITE_ORDER)
+                assert 0.0 <= sum(scenario["suites"].values()) <= scenario["seconds"]
+
+    def test_first_bad_scenario_exits_two_before_any_worker(self, capsys, monkeypatch, tmp_path):
+        config = three_scenarios(
+            tmp_path,
+            {
+                1: minimal_config(name="no-partition", space={"type": "explicit", "weights": [1.0, 1.0]}),
+                2: minimal_config(name="short-u", u={"type": "explicit", "values": [1.0, 2.0]}),
+            },
+        )
+
+        def never(*_args):
+            raise AssertionError("a suite ran although a scenario failed to materialize")
+
+        monkeypatch.setattr(cli, "run_all_suites", never)
+        errors = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            assert cli.main(["run", "--config", config]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "scenario.partition" in errors[0] and "scenario.u.values" not in errors[0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("expected", [0, 2], ids=["passed", "config-error-in-a-worker"])
+    def test_no_worker_outlives_main(self, capsys, monkeypatch, tmp_path, expected):
+        with_cpus(monkeypatch, 2)
+        if expected == 2:
+
+            def fail_on_b(mat, names):
+                if mat.scenario.name == "b":
+                    raise ConfigError("scenario.young: planted failure")
+                return suites_mod.run_all_suites(mat, names)
+
+            monkeypatch.setattr(cli, "run_all_suites", fail_on_b)
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--config", three_scenarios(tmp_path), "--suite", "spectrum"]) == expected
+        assert ("planted failure" in capsys.readouterr().err) == (expected == 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            "argv = ['run', '--config', 'spectrum-demo', '--suite', 'spectrum']",
+            "os.sched_getaffinity = lambda _pid: {0}\n"
+            "argv = ['run', '--config', CONFIG, '--suite', 'spectrum']",
+        ],
+        ids=["one-scenario", "one-cpu"],
+    )
+    def test_a_serial_run_never_imports_multiprocessing(self, tmp_path, setup):
+        code = (
+            "import os, sys\n"
+            f"CONFIG = {three_scenarios(tmp_path)!r}\n"
+            f"{setup}\n"
+            "from orliczlab import cli\n"
+            "code = cli.main(argv)\n"
+            "sys.exit(code or 10 * ('multiprocessing' in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
