@@ -25,10 +25,6 @@ class BracketFailure(OrliczLabError, RuntimeError):
     """A search bracket could not be established within the doubling budget."""
 
 
-class ConjugateMismatch(OrliczLabError, ValueError):
-    """A biconjugation spot-check shows the supplied pair is not conjugate."""
-
-
 class SingularLambda(OrliczLabError, ValueError):
     """Resolvent parameter is zero or too close to the operator's predicted spectrum."""
 

@@ -52,8 +52,9 @@ class MeasureSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ConfigError("space.weights: need a nonempty 1D array")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ConfigError("space.weights: weights must be finite and positive")
+        with np.errstate(over="ignore"):  # a NaN or inf weight, or a total past float max
+            if np.any(w <= 0) or not np.isfinite(np.sum(w)):
+                raise ConfigError("space.weights: weights must be finite and positive, with a finite total")
         if self.labels is not None and len(self.labels) != w.size:
             raise ConfigError("space.labels: must have one label per atom")
         w = w.copy()

@@ -262,6 +262,10 @@ def truncate(
     return op.with_multiplier(op.u * mask)
 
 
+# Relative slack of truncation_gap_check: gap <= C * epsilon * (1 + TRUNCATION_GAP_TOL).
+TRUNCATION_GAP_TOL = 1e-6
+
+
 def truncation_gap_check(
     op: WeightedConditionalExpectation,
     phi: YoungFunction,
@@ -275,7 +279,7 @@ def truncation_gap_check(
 
     T is linear in the multiplier, so the difference is the operator with
     multiplier u minus the truncated multiplier; its estimated norm (a lower
-    bound) must stay below C*epsilon up to 1e-6 relative slack.
+    bound) must stay below C*epsilon up to TRUNCATION_GAP_TOL relative slack.
     """
     residual = op.with_multiplier(op.u - truncate(op, psi, epsilon).u)
     gap = norm_estimate(residual, phi, budget=budget, seed=seed)
@@ -284,7 +288,7 @@ def truncation_gap_check(
         "epsilon": float(epsilon),
         "gap_lower_bound": gap,
         "bound": bound,
-        "holds": gap <= bound * (1.0 + 1e-6),
+        "holds": gap <= bound * (1.0 + TRUNCATION_GAP_TOL),
     }
 
 
@@ -446,8 +450,12 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     return SpectrumReport(predicted, computed, dist, tol)
 
 
+# Default bound of resolvent_check on both composition residuals, relative to ||f||_inf.
+RESOLVENT_TOL = 1e-9
+
+
 def resolvent_check(
-    op: WeightedConditionalExpectation, lam: float, f, tol: float = 1e-9
+    op: WeightedConditionalExpectation, lam: float, f, tol: float = RESOLVENT_TOL
 ) -> dict:
     """Verify the explicit resolvent formula inverts T - lam both ways.
 

@@ -3,7 +3,7 @@
 A scenario bundles one measure-space setup (or a refinement family), one
 Young-function pair, one multiplier, and the seed and search budget the
 suites should use.  Configs are plain JSON-compatible dicts; every parse
-failure names the offending field.
+failure names the offending field, and a key no field reads is ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import young as young_mod
-from .errors import BracketFailure, ConfigError
+from .errors import ConfigError
 from .measure import (
     MeasureSpace,
     Partition,
@@ -45,7 +45,6 @@ class Scenario:
     young: dict
     u: dict
     partition: dict | None = None
-    conjugate_mode: str = "closed_form"
     seed: int = 0
     budget: int = 10_000
 
@@ -151,9 +150,6 @@ def from_config(cfg: dict) -> Scenario:
         young_mod.from_config(young_cfg)
     except ConfigError as exc:
         raise ConfigError(f"scenario.{exc}") from exc
-    mode = cfg.get("conjugate_mode", "closed_form")
-    if mode not in ("closed_form", "numeric"):
-        raise ConfigError(f"scenario.conjugate_mode: expected closed_form or numeric, got {mode!r}")
     partition = cfg.get("partition")
     if partition is not None:
         if not isinstance(partition, dict) or not isinstance(partition.get("labels"), list):
@@ -166,7 +162,6 @@ def from_config(cfg: dict) -> Scenario:
         young=dict(young_cfg),
         u=_parse_u(_require(cfg, "u", "scenario")),
         partition=partition,
-        conjugate_mode=mode,
         seed=as_seed(cfg.get("seed", 0), "scenario.seed"),
         budget=_as_positive_int(cfg.get("budget", 10_000), "scenario.budget"),
     )
@@ -271,16 +266,6 @@ def materialize(scenario: Scenario) -> Materialized:
     """Resolve the scenario into module objects, failing with field-precise errors."""
     phi = young_mod.from_config(scenario.young)
     psi = young_mod.conjugate_closed_form(phi)
-    if scenario.conjugate_mode == "numeric":
-        # Stricter cross-validation of the pair on a small log grid.
-        try:
-            err = young_mod.conjugate_error(phi, psi, np.logspace(-2, 2, 9), tol=1e-10)
-        except BracketFailure as exc:
-            raise ConfigError(f"scenario.conjugate_mode: the numeric conjugate failed: {exc}") from exc
-        if not err <= 1e-6:
-            raise ConfigError(
-                f"scenario.conjugate_mode: numeric conjugate disagrees by {err:.3g} (relative)"
-            )
     try:
         op, family = _operator(scenario)
     except ConfigError as exc:

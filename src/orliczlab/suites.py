@@ -21,6 +21,8 @@ from .errors import BracketFailure
 from .holder import domination_holder_constant, empirical_holder_constant, normalization_constants
 from .measure import JENSEN_TOL, MinOfLinear, cond_exp, domination_constant, generalized_jensen_check, jensen_check
 from .operators import (
+    RESOLVENT_TOL,
+    TRUNCATION_GAP_TOL,
     RefinementFamily,
     WeightedConditionalExpectation,
     essential_gap,
@@ -83,7 +85,10 @@ def _norm_str(x: float) -> str:
 
 def _suite_young_calculus(mat: Materialized) -> list[dict]:
     phi, psi = mat.phi, mat.psi
-    conj_err = young_mod.conjugate_error(phi, psi, np.logspace(-3, 3, 64), tol=1e-9)
+    # The one check of psi against phi*: max |psi(y) - phi*(y)| / max(1, |phi*(y)|), NaN propagating.
+    ys = np.logspace(-3, 3, 64)
+    star = young_mod.conjugate_numeric(phi, ys, tol=1e-9)
+    conj_err = float(np.max(np.abs(evaluate(psi, ys) - star) / np.maximum(1.0, np.abs(star))))
 
     xs = np.logspace(-3, 3, 256)
     ts = evaluate(phi, xs)
@@ -264,7 +269,7 @@ def _suite_resolvent(mat: Materialized) -> list[dict]:
     eu = np.unique(np.append(mean_multiplier(op), 0.0))
     span = float(np.max(np.abs(eu))) + 2.0
     if not math.isfinite(2.0 * span):  # no lambda is drawn from [-span, span]; the residuals are unknown
-        return [_check("inversion_residuals", False, value=math.nan, tolerance=1e-9, cases=0, margin=0.5)]
+        return [_check("inversion_residuals", False, value=math.nan, tolerance=RESOLVENT_TOL, cases=0, margin=0.5)]
     worst = 0.0
     ok = True
     for _ in range(20):
@@ -281,7 +286,7 @@ def _suite_resolvent(mat: Materialized) -> list[dict]:
         worst = max(worst, rep["residual_left"], rep["residual_right"])
         ok = ok and rep["holds"]
     return [
-        _check("inversion_residuals", ok, value=worst, tolerance=1e-9, cases=20, margin=0.5)
+        _check("inversion_residuals", ok, value=worst, tolerance=RESOLVENT_TOL, cases=20, margin=0.5)
     ]
 
 
@@ -319,7 +324,7 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
             gap["holds"],
             value=gap["gap_lower_bound"],
             bound=gap["bound"],
-            tolerance=1e-6,
+            tolerance=TRUNCATION_GAP_TOL,
             beta=gap["beta"],
         )
     ]

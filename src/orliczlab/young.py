@@ -32,7 +32,6 @@ __all__ = [
     "inverse",
     "conjugate_closed_form",
     "conjugate_numeric",
-    "conjugate_error",
     "check_delta2",
     "check_delta_prime",
     "check_nabla_prime",
@@ -383,19 +382,6 @@ def conjugate_numeric(phi: YoungFunction, y, tol: float = CONJUGATE_TOL):
         lo[todo], hi[todo], best[todo] = l, h, b
         out[rows] = np.maximum(best, obj(0.5 * (lo + hi), ya))
     return float(out[0]) if scalar else out.reshape(ys.shape)
-
-
-def conjugate_error(
-    phi: YoungFunction, psi: YoungFunction, ys, tol: float = CONJUGATE_TOL
-) -> float:
-    """Max over y in ys of |psi(y) - phi*(y)| / max(1, |phi*(y)|), phi* by conjugate_numeric.
-
-    `tol` is the numeric conjugation tolerance; a NaN anywhere propagates, so
-    callers comparing with `err <= bound` reject it.
-    """
-    ys = np.asarray(ys, dtype=float)
-    want = conjugate_numeric(phi, ys, tol=tol)
-    return float(np.max(np.abs(evaluate(psi, ys) - want) / np.maximum(1.0, np.abs(want))))
 
 
 @dataclass(frozen=True)

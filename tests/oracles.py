@@ -9,7 +9,7 @@ import numpy as np
 
 from orliczlab import young
 from orliczlab.errors import BracketFailure, PreconditionViolated
-from orliczlab.holder import _holder_ratios, verify_conjugate_pair
+from orliczlab.holder import _holder_ratios
 from orliczlab.measure import MeasureSpace, Partition, as_values
 from orliczlab.sampling import log_uniform
 
@@ -124,16 +124,11 @@ def conditional_holder_ratio(
     psi: young.YoungFunction,
     f,
     g,
-    check_pair: bool = True,
 ) -> float:
     """Max over atoms of E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))].
 
     0/0 counts as 0 (the bound trivially holds there) and positive/0 as inf.
-    By default the pair is spot-checked by numeric conjugation first and a
-    mismatch raises ConjugateMismatch.
     """
-    if check_pair:
-        verify_conjugate_pair(phi, psi)
     f, g = as_values(space, f), as_values(space, g)
     ratios = _holder_ratios(space, partition, phi, psi, f, g)
     return float(np.max(ratios))

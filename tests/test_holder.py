@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import holder, sampling, young
-from orliczlab.errors import BracketFailure, ConjugateMismatch, PreconditionViolated
+from orliczlab.errors import BracketFailure, PreconditionViolated
 from orliczlab.holder import (
     _holder_ratios,
     _ratio_atoms,
     domination_holder_constant,
     empirical_holder_constant,
     normalization_constants,
-    verify_conjugate_pair,
 )
 from orliczlab.measure import (
     MeasureSpace,
@@ -35,17 +34,6 @@ from oracles import conditional_holder_ratio
 def scaled_pair(p):
     phi = young.scaled_power(p)
     return phi, young.conjugate_closed_form(phi)
-
-
-class TestConjugatePairCheck:
-    def test_accepts_registered_pairs(self):
-        verify_conjugate_pair(*scaled_pair(2.0))
-        verify_conjugate_pair(young.exp_type(), young.log_type())
-        verify_conjugate_pair(young.power(3.0), young.conjugate_power(3.0))
-
-    def test_rejects_a_mismatched_pair(self):
-        with pytest.raises(ConjugateMismatch):
-            verify_conjugate_pair(young.scaled_power(2.0), young.scaled_power(3.0))
 
 
 class TestRatio:
@@ -94,8 +82,8 @@ class TestRatio:
         part = Partition(np.arange(n) % int(rng.integers(1, n + 1)))
         phi, psi = (scaled_pair(3.0), (young.exp_type(), young.log_type()))[seed % 2]
         f, g = rng.normal(0.0, 2.0, (2, n))
-        base = conditional_holder_ratio(MeasureSpace(weights), part, phi, psi, f, g, check_pair=False)
-        scaled = conditional_holder_ratio(MeasureSpace(c * weights), part, phi, psi, f, g, check_pair=False)
+        base = conditional_holder_ratio(MeasureSpace(weights), part, phi, psi, f, g)
+        scaled = conditional_holder_ratio(MeasureSpace(c * weights), part, phi, psi, f, g)
         assert scaled == pytest.approx(base, rel=1e-12)
 
 

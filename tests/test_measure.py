@@ -48,6 +48,8 @@ class TestMeasureSpace:
             MeasureSpace([1.0, -2.0])
         with pytest.raises(ConfigError):
             MeasureSpace([1.0, np.inf])
+        with pytest.raises(ConfigError):
+            MeasureSpace([1.0, np.nan])
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,12 @@
 """Scenario schema round-trips, builtin catalog, CLI verbs and exit codes."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -44,7 +46,11 @@ class TestScenarioSchema:
         s = from_config(minimal_config())
         assert s.seed == 0
         assert s.budget == 10_000
-        assert s.conjugate_mode == "closed_form"
+
+    def test_a_stale_conjugate_mode_key_is_ignored(self):
+        # No field reads conjugate_mode, so like any unknown key it is ignored.
+        for mode in ("closed_form", "numeric", "guess"):
+            assert from_config(minimal_config(conjugate_mode=mode)) == from_config(minimal_config())
 
     @pytest.mark.parametrize(
         "mutation, field",
@@ -58,7 +64,7 @@ class TestScenarioSchema:
             ({"u": {"type": "wavelet"}}, "scenario.u.type"),
             ({"u": {"type": "law", "name": "cubic"}}, "scenario.u.name"),
             ({"u": {"type": "generator", "name": "indicator"}}, "scenario.u.block"),
-            ({"conjugate_mode": "guess"}, "scenario.conjugate_mode"),
+            ({"space": {"type": "explicit", "weights": [1e308] * 4}, "partition": {"labels": [0, 0, 1, 1]}}, "scenario.space.weights"),
             ({"seed": "zero"}, "scenario.seed"),
             ({"budget": 0}, "scenario.budget"),
             ({"space": {"type": "explicit", "weights": ["x", 1]}}, "scenario.space.weights"),
@@ -74,8 +80,9 @@ class TestScenarioSchema:
             ({"space": {"type": "family", "sizes": [64, 16]}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
             ({"space": {"type": "explicit", "weights": [1, -1]}, "partition": {"labels": [0, 0]}}, "scenario.space.weights"),
             ({"space": {"type": "explicit", "weights": [1, 1]}, "partition": {"labels": [0, 2]}}, "scenario.partition.labels"),
-            ({"young": {"kind": "power", "p": 1.01}, "conjugate_mode": "numeric"}, "scenario.conjugate_mode"),
-            ({"young": {"kind": "scaled_power", "p": 1.001}, "conjugate_mode": "numeric"}, "scenario.conjugate_mode"),
+            ({"space": {"type": "explicit", "weights": [math.inf, 1]}, "partition": {"labels": [0, 0]}}, "scenario.space.weights"),
+            # Each block's mass is finite; the space's total is not.
+            ({"space": {"type": "explicit", "weights": [1.7e308] * 2}, "partition": {"labels": [0, 1]}}, "scenario.space.weights"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -127,11 +134,6 @@ class TestMaterialize:
         assert (first == second) is False
         assert first.operator != second.operator and len({first.operator, second.operator}) == 2
 
-    def test_numeric_conjugate_mode_validates_the_pair(self):
-        s = from_config(minimal_config(conjugate_mode="numeric"))
-        mat = materialize(s)
-        assert mat.psi.kind == "scaled_power"
-
     def test_family_requires_a_law_multiplier(self):
         cfg = minimal_config(
             space={"type": "family", "sizes": [4, 8]},
@@ -158,6 +160,25 @@ class TestMaterialize:
         with pytest.raises(ConfigError) as exc:
             materialize(from_config(cfg))
         assert "scenario.u.block" in str(exc.value)
+
+
+class TestConjugatePairCheck:
+    """young-calculus/conjugate_consistency is the one check of psi against phi*."""
+
+    def test_a_mismatched_pair_fails_conjugate_consistency(self):
+        mat = replace(materialize(from_config(minimal_config())), psi=young.scaled_power(3.0))
+        checks = {check["name"]: check for check in run_suite("young-calculus", mat)["checks"]}
+        check = checks["conjugate_consistency"]
+        assert check["passed"] is False and check["value"] > check["tolerance"]
+        assert "nonfinite" not in check
+
+    @pytest.mark.parametrize("name", ["example-1.6a", "example-1.6b"])
+    def test_gcthi_never_conjugates_numerically(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gcthi called young.conjugate_numeric")
+
+        monkeypatch.setattr(young, "conjugate_numeric", refuse)
+        assert run_suite("gcthi", materialize(builtin_scenario(name)))["passed"]
 
 
 class TestCli:
@@ -224,17 +245,17 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--suite", "spectrum"]) == 2
         assert field in capsys.readouterr().err
 
-    def test_failed_numeric_conjugate_exits_two_from_every_verb(self, capsys, tmp_path):
-        # The conjugate check's bracket does not close for p = 1.01 on its grid;
-        # main() would raise the solver's BracketFailure if it escaped.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_total_weight_exits_two_from_every_verb(self, capsys, tmp_path):
+        # Each weight is finite, their sum is not: every inverse of a block
+        # mean downstream would see a NaN, so the space refuses the weights.
         cfg = tmp_path / "scenario.json"
-        young_cfg = {"kind": "power", "p": 1.01}
-        u = {"type": "generator", "name": "random_uniform"}
-        cfg.write_text(json.dumps(minimal_config(young=young_cfg, u=u, conjugate_mode="numeric")))
+        space = {"type": "explicit", "weights": [1e308] * 4}
+        cfg.write_text(json.dumps(minimal_config(space=space, partition={"labels": [0, 0, 1, 1]})))
         for verb in ("run", "export-matrix"):
             assert cli.main([verb, "--config", str(cfg)]) == 2, verb
             err = capsys.readouterr().err
-            assert "scenario.conjugate_mode" in err and "doubling budget" in err, verb
+            assert "scenario.space.weights" in err and "Traceback" not in err, verb
 
     def test_negative_seed_option_exits_two(self, capsys):
         assert cli.main(["run", "--config", "spectrum-demo", "--suite", "jensen", "--seed", "-20"]) == 2
@@ -306,9 +327,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    # np.errstate below reaches the calling thread only, not the search's helper thread.
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
     def test_solver_out_of_budget_fails_its_suites(self, capsys, tmp_path):
         # |x|**p with p this close to 1 grows almost linearly, so the numeric
-        # conjugate's bracket never closes within its doubling budget.
+        # conjugate's bracket never closes within its doubling budget: the
+        # young-calculus suite, the one that conjugates numerically, ends there.
+        # gcthi takes the closed-form pair as given, and its search values
+        # leave the float range, so each check it fails is flagged nonfinite.
         cfg = tmp_path / "near_linear.json"
         cfg.write_text(json.dumps(minimal_config(young={"kind": "power", "p": 1.0000000001})))
 
@@ -319,11 +345,14 @@ class TestCli:
             assert cli.main(["run", "--config", str(cfg)]) == 1
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         suites = report["scenarios"][0]["suites"]
-        for name in ("young-calculus", "gcthi"):
-            (check,) = suites[name]["checks"]
-            assert check["name"] == "solver_budget_exhausted" and check["passed"] is False
-            assert "doubling budget" in check["error"]
-            assert suites[name]["passed"] is False
+        (check,) = suites["young-calculus"]["checks"]
+        assert check["name"] == "solver_budget_exhausted" and check["passed"] is False
+        assert "doubling budget" in check["error"]
+        assert suites["young-calculus"]["passed"] is False
+        failed = [check for check in suites["gcthi"]["checks"] if not check["passed"]]
+        assert failed and suites["gcthi"]["passed"] is False
+        for check in failed:
+            assert check["name"] != "solver_budget_exhausted" and check["nonfinite"] is True, check["name"]
 
     def test_underflowed_level_fails_its_bounds_as_nonfinite(self, capsys, tmp_path):
         # The conjugate power has q near 1e10, so psi(|u|) underflows to 0 on

@@ -310,7 +310,7 @@ def test_conjugate_numeric_brute_force_cross_check():
 
 def test_conjugate_consistency_on_log_grid():
     ys = np.logspace(-3, 3, 40)
-    for phi in (young.scaled_power(1.5), young.scaled_power(3.0), young.power(2.0), young.exp_type()):
+    for phi in (young.scaled_power(1.5), young.scaled_power(3.0), young.power(2.0), young.power(3.0), young.exp_type()):
         want = young.evaluate(young.conjugate_closed_form(phi), ys)
         got = young.conjugate_numeric(phi, ys, tol=1e-9)
         assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, want))
@@ -388,8 +388,8 @@ ALL_KINDS = [
     young.log_type(),
 ]
 
-# The grids and tolerances of conjugate_numeric's callers: young-calculus,
-# verify_conjugate_pair and the numeric conjugate_mode of materialize.
+# Grids and tolerances for conjugate_numeric: the young-calculus suite's, its
+# one caller, and two more: three points and a coarse grid at 1e-10.
 CALLER_GRIDS = {
     "young-calculus": (np.logspace(-3, 3, 64), 1e-9),
     "verify-pair": (np.array([0.25, 1.0, 4.0]), 1e-10),
