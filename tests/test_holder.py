@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from orliczlab.measure import (
     domination_constant,
 )
 from orliczlab.sampling import log_uniform_chunks, signed_log_uniform
+from orliczlab.scenarios import from_config, materialize
+from orliczlab.suites import run_suite
 
 from oracles import conditional_holder_ratio
 
@@ -34,6 +37,24 @@ from oracles import conditional_holder_ratio
 def scaled_pair(p):
     phi = young.scaled_power(p)
     return phi, young.conjugate_closed_form(phi)
+
+
+class TestConjugatePairCheck:
+    """The pairs the Hölder tests use pass young-calculus/conjugate_consistency."""
+
+    def test_accepts_registered_pairs(self):
+        cfg = {
+            "name": "tiny",
+            "space": {"type": "symmetric", "n_half": 2},
+            "young": {"kind": "scaled_power", "p": 2.0},
+            "u": {"type": "generator", "name": "identity"},
+        }
+        mat = materialize(from_config(cfg))
+        pairs = [scaled_pair(2.0), (young.exp_type(), young.log_type()), (young.power(3.0), young.conjugate_power(3.0))]
+        for phi, psi in pairs:
+            report = run_suite("young-calculus", replace(mat, phi=phi, psi=psi))
+            check = next(check for check in report["checks"] if check["name"] == "conjugate_consistency")
+            assert check["passed"] is True and check["value"] <= check["tolerance"]
 
 
 class TestRatio:
