@@ -98,9 +98,9 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     run in parallel.  Each range streams _SEARCH_CHUNK // W elements at a
     time, so as many elements are in flight as with one range, and folds
     np.maximum(best, np.max(score(f, g))) from -inf, one score after the
-    other.  The ranges then combine by np.maximum.reduce.  Every thread is
-    joined before this returns, and the first range's exception (a helper's
-    BracketFailure, say) is raised here.
+    other, under the caller's np.geterr().  The ranges then combine by
+    np.maximum.reduce.  Every thread is joined before this returns, and the
+    first range's exception (a helper's BracketFailure, say) is raised here.
     """
     if budget < 1:
         raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
@@ -110,12 +110,14 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     bounds = [budget * k // workers for k in range(workers + 1)]
     results: list = [None] * workers
     errors: list = [None] * workers
+    errstate = np.geterr()  # numpy's error state is per thread (per context from numpy 2)
 
     def run(k: int) -> None:
         try:
             best = -math.inf
-            for f, g in log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1]):
-                best = np.maximum(best, [np.max(score(f, g)) for score in scores])
+            with np.errstate(**errstate):
+                for f, g in log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1]):
+                    best = np.maximum(best, [np.max(score(f, g)) for score in scores])
             results[k] = best
         except BaseException as exc:  # re-raised on the calling thread
             errors[k] = exc

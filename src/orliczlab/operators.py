@@ -401,10 +401,7 @@ def essential_norm_bound(
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Structural eigenvalue prediction against the dense linear-algebra oracle.
-
-    `tolerance`, 1e-8 * (1 + max|predicted|), bounds both the paired distance
-    of a match and the oracle's imaginary parts."""
+    """Structural eigenvalue prediction against the dense oracle, with the worst block's distance and bound."""
 
     predicted: np.ndarray
     computed: np.ndarray
@@ -418,36 +415,43 @@ def spectrum(op: WeightedConditionalExpectation) -> SpectrumReport:
     The oracle takes the dense matrix's rows one block at a time
     (WeightedConditionalExpectation.block_rows), asserts that every nonzero
     entry of those rows lies in the block's columns, and solves that diagonal
-    block densely.  The prediction is real, so any oracle eigenvalue with
-    imaginary part above the match tolerance 1e-8 * (1 + max|predicted|) is
-    rejected as a diagnostic rather than rounded away.  The bound is relative
-    because eigvals' rounding scales with the entries: u near 1e10 leaves
-    imaginary parts near 1e-6.  Both multisets are sorted; for real values
-    sorted order is the optimal pairing, and the report carries the largest
-    paired distance.  A block holding inf or NaN, which eigvals refuses, gets
-    NaN eigenvalues, so the distance is NaN.
-    """
-    predicted = np.concatenate(
-        [mean_multiplier(op), np.zeros(op.n_atoms - op.partition.n_blocks)]
-    )
-    raw = []
+    block S = 1 b^T densely: its eigenvalues are its trace m and 0 (k - 1
+    times, k the block's size), and for m near 0 the zero is defective.
+    Each block is judged by the larger of 1e-8 * (1 + max|predicted|)
+    (eigvals' rounding scales with the entries) and 3r, with
+    r = 2d + min(sqrt(2dN), 4dN/|m|), N = ||S||_2 = ||S||_F and d = k eps N
+    taken as eigvals' backward error: by Sherman-Morrison on S - mu, every
+    eigenvalue mu of S + E with ||E|| <= d lies within r of 0 or m, so the
+    sorted pairing of the block's eigenvalues with m and its zeros is within
+    3r.  An imaginary part above that bound raises SpectralOracleError (the
+    prediction is real).  The report holds the sorted multisets and the
+    distance and bound of the block whose distance is the largest fraction
+    of its bound; a block holding inf or NaN, which eigvals refuses, gets
+    NaN eigenvalues and so a NaN distance."""
+    means = mean_multiplier(op)
+    raw, stats = [], []
     for members, rows in op.block_rows():
         s = rows[:, members]
         if np.count_nonzero(rows) != np.count_nonzero(s):  # a NaN counts, a -0.0 does not
             raise SpectralOracleError("the dense matrix has a nonzero entry off its diagonal blocks")
         raw.append(np.linalg.eigvals(s) if np.isfinite(s).all() else np.full(len(s), np.nan))
-    raw = np.concatenate(raw)
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(predicted), initial=0.0)))
-    worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > tol:
-        raise SpectralOracleError(
-            f"oracle produced imaginary parts up to {worst_imag:.3g}; "
-            "the structural prediction is real"
-        )
-    predicted = np.sort(predicted)
-    computed = np.sort(raw.real)
-    dist = float(np.max(np.abs(predicted - computed))) if predicted.size else 0.0
-    return SpectrumReport(predicted, computed, dist, tol)
+        stats.append((np.linalg.norm(s), np.trace(s), np.abs(raw[-1].imag).max()))
+    (norms, traces, imags), sizes = np.array(stats).T, np.bincount(op.partition.labels)
+    d = sizes * np.finfo(float).eps * norms
+    with np.errstate(divide="ignore", invalid="ignore"):  # fmin skips the 0/0 of a zero block
+        near = np.fmin(np.sqrt(2.0 * d * norms), 4.0 * d * norms / np.abs(traces))
+    bounds = np.maximum(1e-8 * (1.0 + float(np.max(np.abs(means)))), 3.0 * (2.0 * d + near))
+    if np.any(imags > bounds):
+        b = int(np.argmax(imags > bounds))
+        raise SpectralOracleError(f"oracle imaginary parts up to {imags[b]:.3g} on block {b}, above its bound {bounds[b]:.3g}")
+    # Pair each block's eigenvalues with its mean and zeros, both sorted within the block.
+    block, starts = np.repeat(np.arange(sizes.size), sizes), np.cumsum(sizes) - sizes
+    computed, predicted = np.concatenate(raw).real, np.zeros(op.n_atoms)
+    predicted[starts] = means
+    gaps = computed[np.lexsort((computed, block))] - predicted[np.lexsort((predicted, block))]
+    dists = np.maximum.reduceat(np.abs(gaps), starts)
+    worst = int(np.argmax(dists / bounds))  # the first NaN if any
+    return SpectrumReport(np.sort(predicted), np.sort(computed), float(dists[worst]), float(bounds[worst]))
 
 
 # Default bound of resolvent_check on both composition residuals, relative to ||f||_inf.

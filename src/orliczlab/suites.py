@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import young as young_mod
-from .errors import BracketFailure
+from .errors import BracketFailure, SpectralOracleError
 from .holder import domination_holder_constant, empirical_holder_constant, normalization_constants
 from .measure import JENSEN_TOL, MinOfLinear, cond_exp, domination_constant, generalized_jensen_check, jensen_check
 from .operators import (
@@ -87,7 +87,7 @@ def _suite_young_calculus(mat: Materialized) -> list[dict]:
     phi, psi = mat.phi, mat.psi
     # The one check of psi against phi*: max |psi(y) - phi*(y)| / max(1, |phi*(y)|), NaN propagating.
     ys = np.logspace(-3, 3, 64)
-    star = young_mod.conjugate_numeric(phi, ys, tol=1e-9)
+    star = young_mod.conjugate_numeric(phi, ys)
     conj_err = float(np.max(np.abs(evaluate(psi, ys) - star) / np.maximum(1.0, np.abs(star))))
 
     xs = np.logspace(-3, 3, 256)
@@ -168,7 +168,7 @@ def _suite_gcthi(mat: Materialized) -> list[dict]:
     searched = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed)
     c0 = domination_constant(space, part)
     checks = [_at_most("ratio_within_domination_constant", searched, claimed, 1e-9, samples=budget)]
-    if phi.kind in ("power", "scaled_power", "conjugate_power"):
+    if phi.kind in young_mod.POWER_KINDS:
         unit = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed + 1)
         checks.append(_at_most("homogeneous_pair_unit_constant", unit, 1.0, 1e-9, samples=budget))
     c1, c2 = normalization_constants(space, part, phi, psi, sample_budget=2_000, seed=seed + 2)
@@ -347,12 +347,16 @@ SUITE_ORDER = tuple(_SUITES)
 
 def run_suite(name: str, mat: Materialized) -> dict:
     """Run one suite.  A solver that runs out of budget fails the suite with one
-    `solver_budget_exhausted` check carrying the solver's message.  The CLI
-    rejects an unknown name before any work, so `name` is one of SUITE_ORDER."""
+    `solver_budget_exhausted` check carrying the solver's message, and a
+    spectrum oracle that rejects its own output with one `oracle_rejected`
+    check carrying the oracle's.  The CLI rejects an unknown name before any
+    work, so `name` is one of SUITE_ORDER."""
     try:
         checks = _SUITES[name](mat)
     except BracketFailure as exc:
         checks = [_check("solver_budget_exhausted", False, error=str(exc))]
+    except SpectralOracleError as exc:
+        checks = [_check("oracle_rejected", False, error=str(exc))]
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),

@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 # Default tolerances and grids; chosen for double-precision headroom.
-BISECT_TOL = 1e-10
-CONJUGATE_TOL = 1e-8
+INVERSE_TOL = 1e-10
+CONJUGATE_TOL = 1e-9
 SAFETY_FACTOR = 1.01
-
-_KINDS = ("power", "scaled_power", "conjugate_power", "exp_type", "log_type")
+POWER_KINDS = ("power", "scaled_power", "conjugate_power")  # the kinds that take p > 1
+_KINDS = (*POWER_KINDS, "exp_type", "log_type")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class YoungFunction:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"young.kind: unknown kind {self.kind!r}")
-        if self.kind in ("power", "scaled_power", "conjugate_power"):
+        if self.kind in POWER_KINDS:
             if self.p is None or not self.p > 1:
                 raise ConfigError(f"young.p: need p > 1 for kind {self.kind!r}, got {self.p}")
 
@@ -107,17 +107,13 @@ def _as_float(value, where: str) -> float:
 
 
 def from_config(fragment: dict) -> YoungFunction:
-    """Build a YoungFunction from a config fragment like {"kind": "scaled_power", "p": 2.0}."""
+    """A YoungFunction from a fragment like {"kind": "scaled_power", "p": 2.0}; p is read for POWER_KINDS only."""
     if not isinstance(fragment, dict) or "kind" not in fragment:
         raise ConfigError("young: expected an object with a 'kind' field")
     kind = fragment["kind"]
-    if kind in ("power", "scaled_power", "conjugate_power"):
-        if "p" not in fragment:
-            raise ConfigError(f"young.p: required for kind {kind!r}")
+    if kind in POWER_KINDS and "p" in fragment:
         return YoungFunction(kind, p=_as_float(fragment["p"], "young.p"))
-    if kind in ("exp_type", "log_type"):
-        return YoungFunction(kind)
-    raise ConfigError(f"young.kind: unknown kind {kind!r}")
+    return YoungFunction(kind)
 
 
 def _conj_power_params(p: float) -> tuple[float, float]:
@@ -185,12 +181,12 @@ def derivative(phi: YoungFunction, x):
 
 
 def inverse(phi: YoungFunction, t):
-    """Nonnegative x with |phi(x) - t| <= BISECT_TOL * max(1, t), by the route of phi's kind.
+    """Nonnegative x with |phi(x) - t| <= INVERSE_TOL * max(1, t), by the route of phi's kind.
 
     - power, scaled_power, conjugate_power: closed form.
     - exp_type, log_type: Newton's method from an upper bracket, iterated until
       the decreasing iterate stops moving, i.e. to machine resolution.  It meets
-      BISECT_TOL (near float max it comes within about 1e-13 * t) and lands
+      INVERSE_TOL (near float max it comes within about 1e-13 * t) and lands
       within a few ulps of the root.  The passes run on one working set: while
       at least half its rows still move, a row that stopped is frozen in place
       (the next pass recomputes its same step, so it stays put), and once fewer
@@ -318,7 +314,7 @@ def conjugate_closed_form(phi: YoungFunction) -> YoungFunction:
     return _CONJUGATE_TABLE[phi.kind](phi)
 
 
-def conjugate_numeric(phi: YoungFunction, y, tol: float = CONJUGATE_TOL):
+def conjugate_numeric(phi: YoungFunction, y):
     """sup over x >= 0 of x*y - phi(x), by ternary search on the concave objective.
 
     Scalars and arrays of y are both accepted; a scalar gives a float.  Each row
@@ -328,59 +324,51 @@ def conjugate_numeric(phi: YoungFunction, y, tol: float = CONJUGATE_TOL):
     512-doubling budget (for log_type, y below 512 log 2 ~ 354.9); a row past it,
     or a phi growing at most linearly, raises BracketFailure naming the first such
     y in input order.  The ternary search then narrows [lo, hi] until
-    hi - lo <= tol * max(1, lo), or for at most 2000 passes, keeping the best
-    objective value it saw.  A negative y raises ValueError; y = 0 gives 0.
+    hi - lo <= CONJUGATE_TOL * max(1, lo), or for at most 2000 passes, keeping the
+    best objective value it saw.  Every pass runs on all rows, and a row that has
+    stopped keeps its values, so each row sees the same operations in the same
+    order as on its own.  A negative y raises ValueError; y = 0 gives 0.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     ys = np.asarray(y, dtype=float)
     if np.any(ys < 0):
         raise ValueError("conjugate argument must be nonnegative")
-    out = np.zeros(ys.size)  # y = 0 rows stay 0
-    rows = np.flatnonzero(ys.ravel() != 0.0)
-    ya = ys.ravel()[rows]
+    yy = ys.ravel()
+    positive = yy != 0.0  # y = 0 rows never search and give 0
 
-    def obj(x, yy):
+    def obj(x):
         v = x * yy - evaluate(phi, x)
         v[~np.isfinite(v)] = -math.inf
         return v
 
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = np.ones_like(ya)
-        todo = np.arange(ya.size)
-        prev = obj(hi, ya)
+        hi, go = np.ones_like(yy), positive.copy()
+        prev = obj(hi)
         for _ in range(512):
-            if not todo.size:
+            if not go.any():
                 break
-            nxt = obj(2.0 * hi[todo], ya[todo])
-            hi[todo] *= 2.0
-            rising = ~(nxt < prev)
-            todo, prev = todo[rising], nxt[rising]
-        if todo.size:
+            nxt = obj(2.0 * hi)
+            hi[go] *= 2.0
+            go &= ~(nxt < prev)
+            prev = nxt
+        if go.any():
             raise BracketFailure(
-                f"no bracket for the conjugate of {phi.kind} at y = {ya[todo[0]]:.17g}: the objective "
+                f"no bracket for the conjugate of {phi.kind} at y = {yy[go.argmax()]:.17g}: the objective "
                 "still rises at x = 2**512, where the doubling budget (512 doublings from x = 1) ends"
             )
 
-        # The rows still searching are held compacted in (todo, l, h, b, yy);
-        # a row that stops writes its bracket and best value back.
-        lo, best = np.zeros_like(ya), np.maximum(0.0, obj(hi, ya))
-        todo, l, h, b, yy = np.arange(ya.size), lo, hi, best, ya
+        lo, best, go = np.zeros_like(yy), np.maximum(0.0, obj(hi)), positive.copy()
         for _ in range(2000):
-            stop = h - l <= tol * np.maximum(1.0, l)
-            if stop.any():
-                done, go = todo[stop], ~stop
-                lo[done], hi[done], best[done] = l[stop], h[stop], b[stop]
-                todo, l, h, b, yy = todo[go], l[go], h[go], b[go], yy[go]
-            if not todo.size:
+            go &= ~(hi - lo <= CONJUGATE_TOL * np.maximum(1.0, lo))
+            if not go.any():
                 break
-            third = (h - l) / 3.0
-            m1, m2 = l + third, h - third
-            v = obj(np.concatenate((m1, m2)), np.concatenate((yy, yy)))
-            v1, v2 = v[: todo.size], v[todo.size :]
-            b = np.maximum(np.maximum(b, v1), v2)
-            l, h = np.where(v1 > v2, l, m1), np.where(v1 < v2, h, m2)  # ties narrow to (m1, m2)
-        lo[todo], hi[todo], best[todo] = l, h, b
-        out[rows] = np.maximum(best, obj(0.5 * (lo + hi), ya))
+            third = (hi - lo) / 3.0
+            m1, m2 = lo + third, hi - third
+            v1, v2 = obj(m1), obj(m2)
+            best = np.where(go, np.maximum(np.maximum(best, v1), v2), best)
+            lo = np.where(go & ~(v1 > v2), m1, lo)  # ties narrow to (m1, m2)
+            hi = np.where(go & ~(v1 < v2), m2, hi)
+        out = np.where(positive, np.maximum(best, obj(0.5 * (lo + hi))), 0.0)
     return float(out[0]) if scalar else out.reshape(ys.shape)
 
 

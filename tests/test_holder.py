@@ -304,6 +304,16 @@ class TestStreamedSearch:
         c1, c2 = normalization_constants(space, part, *scaled_pair(2.0), sample_budget=budget, seed=3)
         assert math.isnan(searched) and math.isnan(c1) and math.isnan(c2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_callers_errstate_reaches_every_range(self, monkeypatch):
+        # numpy's error state is per thread (per context from numpy 2), so the
+        # helper thread's range must be run under the caller's.
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
+        space, _ = build_symmetric_space(2)
+        with np.errstate(divide="ignore"):
+            (best,) = holder._search_max(space, 4, 0, lambda f, g: np.divide(f, 0.0))
+        assert best == math.inf
+
     def test_empty_budget_is_refused(self):
         space, part = build_symmetric_space(2)
         with pytest.raises(PreconditionViolated):

@@ -83,6 +83,7 @@ class TestScenarioSchema:
             ({"space": {"type": "explicit", "weights": [math.inf, 1]}, "partition": {"labels": [0, 0]}}, "scenario.space.weights"),
             # Each block's mass is finite; the space's total is not.
             ({"space": {"type": "explicit", "weights": [1.7e308] * 2}, "partition": {"labels": [0, 1]}}, "scenario.space.weights"),
+            ({"young": {"kind": "power"}}, "scenario.young.p"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -327,8 +328,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    # np.errstate below reaches the calling thread only, not the search's helper thread.
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
     def test_solver_out_of_budget_fails_its_suites(self, capsys, tmp_path):
         # |x|**p with p this close to 1 grows almost linearly, so the numeric
         # conjugate's bracket never closes within its doubling budget: the
@@ -440,6 +439,42 @@ class TestCli:
         assert code == 0 and "Traceback" not in err
         (check,) = json.loads(out, parse_constant=reject)["scenarios"][0]["suites"]["spectrum"]["checks"]
         assert check["name"] == "predicted_matches_oracle" and check["passed"] is True
+
+    # One block of equal atoms whose mean multiplier is 0 (or 1e-7): the block
+    # is nilpotent up to that mean, and eigvals resolves its zero only to about
+    # sqrt(eps) times the block's norm.
+    @pytest.mark.parametrize(
+        "u",
+        [[9, -3, -6], [9, -3, -5.9999997], [3, -1, -1, -1], [1e3, -1e3, 5, -5]],
+        ids=["mean-0", "mean-1e-7", "four-atoms", "large-pairs"],
+    )
+    def test_a_block_with_a_mean_near_zero_passes_every_suite(self, capsys, tmp_path, u):
+        cfg = tmp_path / "zero_mean.json"
+        space = {"type": "explicit", "weights": [1] * len(u)}
+        scenario = minimal_config(space=space, partition={"labels": [0] * len(u)}, u={"type": "explicit", "values": u})
+        cfg.write_text(json.dumps(scenario))
+        code = cli.main(["run", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        (check,) = json.loads(out)["scenarios"][0]["suites"]["spectrum"]["checks"]
+        assert check["name"] == "predicted_matches_oracle" and check["passed"] is True
+
+    def test_a_block_mean_off_by_1e_6_fails_spectrum(self, monkeypatch):
+        mat = materialize(builtin_scenario("spectrum-demo"))
+        true_means = operators.mean_multiplier
+        monkeypatch.setattr(operators, "mean_multiplier", lambda op: true_means(op) + [1e-6, 0.0])
+        (check,) = run_suite("spectrum", mat)["checks"]
+        assert check["name"] == "predicted_matches_oracle" and check["passed"] is False
+        assert check["value"] > check["tolerance"]
+
+    def test_an_oracle_rejection_fails_spectrum_without_a_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(len(m), 2.0 + 1e-3j))
+        code = cli.main(["run", "--config", "spectrum-demo", "--suite", "spectrum"])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err
+        (check,) = json.loads(out)["scenarios"][0]["suites"]["spectrum"]["checks"]
+        assert check["name"] == "oracle_rejected" and check["passed"] is False
+        assert "imaginary parts up to 0.001" in check["error"]
 
     def test_reports_are_deterministic_modulo_timing(self, capsys):
         def body():

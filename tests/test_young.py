@@ -155,7 +155,7 @@ def test_newton_inverse_matches_high_precision_roots(kind):
     for t, want, got in zip(targets, roots, batch):
         assert young.inverse(phi, t) == got  # independent of the batch
         assert abs(got - want) <= 1e-14 * want, (t, got, want)
-        assert abs(phi(got) - t) <= young.BISECT_TOL * max(1.0, t), t
+        assert abs(phi(got) - t) <= young.INVERSE_TOL * max(1.0, t), t
 
 
 @pytest.mark.parametrize("phi", [young.exp_type(), young.log_type()], ids=lambda phi: phi.kind)
@@ -288,7 +288,7 @@ def test_conjugate_numeric_golden_values():
     assert young.conjugate_numeric(young.scaled_power(2.0), 3.0) == pytest.approx(
         GOLDEN["scaled_power2_conjugate_at_3"], rel=1e-8
     )
-    assert young.conjugate_numeric(young.exp_type(), 1.0, tol=1e-8) == pytest.approx(
+    assert young.conjugate_numeric(young.exp_type(), 1.0) == pytest.approx(
         GOLDEN["exp_type_conjugate_at_1"], rel=1e-7
     )
     assert young.conjugate_numeric(young.power(3.0), 2.0) == pytest.approx(
@@ -312,7 +312,7 @@ def test_conjugate_consistency_on_log_grid():
     ys = np.logspace(-3, 3, 40)
     for phi in (young.scaled_power(1.5), young.scaled_power(3.0), young.power(2.0), young.power(3.0), young.exp_type()):
         want = young.evaluate(young.conjugate_closed_form(phi), ys)
-        got = young.conjugate_numeric(phi, ys, tol=1e-9)
+        got = young.conjugate_numeric(phi, ys)
         assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, want))
 
 
@@ -320,7 +320,7 @@ def test_biconjugation_recovers_scaled_power():
     phi = young.scaled_power(2.5)
     psi = young.conjugate_closed_form(phi)
     xs = np.logspace(-2, 2, 15)
-    twice = young.conjugate_numeric(psi, xs, tol=1e-9)
+    twice = young.conjugate_numeric(psi, xs)
     want = phi(xs)
     assert np.all(np.abs(twice - want) <= 1e-5 * np.maximum(1.0, want))
 
@@ -334,7 +334,7 @@ def test_bracket_failure_for_linear_growth():
 # The scalar ternary search that conjugate_numeric runs on every row at once,
 # kept as its oracle.  phi is evaluated on 1-element arrays: a 0-d x**p takes
 # another libm route and can differ from the array loop in the last ulp.
-def conjugate_scalar(phi, y, tol):
+def conjugate_scalar(phi, y):
     y = float(y)
     if y < 0:
         raise ValueError("conjugate argument must be nonnegative")
@@ -360,7 +360,7 @@ def conjugate_scalar(phi, y, tol):
     lo = 0.0
     best = max(0.0, obj(hi))
     for _ in range(2000):
-        if hi - lo <= tol * max(1.0, lo):
+        if hi - lo <= young.CONJUGATE_TOL * max(1.0, lo):
             break
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -388,31 +388,31 @@ ALL_KINDS = [
     young.log_type(),
 ]
 
-# Grids and tolerances for conjugate_numeric: the young-calculus suite's, its
-# one caller, and two more: three points and a coarse grid at 1e-10.
+# Grids for conjugate_numeric, all three at its one tolerance: the
+# young-calculus suite's (its one caller), three points, and a coarse 9-point
+# log grid.  The keys name the test ids, so the last two stay as they are.
 CALLER_GRIDS = {
-    "young-calculus": (np.logspace(-3, 3, 64), 1e-9),
-    "verify-pair": (np.array([0.25, 1.0, 4.0]), 1e-10),
-    "materialize": (np.logspace(-2, 2, 9), 1e-10),
+    "young-calculus": np.logspace(-3, 3, 64),
+    "verify-pair": np.array([0.25, 1.0, 4.0]),
+    "materialize": np.logspace(-2, 2, 9),
 }
 
 
 @pytest.mark.parametrize("grid", CALLER_GRIDS)
 @pytest.mark.parametrize("phi", ALL_KINDS, ids=lambda phi: f"{phi.kind}-{phi.p}")
 def test_batched_conjugate_is_the_scalar_oracle_bitwise(phi, grid):
-    grid, tol = CALLER_GRIDS[grid]
-    ys = np.concatenate(([0.0], grid, [0.0]))
+    ys = np.concatenate(([0.0], CALLER_GRIDS[grid], [0.0]))
     want = {}
     for y in ys:
         try:
-            want[y] = conjugate_scalar(phi, y, tol)
+            want[y] = conjugate_scalar(phi, y)
         except BracketFailure:
             pass  # log_type past y = 355: its maximiser lies beyond 2**512
     solved = np.array([y in want for y in ys])
     if not solved.all():
         with pytest.raises(BracketFailure):
-            young.conjugate_numeric(phi, ys, tol)
-    got = young.conjugate_numeric(phi, ys[solved], tol)
+            young.conjugate_numeric(phi, ys)
+    got = young.conjugate_numeric(phi, ys[solved])
     assert bits(got) == bits([want[y] for y in ys[solved]])
 
 
@@ -426,9 +426,9 @@ def test_batched_conjugate_is_the_scalar_oracle_bitwise(phi, grid):
 )
 def test_a_row_without_a_bracket_fails_both_routes(phi, ys):
     with pytest.raises(BracketFailure):
-        [conjugate_scalar(phi, y, 1e-9) for y in ys]
+        [conjugate_scalar(phi, y) for y in ys]
     with pytest.raises(BracketFailure):
-        young.conjugate_numeric(phi, np.array(ys), 1e-9)
+        young.conjugate_numeric(phi, np.array(ys))
 
 
 def test_bracket_failure_names_the_first_failing_y():
@@ -444,8 +444,8 @@ def test_bracket_failure_names_the_first_failing_y():
 @pytest.mark.parametrize("phi", ALL_KINDS[:4], ids=lambda phi: f"{phi.kind}-{phi.p}")
 def test_a_row_alone_equals_its_value_in_a_batch(phi):
     ys = np.logspace(-3, 3, 64)
-    batch = young.conjugate_numeric(phi, ys, 1e-9)
-    assert bits(batch[::7]) == bits([young.conjugate_numeric(phi, y, 1e-9) for y in ys[::7]])
+    batch = young.conjugate_numeric(phi, ys)
+    assert bits(batch[::7]) == bits([young.conjugate_numeric(phi, y) for y in ys[::7]])
 
 
 def test_conjugate_numeric_input_shapes():
@@ -649,6 +649,7 @@ def test_config_round_trip():
         ({"kind": "power", "p": 3}, young.power(3.0)),
         ({"kind": "exp_type"}, young.exp_type()),
         ({"kind": "log_type"}, young.log_type()),
+        ({"kind": "exp_type", "p": 3}, young.exp_type()),  # a stray p is ignored, so memos keyed by phi match
     ):
         assert young.from_config(fragment) == phi
 

@@ -5,9 +5,10 @@ Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
 as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
-own `orliczlab`) and UNEQUAL_BLOCKS, a search on a partition of unequal
-blocks, each at seeds 0, 1 and 2.  A builtin and UNEQUAL_BLOCKS run with
-`--seed`, a workload config is built at the seed.  Each tree also writes every
+own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
+blocks, and WIDE_BLOCKS, a search whose chunks are averaged both by member
+gather and by bincount, each at seeds 0, 1 and 2.  A builtin, UNEQUAL_BLOCKS
+and WIDE_BLOCKS run with `--seed`, a workload config is built at the seed.  Each tree also writes every
 builtin's operator with `export-matrix`.  The `timing` block is dropped, each report or
 CSV whose text or exit code differs is printed, the last line gives both
 totals, and the exit code is 1 if any differs, else 0.  For a differing pair
@@ -38,6 +39,15 @@ UNEQUAL_BLOCKS = {
     "young": {"kind": "scaled_power", "p": 3.0},
     "u": {"type": "generator", "name": "identity"},
     "budget": 12000,
+}
+# 16 rotation blocks of 8 members on 128 atoms, budget 8200: a search chunk of
+# at least 256 rows is averaged by member gather, a shorter one by bincount.
+WIDE_BLOCKS = {
+    "name": "wide-blocks",
+    "space": {"type": "rotation", "n": 8, "cells_per_block_orbit": 16},
+    "young": {"kind": "scaled_power", "p": 3.0},
+    "u": {"type": "law", "name": "reciprocal"},
+    "budget": 8200,
 }
 
 # Run under one tree: print the builtin names and every workload config.
@@ -75,10 +85,11 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
-    path = tmp / "unequal-blocks.json"
-    path.write_text(json.dumps(UNEQUAL_BLOCKS), encoding="utf-8")
-    for seed in SEEDS:
-        cases[f"unequal-blocks --seed {seed}"] = ["run", "--config", str(path), "--seed", str(seed)]
+    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS):
+        path = tmp / f"{cfg['name']}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for seed in SEEDS:
+            cases[f"{cfg['name']} --seed {seed}"] = ["run", "--config", str(path), "--seed", str(seed)]
     return cases
 
 
