@@ -14,14 +14,13 @@ from orliczlab import young
 from orliczlab.operators import (
     RefinementFamily,
     boundedness_classifier,
-    essential_norm_bound,
+    essential_gap,
     level_set,
     truncation_gap_check,
 )
 
 phi = young.scaled_power(2.0)
 psi = young.conjugate_closed_form(phi)
-C = 4.0  # squared domination constant for paired equal-weight atoms
 
 # ---------------------------------------------------------------------------
 # Level sets of the decaying multiplier u(j) = 1/j: the count of blocks above
@@ -34,11 +33,12 @@ for eps in (0.5, 0.2, 0.1, 0.05):
 
 # ---------------------------------------------------------------------------
 # Truncation: removing the blocks below level epsilon changes the operator by
-# at most C * epsilon in norm.  The gap estimate is a certified lower bound on
-# the true distance, so staying below the bound is a real check.
+# at most C * epsilon in norm, C = 4 the squared domination constant of paired
+# equal-weight atoms.  The gap estimate is a certified lower bound on the true
+# distance, so staying below the bound is a real check.
 print("\ntruncation gaps at m = 64:")
 for eps in (0.05, 0.2, 0.7):
-    report = truncation_gap_check(op, phi, psi, C, eps, budget=100, seed=1)
+    report = truncation_gap_check(op, phi, psi, eps, budget=100, seed=1)
     print(f"  epsilon {eps:<5} gap >= {report['gap_lower_bound']:.6f}, "
           f"bound C*eps = {report['bound']:.3f}, holds={report['holds']}")
 
@@ -46,11 +46,11 @@ for eps in (0.05, 0.2, 0.7):
 # The essential-norm surrogate beta_m: the smallest epsilon whose level set
 # fits in a quarter of the blocks.  Decay sends it to zero; flat pins it at 1.
 for law in ("reciprocal", "flat"):
-    fam = RefinementFamily(law, (16, 64, 256))
-    report = essential_norm_bound(fam, phi, psi, C, budget=60, seed=0)
-    betas = ", ".join(f"{b:.5f}" for b in report["betas"])
-    print(f"\n{law} family: beta_m = [{betas}]")
-    print(f"  decreasing={report['trend_decreasing']}, all gaps hold={report['all_gaps_hold']}")
+    rows = [essential_gap(m_op, phi, psi, seed=0) for _, m_op in RefinementFamily(law, (16, 64, 256)).members]
+    betas = [row["beta"] for row in rows]
+    decreasing = all(b2 <= b1 * 1.01 for b1, b2 in zip(betas, betas[1:]))
+    print(f"\n{law} family: beta_m = [{', '.join(f'{b:.5f}' for b in betas)}]")
+    print(f"  decreasing={decreasing}, all gaps hold={all(row['holds'] for row in rows)}")
 
 # ---------------------------------------------------------------------------
 # The classifier combines the trends into verdicts.  The conditional Hoelder

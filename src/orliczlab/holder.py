@@ -30,9 +30,9 @@ import threading
 import numpy as np
 
 from .errors import PreconditionViolated
-from .measure import MeasureSpace, Partition, block_mean, domination_constant
+from .measure import MeasureSpace, Partition, block_level, block_mean, domination_constant
 from .sampling import log_uniform_chunks
-from .young import YoungFunction, evaluate, inverse
+from .young import YoungFunction, evaluate
 
 __all__ = [
     "empirical_holder_constant",
@@ -67,8 +67,8 @@ def _holder_ratios(
     first and |fg| last, so no more than one (..., n) temporary is alive beside
     f and g.
     """
-    rhs = inverse(phi, block_mean(space, partition, evaluate(phi, f)))
-    rhs *= inverse(psi, block_mean(space, partition, evaluate(psi, g)))
+    rhs = block_level(space, partition, phi, f)
+    rhs *= block_level(space, partition, psi, g)
     fg = np.multiply(f, g)
     return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg)), rhs)
 
@@ -179,8 +179,7 @@ def normalization_constants(
     No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
     """
     def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
-        denom = inverse(theta, block_mean(space, partition, evaluate(theta, batch)))
-        x = denom[..., partition.labels]
+        x = block_level(space, partition, theta, batch)[..., partition.labels]
         return block_mean(space, partition, evaluate(theta, np.divide(batch, x, out=x)))
 
     c1, c2 = _search_max(space, sample_budget, seed, lambda f, g: normalized(phi, f), lambda f, g: normalized(psi, g))

@@ -31,6 +31,7 @@ __all__ = [
     "Partition",
     "as_values",
     "block_mean",
+    "block_level",
     "cond_exp",
     "build_symmetric_space",
     "build_rotation_space",
@@ -251,6 +252,14 @@ def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.
             index.ravel(), weights=chunk.ravel(), minlength=len(chunk) * k
         ).reshape(-1, k)
     return sums
+
+
+def block_level(space: MeasureSpace, partition: Partition, theta, values) -> np.ndarray:
+    """theta^{-1}(E(theta|values|)) per block, shape (..., n) -> (..., n_blocks):
+    the level of `values` in the conditional Hölder inequality.  theta is a
+    Young function, evaluated on |x| by calling it and inverted by its
+    .inverse; every level in the package is solved here."""
+    return theta.inverse(block_mean(space, partition, theta(values)))
 
 
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:

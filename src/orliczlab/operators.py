@@ -22,10 +22,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularLambda, SpectralOracleError
-from .measure import MeasureSpace, Partition, _rows, as_values, block_mean, cond_exp, once
+from .holder import domination_holder_constant
+from .measure import MeasureSpace, Partition, _rows, as_values, block_level, block_mean, cond_exp, once
 from .orlicz import luxemburg_norm
 from .sampling import signed_log_uniform
-from .young import YoungFunction, _stable_sup, check_delta_prime, evaluate, inverse
+from .young import YoungFunction, _stable_sup, check_delta_prime
 
 __all__ = [
     "WeightedConditionalExpectation",
@@ -40,7 +41,6 @@ __all__ = [
     "truncate",
     "truncation_gap_check",
     "essential_gap",
-    "essential_norm_bound",
     "spectrum",
     "resolvent_check",
     "boundedness_classifier",
@@ -116,7 +116,7 @@ def multiplier_levels(op: WeightedConditionalExpectation, psi: YoungFunction) ->
     """psi^{-1}(E(psi(|u|))) as one value per block; the level function of the theory.
 
     Solved once per operator and psi; every call returns that read-only array."""
-    return once(op, psi, lambda: inverse(psi, block_mean(op.space, op.partition, evaluate(psi, op.u))))
+    return once(op, psi, lambda: block_level(op.space, op.partition, psi, op.u))
 
 
 def _bound_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +147,7 @@ def norm_upper_bound(
     top = float(np.max(levels, where=~lost, initial=0.0))
     if not np.all(peaks[lost] <= top):
         top = math.nan
-    return C * top if levels.size else 0.0
+    return C * top
 
 
 # Random starts of norm_estimate, and how many of the best starts it ascends from.
@@ -270,20 +270,21 @@ def truncation_gap_check(
     op: WeightedConditionalExpectation,
     phi: YoungFunction,
     psi: YoungFunction,
-    C: float,
     epsilon: float,
     budget: int = 200,
     seed: int = 0,
 ) -> dict:
     """Estimate the norm of T minus its truncation and compare against C*epsilon.
 
-    T is linear in the multiplier, so the difference is the operator with
+    C is this operator's certified Hölder constant C0**2
+    (holder.domination_holder_constant on its space and partition).  T is
+    linear in the multiplier, so the difference is the operator with
     multiplier u minus the truncated multiplier; its estimated norm (a lower
     bound) must stay below C*epsilon up to TRUNCATION_GAP_TOL relative slack.
     """
     residual = op.with_multiplier(op.u - truncate(op, psi, epsilon).u)
     gap = norm_estimate(residual, phi, budget=budget, seed=seed)
-    bound = C * epsilon
+    bound = domination_holder_constant(op.space, op.partition) * epsilon
     return {
         "epsilon": float(epsilon),
         "gap_lower_bound": gap,
@@ -317,8 +318,9 @@ class RefinementFamily:
     def __post_init__(self) -> None:
         if self.law not in self.LAWS:
             raise ConfigError(f"u.name: unknown law {self.law!r}")
-        if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ConfigError("space.sizes: need strictly increasing block counts")
+        # One member is no trend: every trend check needs a second size.
+        if len(self.sizes) < 2 or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ConfigError("space.sizes: need at least two strictly increasing block counts")
         if self.atoms_per_block < 1:
             raise ConfigError("space.atoms_per_block: must be at least 1")
 
@@ -343,19 +345,15 @@ def law_values(law: str, m: int) -> np.ndarray:
     return np.asarray([fn(j) for j in range(1, m + 1)])
 
 
-# How far above beta the essential-norm surrogate tests the truncation gap.
+# How far above beta the essential-norm surrogate tests the truncation gap,
+# and the norm search budget it tests it with.
 ESSENTIAL_DELTA = 0.05
+ESSENTIAL_BUDGET = 150
 
 
-def essential_gap(
-    op: WeightedConditionalExpectation,
-    phi: YoungFunction,
-    psi: YoungFunction,
-    C: float,
-    budget: int,
-    seed: int,
-) -> dict:
-    """Truncation gap at epsilon = beta + ESSENTIAL_DELTA, checked against C*epsilon.
+def essential_gap(op: WeightedConditionalExpectation, phi: YoungFunction, psi: YoungFunction, seed: int) -> dict:
+    """Truncation gap at epsilon = beta + ESSENTIAL_DELTA, checked against C*epsilon
+    by truncation_gap_check with this operator's own C and ESSENTIAL_BUDGET.
 
     beta is the smallest epsilon whose level set fits within K = max(1,
     n_blocks // 4) blocks ("finitely many" at desk scale): the (K+1)-th
@@ -369,34 +367,8 @@ def essential_gap(
         beta = math.nan
     else:
         beta = float(levels[cutoff]) if levels.size > cutoff else 0.0
-    gap = truncation_gap_check(op, phi, psi, C, beta + ESSENTIAL_DELTA, budget=budget, seed=seed)
+    gap = truncation_gap_check(op, phi, psi, beta + ESSENTIAL_DELTA, budget=ESSENTIAL_BUDGET, seed=seed)
     return {"cutoff": cutoff, "beta": beta, **gap}
-
-
-def essential_norm_bound(
-    family: RefinementFamily,
-    phi: YoungFunction,
-    psi: YoungFunction,
-    C: float,
-    budget: int = 150,
-    seed: int = 0,
-) -> dict:
-    """Track the essential-norm surrogate beta_m across a refinement family.
-
-    Each member m runs essential_gap: beta_m is the smallest epsilon whose level
-    set fits within max(1, m // 4) blocks, and the truncation gap at
-    beta_m + ESSENTIAL_DELTA must stay below C*(beta_m + ESSENTIAL_DELTA).  The
-    sequence of beta_m values is reported as the trend.
-    """
-    rows = [{"m": m, **essential_gap(op, phi, psi, C, budget, seed)} for m, op in family.members]
-    betas = [row["beta"] for row in rows]
-    decreasing = all(b2 <= b1 * 1.01 for b1, b2 in zip(betas, betas[1:]))
-    return {
-        "members": rows,
-        "betas": betas,
-        "trend_decreasing": decreasing,
-        "all_gaps_hold": all(row["holds"] for row in rows),
-    }
 
 
 @dataclass(frozen=True)

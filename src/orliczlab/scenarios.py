@@ -97,8 +97,8 @@ def _parse_space(cfg, where: str = "scenario.space") -> dict:
         return {"type": "explicit", "weights": [_as_float(w, f"{where}.weights") for w in weights]}
     if kind == "family":
         sizes = _require(cfg, "sizes", where)
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError(f"{where}.sizes: expected a nonempty list of block counts")
+        if not isinstance(sizes, list):  # RefinementFamily checks their count and order
+            raise ConfigError(f"{where}.sizes: expected a list of block counts")
         return {
             "type": "family",
             "sizes": [_as_positive_int(s, f"{where}.sizes") for s in sizes],
@@ -145,9 +145,12 @@ def from_config(cfg: dict) -> Scenario:
     name = _require(cfg, "name", "scenario")
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario.name: expected a nonempty string")
+    description = cfg.get("description", "")
+    if not isinstance(description, str):
+        raise ConfigError("scenario.description: expected a string")
     young_cfg = _require(cfg, "young", "scenario")
     try:
-        young_mod.from_config(young_cfg)
+        phi = young_mod.from_config(young_cfg)
     except ConfigError as exc:
         raise ConfigError(f"scenario.{exc}") from exc
     partition = cfg.get("partition")
@@ -157,9 +160,9 @@ def from_config(cfg: dict) -> Scenario:
         partition = {"labels": [_as_int(l, "scenario.partition.labels") for l in partition["labels"]]}
     return Scenario(
         name=name,
-        description=str(cfg.get("description", "")),
+        description=description,
         space=_parse_space(_require(cfg, "space", "scenario")),
-        young=dict(young_cfg),
+        young={"kind": phi.kind, "p": phi.p} if phi.kind in young_mod.POWER_KINDS else {"kind": phi.kind},
         u=_parse_u(_require(cfg, "u", "scenario")),
         partition=partition,
         seed=as_seed(cfg.get("seed", 0), "scenario.seed"),

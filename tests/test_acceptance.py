@@ -21,7 +21,7 @@ from orliczlab.operators import (
     RefinementFamily,
     WeightedConditionalExpectation,
     boundedness_classifier,
-    essential_norm_bound,
+    essential_gap,
     mean_multiplier,
     norm_estimate,
     norm_upper_bound,
@@ -277,7 +277,8 @@ def test_criterion_08_truncation_gap(announce):
     for m, op in family.members:
         assert domination_constant(op.space, op.partition) == pytest.approx(2.0)
         for eps in eps_grid:
-            report = truncation_gap_check(op, phi, psi, C, float(eps), budget=80, seed=m)
+            report = truncation_gap_check(op, phi, psi, float(eps), budget=80, seed=m)
+            assert report["bound"] == pytest.approx(C * eps, rel=1e-15)
             worst = max(worst, report["gap_lower_bound"] / report["bound"])
             assert report["holds"], report
     ok = worst <= 1.0 + 1e-6
@@ -294,27 +295,27 @@ def test_criterion_09_essential_norm_trend(announce):
     # Decay family: thresholds decrease toward zero with bounded gaps;
     # flat family: thresholds pin at the flat level.
     phi, psi = power_pair(2.0)
-    decay = essential_norm_bound(
-        RefinementFamily("reciprocal", (16, 64, 256)), phi, psi, C=4.0, budget=60, seed=9
+    decay, flat = (
+        [essential_gap(op, phi, psi, 9) for _, op in RefinementFamily(law, (16, 64, 256)).members]
+        for law in ("reciprocal", "flat")
     )
-    flat = essential_norm_bound(
-        RefinementFamily("flat", (16, 64, 256)), phi, psi, C=4.0, budget=60, seed=9
-    )
+    decay_betas = [row["beta"] for row in decay]
+    flat_betas = [row["beta"] for row in flat]
     decay_ok = (
-        decay["trend_decreasing"]
-        and decay["all_gaps_hold"]
-        and decay["betas"][-1] <= 0.1 * decay["betas"][0]
+        all(b2 <= b1 * 1.01 for b1, b2 in zip(decay_betas, decay_betas[1:]))
+        and all(row["holds"] for row in decay)
+        and decay_betas[-1] <= 0.1 * decay_betas[0]
     )
-    flat_ok = flat["all_gaps_hold"] and all(
-        b == pytest.approx(1.0, rel=1e-9) for b in flat["betas"]
+    flat_ok = all(row["holds"] for row in flat) and all(
+        b == pytest.approx(1.0, rel=1e-9) for b in flat_betas
     )
     ok = decay_ok and flat_ok
     announce(
         9,
         "essential norm trend",
         ok,
-        f"decay betas {['%.4g' % b for b in decay['betas']]} decreasing toward 0, "
-        f"flat betas {['%.4g' % b for b in flat['betas']]} stable",
+        f"decay betas {['%.4g' % b for b in decay_betas]} decreasing toward 0, "
+        f"flat betas {['%.4g' % b for b in flat_betas]} stable",
     )
     assert ok
 

@@ -18,7 +18,7 @@ import pytest
 
 from orliczlab.operators import WeightedConditionalExpectation
 from orliczlab.scenarios import BUILTIN_ORDER, builtin_scenario, materialize
-from orliczlab.suites import SUITE_ORDER, run_all_suites
+from orliczlab.suites import run_all_suites
 
 FROZEN_PATH = pathlib.Path(__file__).parent / "builtin_matrix.json"
 PINNED = (
@@ -38,8 +38,8 @@ PINNED_BOUNDS = (
 ALLOWED_FAILURES = {("example-1.6b", "jensen", "convexity_inequality")}
 
 
-def run_builtin(name: str, suites=SUITE_ORDER) -> dict[str, dict]:
-    report = run_all_suites(materialize(builtin_scenario(name)), suites)
+def run_builtin(name: str) -> dict[str, dict]:
+    report = run_all_suites(materialize(builtin_scenario(name)))
     return {
         f"{suite}/{check['name']}": check
         for suite, result in report["suites"].items()
@@ -74,13 +74,11 @@ def frozen():
 @pytest.mark.parametrize("name", BUILTIN_ORDER)
 def test_builtin_through_every_suite(name, frozen, monkeypatch):
     def refuse(_op):
-        raise AssertionError("dense matrix read outside the spectrum suite")
+        raise AssertionError("dense matrix read by a suite")
 
-    # Only the spectrum oracle may build the dense matrix.
+    # No suite builds the dense matrix: the spectrum oracle reads block_rows.
     monkeypatch.setattr(WeightedConditionalExpectation, "matrix", property(refuse))
-    checks = run_builtin(name, [s for s in SUITE_ORDER if s != "spectrum"])
-    monkeypatch.undo()
-    checks.update(run_builtin(name, ["spectrum"]))
+    checks = run_builtin(name)
     assert checks.keys() == frozen[name].keys()
     for key, check in checks.items():
         suite, check_name = key.split("/")

@@ -261,13 +261,16 @@ class TestStreamedSearch:
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
     def test_a_range_failure_reaches_the_caller_after_every_join(self, monkeypatch, where):
+        inverse = young.inverse
+
         def failing_inverse(theta, t):
             if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
                 raise BracketFailure(f"planted in the {where} thread")
-            return young.inverse(theta, t)
+            return inverse(theta, t)
 
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
-        monkeypatch.setattr(holder, "inverse", failing_inverse)
+        # measure.block_level inverts every level through YoungFunction.inverse.
+        monkeypatch.setattr(young, "inverse", failing_inverse)
         space, part = build_symmetric_space(4)
         before = threading.active_count()
         for search in (empirical_holder_constant, normalization_constants):

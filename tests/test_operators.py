@@ -20,7 +20,7 @@ from orliczlab.operators import (
     RefinementFamily,
     WeightedConditionalExpectation,
     boundedness_classifier,
-    essential_norm_bound,
+    essential_gap,
     law_values,
     level_set,
     mean_multiplier,
@@ -283,7 +283,7 @@ class TestBatchedNormSearch:
     def test_equals_the_sequential_search_bitwise(self):
         # 10, 2 and 38 atoms, then 48 atoms of which 32 coordinates are sampled.
         ops = [random_op(700, n_hi=40)[0], random_op(701)[0], random_op(703, n_hi=40)[0]]
-        ops.append(RefinementFamily("reciprocal", (24,)).member(24))
+        ops.append(RefinementFamily("reciprocal", (12, 24)).member(24))
         kinds = (young.scaled_power(2.0), young.exp_type(), young.conjugate_power(3.0), young.exp_type())
         ran_out_mid_sweep = over_budget = 0
         for k, (op, phi) in enumerate(zip(ops, kinds)):
@@ -366,7 +366,7 @@ class TestLevelSetsAndTruncation:
         op = WeightedConditionalExpectation(space, part, np.zeros(6))
         phi, psi = pair(2.0)
         assert level_set(op, psi, 0.5).size == 0
-        report = truncation_gap_check(op, phi, psi, C=4.0, epsilon=0.5, budget=50, seed=0)
+        report = truncation_gap_check(op, phi, psi, epsilon=0.5, budget=50, seed=0)
         assert report["holds"]
         assert report["gap_lower_bound"] == 0.0
 
@@ -375,8 +375,9 @@ class TestLevelSetsAndTruncation:
         op = family.member(16)
         phi, psi = pair(2.0)
         for eps in (0.05, 0.2, 0.7):
-            report = truncation_gap_check(op, phi, psi, C=4.0, epsilon=eps, budget=80, seed=1)
+            report = truncation_gap_check(op, phi, psi, epsilon=eps, budget=80, seed=1)
             assert report["holds"], report
+            assert report["bound"] == 4.0 * eps  # C0 = 2 for paired equal-weight atoms
 
     def test_distinct_blocks_keep_images_apart(self):
         # Unit-norm indicators of blocks with |E(u)| >= eps0 have pairwise
@@ -426,21 +427,24 @@ class TestRefinementFamily:
             RefinementFamily("flat", (4, 8), atoms_per_block=0)
 
 
+def member_gaps(law, sizes):
+    """essential_gap at seed 0 on every member of a refinement family, in size order."""
+    phi, psi = pair(2.0)
+    return [essential_gap(op, phi, psi, 0) for _, op in RefinementFamily(law, sizes).members]
+
+
 class TestEssentialNorm:
     def test_decay_family_threshold_vanishes(self):
-        family = RefinementFamily("reciprocal", (16, 64, 256))
-        phi, psi = pair(2.0)
-        report = essential_norm_bound(family, phi, psi, C=4.0, budget=60, seed=0)
-        assert report["betas"] == pytest.approx([1.0 / 5.0, 1.0 / 17.0, 1.0 / 65.0])
-        assert report["trend_decreasing"]
-        assert report["all_gaps_hold"]
+        rows = member_gaps("reciprocal", (16, 64, 256))
+        betas = [row["beta"] for row in rows]
+        assert betas == pytest.approx([1.0 / 5.0, 1.0 / 17.0, 1.0 / 65.0])
+        assert betas[0] > betas[1] > betas[2]
+        assert all(row["holds"] for row in rows)
 
     def test_flat_family_threshold_stabilizes(self):
-        family = RefinementFamily("flat", (16, 64))
-        phi, psi = pair(2.0)
-        report = essential_norm_bound(family, phi, psi, C=4.0, budget=60, seed=0)
-        assert report["betas"] == pytest.approx([1.0, 1.0])
-        assert report["all_gaps_hold"]
+        rows = member_gaps("flat", (16, 64))
+        assert [row["beta"] for row in rows] == pytest.approx([1.0, 1.0])
+        assert all(row["holds"] for row in rows)
 
 
 class TestSpectrum:

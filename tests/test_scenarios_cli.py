@@ -15,6 +15,7 @@ import pytest
 from orliczlab import cli, operators, young
 from orliczlab import suites as suites_mod
 from orliczlab.errors import ConfigError
+from orliczlab.holder import domination_holder_constant
 from orliczlab.scenarios import (
     BUILTIN_ORDER,
     builtin_scenario,
@@ -46,6 +47,14 @@ class TestScenarioSchema:
         s = from_config(minimal_config())
         assert s.seed == 0
         assert s.budget == 10_000
+
+    def test_young_is_kept_as_the_fields_read(self):
+        # kind, plus a float p for the power kinds; any other key is dropped.
+        for young_cfg, kept in (
+            ({"kind": "exp_type", "p": 3, "junk": 1}, {"kind": "exp_type"}),
+            ({"kind": "power", "p": 3, "junk": 1}, {"kind": "power", "p": 3.0}),
+        ):
+            assert from_config(minimal_config(young=young_cfg)).young == kept
 
     def test_a_stale_conjugate_mode_key_is_ignored(self):
         # No field reads conjugate_mode, so like any unknown key it is ignored.
@@ -84,6 +93,14 @@ class TestScenarioSchema:
             # Each block's mass is finite; the space's total is not.
             ({"space": {"type": "explicit", "weights": [1.7e308] * 2}, "partition": {"labels": [0, 1]}}, "scenario.space.weights"),
             ({"young": {"kind": "power"}}, "scenario.young.p"),
+            # One member is no trend: a family needs two sizes or more.
+            *(
+                ({"space": {"type": "family", "sizes": [64], "atoms_per_block": 2}, "u": {"type": "law", "name": law}}, "scenario.space.sizes")
+                for law in ("reciprocal", "flat", "log_growth")
+            ),
+            ({"space": {"type": "family", "sizes": []}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
+            ({"space": {"type": "family", "sizes": 64}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
+            ({"description": 7}, "scenario.description"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -114,13 +131,25 @@ class TestMaterialize:
                 assert mat.operator is mat.family.members[1][1]
 
     def test_family_suites_solve_each_members_levels_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(operators, "inverse", lambda *a: calls.append(a) or young.inverse(*a))
+        calls, inverse = [], young.inverse
+        # measure.block_level inverts every level through YoungFunction.inverse.
+        monkeypatch.setattr(young, "inverse", lambda *a: calls.append(a) or inverse(*a))
         mat = materialize(builtin_scenario("decay-family"))
         for name in ("boundedness", "compactness-trend", "essential-norm"):
             assert run_suite(name, mat)["passed"], name
         assert len(mat.family.members) == 3
         assert len(calls) == 3
+
+    def test_each_members_gap_bound_uses_that_members_constant(self):
+        # Seven atoms of weight 1/n per block: C0**2 reads 49.0 on some members
+        # and a neighbour of it on others.
+        space = {"type": "family", "sizes": [3, 10, 33, 100], "atoms_per_block": 7}
+        mat = materialize(from_config(minimal_config(space=space, u={"type": "law", "name": "flat"})))
+        (check,) = [c for c in run_suite("essential-norm", mat)["checks"] if c["name"] == "gap_within_scaled_threshold"]
+        constants = [domination_holder_constant(op.space, op.partition) for _, op in mat.family.members]
+        assert len(set(constants)) > 1
+        for C, row in zip(constants, check["members"], strict=True):
+            assert row["bound"] == C * row["epsilon"], (row["m"], C)
 
     def test_spectrum_demo_objects(self):
         mat = materialize(builtin_scenario("spectrum-demo"))
