@@ -146,12 +146,15 @@ def _strict(obj):
 
 
 def _render_table(report: dict) -> str:
+    """The checks, scenario by scenario, with each scenario's and each suite's seconds from `timing`."""
     lines = []
-    for section in report["scenarios"]:
+    timing = report["timing"]
+    for section, seconds in zip(report["scenarios"], timing["scenarios"]):
         name = section["scenario"]["name"]
         status = "PASS" if section["passed"] else "FAIL"
-        lines.append(f"scenario {name}: {status}")
+        lines.append(f"scenario {name}: {status} in {seconds['seconds']:.3f} s")
         for suite_name, suite in section["suites"].items():
+            lines.append(f"  {suite_name:<18} {seconds['suites'][suite_name]:.3f} s")
             for check in suite["checks"]:
                 mark = "PASS" if check["passed"] else "FAIL"
                 value = check.get("value")
@@ -162,7 +165,10 @@ def _render_table(report: dict) -> str:
                     f"  {suite_name:<18} {check['name']:<38} {mark:<4} "
                     f"value={val_s:<12} bound={bnd_s}"
                 )
-    lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+    lines.append(
+        f"overall: {'PASS' if report['passed'] else 'FAIL'} in {timing['total_seconds']:.3f} s "
+        f"on {timing['workers']} worker(s)"
+    )
     return "\n".join(lines) + "\n"
 
 

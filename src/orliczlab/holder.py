@@ -96,7 +96,9 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     ranges.  Range 0 runs on the calling thread and each other range on its
     own thread; numpy releases the GIL in the draws and kernels, so the ranges
     run in parallel.  Each range streams _SEARCH_CHUNK // W elements at a
-    time, so as many elements are in flight as with one range, and folds
+    time, so as many elements are in flight as with one range, drawn in place
+    into one pair of buffers that the range owns (a chunk is valid until the
+    next is drawn, so each is scored before the next), and folds
     np.maximum(best, np.max(score(f, g))) from -inf, one score after the
     other, under the caller's np.geterr().  The ranges then combine by
     np.maximum.reduce.  Every thread is joined before this returns, and the
@@ -148,9 +150,10 @@ def empirical_holder_constant(
     search reaches both scale extremes where non-homogeneous kinds misbehave.
     The samples are the two (budget, n) batches that signed_log_uniform draws
     in turn from default_rng(seed), scored in W contiguous row ranges in
-    parallel (_search_max), chunk by chunk, so memory stays bounded whatever
-    the budget.  The ratio reads only |f|, |g| and |fg| = |f|*|g| (exact in
-    IEEE arithmetic), so the ranges score the magnitudes alone.  The result is
+    parallel (_search_max), chunk by chunk, each range drawing its chunks into
+    draw buffers it owns, so memory stays bounded whatever the budget.  The
+    ratio reads only |f|, |g| and |fg| = |f|*|g| (exact in IEEE arithmetic),
+    so the ranges score the magnitudes alone.  The result is
     the largest ratio over every (sample, block), NaN if any is NaN: bit for
     bit np.max over the whole batch, whatever W and the chunk size.
     """

@@ -182,6 +182,21 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def drawn_chunks(*args):
+    """log_uniform_chunks(*args) as a list of copies, each taken before the next chunk is drawn.
+
+    One call draws every chunk into the same two buffers, so consecutive chunks
+    must share memory with the one before them.
+    """
+    chunks, previous = [], None
+    for f, g in log_uniform_chunks(*args):
+        if previous is not None:
+            assert np.shares_memory(f, previous[0]) and np.shares_memory(g, previous[1])
+        chunks.append((f.copy(), g.copy()))
+        previous = f, g
+    return chunks
+
+
 ODD_SPACE = (MeasureSpace(np.ones(127)), Partition(np.arange(127) % 5))  # 37 * 127 is odd
 CASES = {
     "odd-power": (ODD_SPACE, scaled_pair(2.0), 37, 11),
@@ -205,7 +220,7 @@ class TestStreamedSearch:
         rng = np.random.default_rng(rows + n)
         first = np.abs(signed_log_uniform(rng, (rows, n)))
         second = np.abs(signed_log_uniform(rng, (rows, n)))
-        chunks = list(log_uniform_chunks(rows + n, (rows, n), chunk_rows))
+        chunks = drawn_chunks(rows + n, (rows, n), chunk_rows)
         assert [len(f) for f, _ in chunks][:-1] == [chunk_rows] * (len(chunks) - 1)
         assert bits(np.concatenate([f for f, _ in chunks])) == bits(first)
         assert bits(np.concatenate([g for _, g in chunks])) == bits(second)
@@ -213,7 +228,7 @@ class TestStreamedSearch:
         # where the first batch's N one-half-word signs end inside a word.
         for start in range(rows):
             for stop in range(start + 1, rows + 1):
-                chunks = list(log_uniform_chunks(rows + n, (rows, n), chunk_rows, start, stop))
+                chunks = drawn_chunks(rows + n, (rows, n), chunk_rows, start, stop)
                 sizes = [min(chunk_rows, stop - lo) for lo in range(start, stop, chunk_rows)]
                 assert [len(f) for f, _ in chunks] == sizes
                 assert bits(np.concatenate([f for f, _ in chunks])) == bits(first[start:stop])

@@ -538,6 +538,18 @@ class TestCli:
         assert "scenario spectrum-demo: PASS" in out
         assert "overall: PASS" in out
 
+    def test_table_prints_the_seconds_of_each_scenario_and_suite(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        args = ["run", "--config", "spectrum-demo", "--suite", "spectrum", "--suite", "jensen"]
+        assert cli.main([*args, "--format", "table", "--out", str(out_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        timing = json.loads(out_path.read_text())["timing"]
+        (scenario,) = timing["scenarios"]
+        assert lines[0] == f"scenario spectrum-demo: PASS in {scenario['seconds']:.3f} s"
+        for suite, seconds in scenario["suites"].items():
+            assert f"  {suite:<18} {seconds:.3f} s" in lines
+        assert lines[-1] == f"overall: PASS in {timing['total_seconds']:.3f} s on 1 worker(s)"
+
     def test_report_is_strict_json(self, capsys, tmp_path):
         # Extreme but valid input: the search bound C0**2 overflows to inf, and
         # exp_type overflows inside the Jensen check, whose gap is then NaN.

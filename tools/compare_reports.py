@@ -6,16 +6,17 @@ OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
 as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
-blocks, and WIDE_BLOCKS, a search whose chunks are averaged both by member
-gather and by bincount, each at seeds 0, 1 and 2.  A builtin, UNEQUAL_BLOCKS
-and WIDE_BLOCKS run with `--seed`, a workload config is built at the seed.  Each tree also writes every
-builtin's operator with `export-matrix`.  The `timing` block is dropped, each report or
-CSV whose text or exit code differs is printed, the last line gives both
-totals, and the exit code is 1 if any differs, else 0.  For a differing pair
-of reports the line also gives the number of checks whose `passed` flipped and
-the largest relative move |new - old| / max(1, |old|) of any number found at
-the same place in both, with its path.  Standard library only; runs one child
-at a time.
+blocks, WIDE_BLOCKS, a search whose chunks are averaged both by member
+gather and by bincount, and SYMMETRIC_2048, the largest search, each at
+seeds 0, 1 and 2.  A builtin, UNEQUAL_BLOCKS, WIDE_BLOCKS and SYMMETRIC_2048
+run with `--seed`, a workload config is built at the seed.  Each tree also
+writes every builtin's operator with `export-matrix`.  The `timing` block is
+dropped, each report or CSV whose text or exit code differs is printed, the
+last line gives both totals, and the exit code is 1 if any differs, else 0.
+For a differing pair of reports the line also gives the number of checks
+whose `passed` flipped and the largest relative move |new - old| / max(1,
+|old|) of any number found at the same place in both, with its path.
+Standard library only; runs one child at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ WIDE_BLOCKS = {
     "young": {"kind": "scaled_power", "p": 3.0},
     "u": {"type": "law", "name": "reciprocal"},
     "budget": 8200,
+}
+# The 2048-atom scenario of the symmetric-sweep workload at its default budget
+# of 10000: one search range reads 128-row chunks from one buffer pair and ends
+# on 16 rows, two ranges read 64-row chunks and end on 8.
+SYMMETRIC_2048 = {
+    "name": "symmetric-2048",
+    "space": {"type": "symmetric", "n_half": 1024},
+    "young": {"kind": "scaled_power", "p": 2.0},
+    "u": {"type": "generator", "name": "random_uniform", "seed": 7},
 }
 
 # Run under one tree: print the builtin names and every workload config.
@@ -85,7 +95,7 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
-    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS):
+    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS, SYMMETRIC_2048):
         path = tmp / f"{cfg['name']}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for seed in SEEDS:
