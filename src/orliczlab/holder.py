@@ -19,6 +19,9 @@ np.maximum.reduce.  The maximum propagates NaN and does not depend on the
 order it is taken in, so every result is bit for bit np.max over the one-shot
 batch, whatever W and the chunk size.  Every score reads a sample only
 through |f| and |g|, so the ranges draw the magnitudes alone and no sign is drawn.
+Each range scores its chunks in one young.Workspace of its own: the
+evaluations, block means, levels and Newton passes write into its arrays,
+allocated at the range's first chunk and reused by the rest.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import PreconditionViolated
 from .measure import MeasureSpace, Partition, block_level, block_mean, domination_constant
 from .sampling import log_uniform_chunks
-from .young import YoungFunction, evaluate
+from .young import Workspace, YoungFunction, evaluate
 
 __all__ = [
     "empirical_holder_constant",
@@ -58,23 +61,33 @@ def _holder_ratios(
     psi: YoungFunction,
     f: np.ndarray,
     g: np.ndarray,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Blockwise E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))], (..., n) -> (..., n_blocks).
 
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
-    The elementwise passes run in place on arrays this call made, the inverses
-    first and |fg| last, so no more than one (..., n) temporary is alive beside
-    f and g.
+
+    Workspace contract: every pass writes into `work` (a search range's, else
+    one made for this call), reading f and g and writing neither.  The two
+    levels go into its (2, ..., n_blocks) array "holder.levels", each solved
+    in place there by block_level with phi and psi bound to `work`; phi|f|,
+    psi|g| and then |fg| go into its (..., n) array "atoms"; the block means
+    of |fg| overwrite the second level once the first holds the product.  The
+    result is that row of "holder.levels", valid until the next call.
     """
-    rhs = block_level(space, partition, phi, f)
-    rhs *= block_level(space, partition, psi, g)
-    fg = np.multiply(f, g)
-    return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg)), rhs)
+    work = Workspace() if work is None else work
+    levels = work.array("holder.levels", (2, *f.shape[:-1], partition.n_blocks))
+    rhs = block_level(space, partition, phi.using(work), f, out=levels[0])
+    rhs *= block_level(space, partition, psi.using(work), g, out=levels[1])
+    fg = np.multiply(f, g, out=work.array("atoms", f.shape))
+    return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg), out=levels[1], work=work), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Elementwise lhs/rhs, written into lhs, with the conventions 0/0 -> 0 and positive/0 -> inf."""
+    if np.min(rhs, initial=math.inf) > 0.0:  # no zero (and no NaN) to take a convention
+        return np.divide(lhs, rhs, out=lhs)
     zero = rhs == 0.0
     np.divide(lhs, rhs, out=lhs, where=~zero)
     if zero.any():
@@ -103,6 +116,13 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     other, under the caller's np.geterr().  The ranges then combine by
     np.maximum.reduce.  Every thread is joined before this returns, and the
     first range's exception (a helper's BracketFailure, say) is raised here.
+
+    Workspace contract: a range calls every score from its own thread, chunk
+    after chunk, largest chunk first, so a score that keeps one Workspace per
+    thread (_range_workspaces) gives each range one set of arrays, allocated
+    at its first chunk and reused by the rest.  A score's result is read
+    (np.max) before the next score or chunk runs, so it may be a view into
+    that workspace.
     """
     if budget < 1:
         raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
@@ -136,6 +156,21 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     return np.maximum.reduce(results)
 
 
+def _range_workspaces():
+    """work() for the scores of one search: the Workspace of the calling
+    thread, so of the row range that thread runs, made at the range's first
+    chunk and dropped when its thread ends (the caller's range: with the
+    search)."""
+    local = threading.local()
+
+    def work() -> Workspace:
+        if not hasattr(local, "work"):
+            local.work = Workspace()
+        return local.work
+
+    return work
+
+
 def empirical_holder_constant(
     space: MeasureSpace,
     partition: Partition,
@@ -153,11 +188,13 @@ def empirical_holder_constant(
     parallel (_search_max), chunk by chunk, each range drawing its chunks into
     draw buffers it owns, so memory stays bounded whatever the budget.  The
     ratio reads only |f|, |g| and |fg| = |f|*|g| (exact in IEEE arithmetic),
-    so the ranges score the magnitudes alone.  The result is
+    so the ranges score the magnitudes alone, each chunk in its range's
+    workspace (_holder_ratios).  The result is
     the largest ratio over every (sample, block), NaN if any is NaN: bit for
     bit np.max over the whole batch, whatever W and the chunk size.
     """
-    (best,) = _search_max(space, budget, seed, lambda f, g: _holder_ratios(space, partition, phi, psi, f, g))
+    work = _range_workspaces()
+    (best,) = _search_max(space, budget, seed, lambda f, g: _holder_ratios(space, partition, phi, psi, f, g, work()))
     return float(best)
 
 
@@ -180,10 +217,24 @@ def normalization_constants(
     in empirical_holder_constant; each constant is bit for bit np.max over the
     one-shot batch, NaN if any value is NaN, whatever W and the chunk size.
     No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
+
+    Workspace contract: each range scores its chunks in one Workspace, as
+    _holder_ratios does.  The level goes into the first row of its
+    "holder.levels" (block_level solves it there in place), is spread over
+    the atoms into its "atoms" array, divides the batch there and is
+    evaluated there in place, and the block means go into the second row;
+    the batch itself is not written.
     """
+    work = _range_workspaces()
+
     def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
-        x = block_level(space, partition, theta, batch)[..., partition.labels]
-        return block_mean(space, partition, evaluate(theta, np.divide(batch, x, out=x)))
+        ws = work()
+        theta = theta.using(ws)
+        levels = ws.array("holder.levels", (2, *batch.shape[:-1], partition.n_blocks))
+        level = block_level(space, partition, theta, batch, out=levels[0])
+        x = np.take(level, partition.labels, axis=-1, out=ws.array("atoms", batch.shape), mode="clip")
+        evaluate(theta, np.divide(batch, x, out=x), out=x)
+        return block_mean(space, partition, x, out=levels[1], work=ws)
 
     c1, c2 = _search_max(space, sample_budget, seed, lambda f, g: normalized(phi, f), lambda f, g: normalized(psi, g))
     return float(c1), float(c2)

@@ -100,8 +100,8 @@ class Partition:
         lab = np.asarray(self.labels, dtype=int)
         if lab.ndim != 1 or lab.size == 0:
             raise ConfigError("partition.labels: need a nonempty 1D array")
-        uniq = np.unique(lab)
-        if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
+        # The max bound first, so that bincount never sizes its count by a stray label.
+        if not (lab.min() == 0 and lab.max() < lab.size and np.all(np.bincount(lab))):
             raise ConfigError("partition.labels: block ids must be 0..n_blocks-1 with no gaps")
         lab = lab.copy()
         lab.setflags(write=False)
@@ -205,7 +205,7 @@ _GATHER_RANKS = 16
 _GATHER_VALUES = 4096
 
 
-def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
+def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work=None) -> np.ndarray:
     """Weighted mean of `values` over each block: shape (..., n) -> (..., n_blocks).
 
     The one block-averaging kernel.  The values are summed by member gather
@@ -214,36 +214,50 @@ def block_mean(space: MeasureSpace, partition: Partition, values) -> np.ndarray:
     strategy adds w_i * x_i to +0.0 in ascending atom order per block, as a
     bincount does, so the sums are the same to the bit either way and a
     batched row equals a single call on it.
+
+    out: a C-contiguous float array of shape (..., n_blocks) that receives
+    the means; the member gather then takes its one other array of that
+    shape from `work` (a young.Workspace) when one is given, so it allocates
+    nothing.  bincount's own temporaries stay below _BLOCK_MEAN_CHUNK values.
     """
     values = _rows(space, values)
     mass = partition.block_measures(space)
     rows = values.reshape(-1, space.n_atoms)
+    sums = None if out is None else out.reshape(rows.shape[0], partition.n_blocks)
     ranks = partition._ranks
     if ranks is not None and len(ranks) <= _GATHER_RANKS and rows.size >= _GATHER_VALUES * len(ranks):
-        sums = _gather_sums(space.weights, partition, rows)
+        part = None if work is None else work.array("scratch", (rows.shape[0], partition.n_blocks))
+        sums = _gather_sums(space.weights, partition, rows, sums, part)
     else:
-        sums = _bincount_sums(space.weights, partition, rows)
+        sums = _bincount_sums(space.weights, partition, rows, sums)
     sums /= mass
     return sums.reshape(values.shape[:-1] + (partition.n_blocks,))
 
 
-def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
-    """Block sums of (rows, n) by member rank (Partition._ranks): the rank-0
-    members' w * x plus +0.0, then one in-place add per further rank."""
+def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, acc=None, part=None) -> np.ndarray:
+    """Block sums of (rows, n) by member rank (Partition._ranks), written into
+    acc when given: the rank-0 members' w * x plus +0.0, then one in-place add
+    per further rank, whose products go into part (when given) first."""
     first, *later = partition._ranks
-    acc = rows[:, first] * w[first]
+    acc = _rank_products(w, first, rows, np.empty((len(rows), partition.n_blocks)) if acc is None else acc)
     acc += 0.0
-    part = np.empty_like(acc)
+    part = np.empty_like(acc) if part is None else part
     for sel in later:
-        np.multiply(rows[:, sel], w[sel], out=part)
-        acc += part
+        acc += _rank_products(w, sel, rows, part)
     return acc
 
 
-def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.ndarray:
-    """Block sums of (rows, n) by bincount over labels offset by row, in chunks of whole rows."""
+def _rank_products(w: np.ndarray, sel, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w * x over one member rank (a slice or an index array of atoms), written into out."""
+    x = rows[:, sel] if isinstance(sel, slice) else np.take(rows, sel, axis=1, out=out, mode="clip")
+    return np.multiply(x, w[sel], out=out)
+
+
+def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, sums=None) -> np.ndarray:
+    """Block sums of (rows, n) by bincount over labels offset by row, in chunks
+    of whole rows, written into sums when given."""
     lab, k = partition.labels, partition.n_blocks
-    sums = np.empty((rows.shape[0], k))
+    sums = np.empty((rows.shape[0], k)) if sums is None else sums
     step = max(1, _BLOCK_MEAN_CHUNK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         chunk = rows[start : start + step] * w
@@ -254,12 +268,22 @@ def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray) -> np.
     return sums
 
 
-def block_level(space: MeasureSpace, partition: Partition, theta, values) -> np.ndarray:
+def block_level(space: MeasureSpace, partition: Partition, theta, values, out=None) -> np.ndarray:
     """theta^{-1}(E(theta|values|)) per block, shape (..., n) -> (..., n_blocks):
     the level of `values` in the conditional Hölder inequality.  theta is a
     Young function, evaluated on |x| by calling it and inverted by its
-    .inverse; every level in the package is solved here."""
-    return theta.inverse(block_mean(space, partition, theta(values)))
+    .inverse; every level in the package is solved here.
+
+    out: a C-contiguous float array of shape (..., n_blocks) for the block
+    means.  When theta is bound to a workspace (young.YoungFunction.using),
+    theta|values| goes into the workspace's "atoms" array of values' shape,
+    the member gather borrows from it too, and theta.inverse solves the
+    means in place, so the levels are out itself and nothing is allocated
+    that grows with the batch.
+    """
+    work = theta.work
+    values = theta(values, out=None if work is None else work.array("atoms", np.shape(values)))
+    return theta.inverse(block_mean(space, partition, values, out=out, work=work))
 
 
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:

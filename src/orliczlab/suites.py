@@ -265,7 +265,7 @@ def _suite_spectrum(mat: Materialized) -> list[dict]:
 def _suite_resolvent(mat: Materialized) -> list[dict]:
     op = mat.operator
     rng = np.random.default_rng(mat.scenario.seed + 23)
-    eu = np.unique(np.append(mean_multiplier(op), 0.0))
+    eu = np.append(mean_multiplier(op), 0.0)  # read only by max, min and max|.|: order and repeats do not matter
     span = float(np.max(np.abs(eu))) + 2.0
     if not math.isfinite(2.0 * span):  # no lambda is drawn from [-span, span]; the residuals are unknown
         return [_check("inversion_residuals", False, value=math.nan, tolerance=RESOLVENT_TOL, cases=0, margin=0.5)]

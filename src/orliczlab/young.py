@@ -19,6 +19,7 @@ from .errors import BracketFailure, ConfigError
 
 __all__ = [
     "YoungFunction",
+    "Workspace",
     "GridSpec",
     "ProductConvexityReport",
     "power",
@@ -58,10 +59,15 @@ class YoungFunction:
       conjugate_power  the exact convex conjugate of |x|**p: (p-1) p**(-q) |y|**q
       exp_type         exp(|x|) - |x| - 1
       log_type         (1+|y|) log(1+|y|) - |y|   (conjugate of exp_type)
+
+    `work` is None, or the Workspace that a copy made by `using` lends to
+    its batch passes; it is not a field, so it takes no part in ==, hash or
+    repr, and it changes no value.
     """
 
     kind: str
     p: float | None = None
+    work = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -70,11 +76,45 @@ class YoungFunction:
             if self.p is None or not self.p > 1:
                 raise ConfigError(f"young.p: need p > 1 for kind {self.kind!r}, got {self.p}")
 
-    def __call__(self, x):
-        return evaluate(self, x)
+    def __call__(self, x, out=None):
+        return evaluate(self, x, out)
 
     def inverse(self, t):
         return inverse(self, t)
+
+    def using(self, work: Workspace) -> YoungFunction:
+        """This function, borrowing the arrays of its batch passes from `work`:
+        evaluate's blocks, and inverse's Newton passes, which then solve an
+        array target in place (see inverse)."""
+        bound = YoungFunction(self.kind, self.p)
+        object.__setattr__(bound, "work", work)
+        return bound
+
+
+class Workspace:
+    """Scratch arrays lent by name to the batch passes of one caller.
+
+    array(name, shape) returns the named array at that shape, allocated the
+    first time the name is asked for and reused after, so a caller whose
+    first batch is its largest (a search's row range, whose first chunk is
+    its largest) allocates nothing after it; a larger request allocates
+    again.  The passes that borrow one are sequential and each name is held
+    by one pass at a time: a caller's own names ("atoms" for its (..., n)
+    values, say) are free while a kernel it calls runs.  The kernels share
+    the name "scratch" (evaluate's blocks, the member gather's products,
+    inverse's Newton passes), each only while it runs.  Not thread-safe:
+    one per thread.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict = {}
+
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def power(p: float) -> YoungFunction:
@@ -122,62 +162,96 @@ def _conj_power_params(p: float) -> tuple[float, float]:
     return (p - 1.0) * p ** (-q), q
 
 
-def evaluate(phi: YoungFunction, x):
-    """Evaluate phi at |x|.  Accepts scalars or ndarrays; exact for closed-form kinds."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = ax  # a new array (or a scalar), so the power kinds work it in place
+# Values per batch of inverse's Newton passes, and per block of evaluate's
+# exp_type and log_type passes into a given array: their scratch is a few
+# arrays of that many values, not arrays the size of the batch.  Each Newton
+# pass is some forty numpy calls, and two search ranges contend for the
+# interpreter at every call, so the batches are large.
+_BATCH = 1 << 16
+
+
+def evaluate(phi: YoungFunction, x, out=None):
+    """Evaluate phi at |x|.  Accepts scalars or ndarrays; exact for closed-form kinds.
+
+    out: a C-contiguous float array of x's shape (x itself too) that receives
+    phi(|x|).  The power kinds work it in place; exp_type and log_type fill
+    it _BATCH values at a time, their only scratch two arrays of one block,
+    borrowed from phi.work when phi has one.
+    """
     with np.errstate(over="ignore"):
-        if phi.kind == "power":
-            out **= phi.p
-        elif phi.kind == "scaled_power":
-            out **= phi.p
-            out /= phi.p
-        elif phi.kind == "conjugate_power":
-            c, q = _conj_power_params(phi.p)
-            out **= q
-            out *= c
-        elif phi.kind == "exp_type":
-            out = np.expm1(ax)
-            out -= ax
-        else:  # log_type
-            lg = np.log1p(ax)
-            out = ax + 1.0
-            out *= lg
-            out -= ax
-            # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
-            over = np.isinf(out) & (ax < math.inf)
-            if np.any(over):
-                out = np.where(over, ax * (lg - 1.0) + lg, out)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
+        if out is None:
+            xs = np.asarray(x, dtype=float)
+            ax = np.abs(xs, out=np.empty_like(xs))  # an array even for a scalar x, so it can be written
+            res = ax if phi.kind in POWER_KINDS else np.empty_like(ax)
+            _phi_into(phi, ax, res, np.empty_like(ax) if phi.kind == "log_type" else None)
+            return float(res) if np.isscalar(x) or np.ndim(x) == 0 else res
+        xs, flat = np.asarray(x, dtype=float).reshape(-1), out.reshape(-1)
+        if phi.kind in POWER_KINDS:
+            _phi_into(phi, np.abs(xs, out=flat), flat, None)
+            return out
+        size = max(1, min(_BATCH, flat.size))
+        mags, aux = (phi.work or Workspace()).array("scratch", (2, size))
+        for lo in range(0, flat.size, size):
+            a = np.abs(xs[lo : lo + size], out=mags[: flat.size - lo])
+            _phi_into(phi, a, flat[lo : lo + size], aux[: a.size])
     return out
 
 
-def derivative(phi: YoungFunction, x):
+def _phi_into(phi: YoungFunction, ax: np.ndarray, out: np.ndarray, aux) -> None:
+    """phi at the magnitudes ax, written into out, which may be ax itself for
+    the power kinds only; log_type also writes log1p(ax) into aux."""
+    if phi.kind == "power":
+        np.power(ax, phi.p, out=out)
+    elif phi.kind == "scaled_power":
+        np.power(ax, phi.p, out=out)
+        out /= phi.p
+    elif phi.kind == "conjugate_power":
+        c, q = _conj_power_params(phi.p)
+        np.power(ax, q, out=out)
+        out *= c
+    elif phi.kind == "exp_type":
+        np.expm1(ax, out=out)
+        out -= ax
+    else:  # log_type
+        lg = np.log1p(ax, out=aux)
+        np.add(ax, 1.0, out=out)
+        out *= lg
+        out -= ax
+        # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
+        if np.isinf(out).any():
+            over = np.isinf(out) & (ax < math.inf)
+            if over.any():
+                np.copyto(out, ax * (lg - 1.0) + lg, where=over)
+
+
+def derivative(phi: YoungFunction, x, out=None):
     """phi' at |x|, the slope of phi on [0, inf); scalars or ndarrays, like evaluate.
 
     - power p x**(p-1), scaled_power x**(p-1), conjugate_power c q y**(q-1).
     - exp_type expm1(x), log_type log1p(y).
+
+    out: an array of x's shape that receives the slope at x itself, which
+    must then be nonnegative: no copy and no |x| is made (inverse's Newton
+    iterates are positive).
     """
-    out = np.array(x, dtype=float)  # one copy, worked in place: the inverses pass large arrays
-    np.abs(out, out=out)
+    if out is None:
+        out = np.array(x, dtype=float)  # one copy, worked in place
+        x = np.abs(out, out=out)
     with np.errstate(over="ignore"):
         if phi.kind == "power":
-            np.power(out, phi.p - 1.0, out=out)
+            np.power(x, phi.p - 1.0, out=out)
             out *= phi.p
         elif phi.kind == "scaled_power":
-            np.power(out, phi.p - 1.0, out=out)
+            np.power(x, phi.p - 1.0, out=out)
         elif phi.kind == "conjugate_power":
             c, q = _conj_power_params(phi.p)
-            np.power(out, q - 1.0, out=out)
+            np.power(x, q - 1.0, out=out)
             out *= c * q
         elif phi.kind == "exp_type":
-            np.expm1(out, out=out)
+            np.expm1(x, out=out)
         else:  # log_type
-            np.log1p(out, out=out)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+            np.log1p(x, out=out)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def inverse(phi: YoungFunction, t):
@@ -187,33 +261,44 @@ def inverse(phi: YoungFunction, t):
     - exp_type, log_type: Newton's method from an upper bracket, iterated until
       the decreasing iterate stops moving, i.e. to machine resolution.  It meets
       INVERSE_TOL (near float max it comes within about 1e-13 * t) and lands
-      within a few ulps of the root.  The passes run on one working set: while
-      at least half its rows still move, a row that stopped is frozen in place
-      (the next pass recomputes its same step, so it stays put), and once fewer
-      than half move the set is compacted.  Each row sees the same operations
-      in the same order either way, so its root is the same to the bit.
+      within a few ulps of the root.  The targets are solved _BATCH at a time;
+      within a batch the passes run on one working set: while at least half
+      its rows still move, a row that stopped is frozen in place (the next pass
+      recomputes its same step, so it stays put), and once fewer than half
+      move the set is compacted.  Each row sees the same operations in the
+      same order either way, so its root is the same to the bit.
 
     Scalars and ndarrays of targets are both accepted, and each result is
     independent of the batch it came in.  A target of +inf maps to +inf: it
     arises when a modular overflows double precision, and the convention keeps
     downstream ratios conservatively small.  A solver that runs out of budget
     raises BracketFailure.
+
+    Workspace contract: for phi bound to a Workspace (phi.using(work)), a
+    writeable C-contiguous float64 array t is solved in place, the roots
+    overwriting the targets, and the Newton passes run on arrays of the
+    workspace; measure.block_level inverts its block means so.  Otherwise t
+    is left as it is and the roots are a new array.  The workspace rides on
+    phi, not on an argument, so every level, in a search or not, goes
+    through the same two-argument theta.inverse(t).
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tt = np.asarray(t, dtype=float)
-    if not np.all(tt >= 0):  # a NaN fails >= too
+    if not np.min(tt, initial=math.inf) >= 0:  # a NaN fails >= too
         raise ValueError("inverse target must be nonnegative and not nan")
+    in_place = phi.work is not None and tt is t and tt.flags.c_contiguous and tt.flags.writeable
+    out = tt if in_place else None
     if phi.kind == "power":
-        out = tt ** (1.0 / phi.p)
+        out = np.power(tt, 1.0 / phi.p, out=out)
     elif phi.kind == "scaled_power":
-        out = phi.p * tt
+        out = np.multiply(phi.p, tt, out=out)
         out **= 1.0 / phi.p
     elif phi.kind == "conjugate_power":
         c, q = _conj_power_params(phi.p)
-        out = tt / c
+        out = np.divide(tt, c, out=out)
         out **= 1.0 / q
     else:
-        out = _newton_inverse(phi, tt)
+        out = _newton_inverse(phi, tt if in_place else np.array(tt), phi.work or Workspace())
     return float(out) if scalar else out
 
 
@@ -243,61 +328,94 @@ _NEWTON_ITERS = 64  # 9 passes, the last seeing no move, suffice from 5e-324 to 
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _newton_inverse(phi: YoungFunction, tt: np.ndarray) -> np.ndarray:
-    t = np.ravel(tt)
+def _newton_inverse(phi: YoungFunction, x: np.ndarray, work: Workspace) -> np.ndarray:
+    """Overwrite every finite positive target in the C-contiguous x with its
+    root, _BATCH targets at a time, on six float and two bool arrays of a
+    batch from `work`; 0, -0.0 and inf are their own roots.  Returns x."""
+    flat = x.reshape(-1)
+    size = max(1, min(_BATCH, flat.size))
+    floats, masks = work.array("scratch", (6, size)), work.array("young.newton.masks", (2, size), bool)
+    for lo in range(0, flat.size, size):
+        _newton_batch(phi, flat[lo : lo + size], floats, masks)
+    return x
+
+
+def _newton_batch(phi: YoungFunction, x: np.ndarray, floats: np.ndarray, masks: np.ndarray) -> None:
+    m = x.size
+    good, mask = masks[0, :m], masks[1, :m]
+    np.greater(x, 0.0, out=good)
+    good &= np.less(x, math.inf, out=mask)
+    if not good.any():
+        return
+    # A target that is 0 or inf stays in the set as the dummy target 1 from the
+    # start 1, below its root: its step rises, so it never moves, and it is
+    # never written back.  The start is taken on finite positive targets only.
+    bufs = list(floats[:, :m])  # iterates, targets, slopes, steps and two scratch rows
+    xa, ta = bufs[0], bufs[1]
+    np.copyto(ta, x)
+    dummy = np.logical_not(good, out=mask)
+    np.copyto(ta, 1.0, where=dummy)
     # Upper brackets, short of the root by rounding at most (the first step then stops):
     # exp_type: phi(x) >= x**2/2, and phi(log(2(1+t))) - t = 1 + t - log(2(1+t)) > 0;
     # log_type: phi(y) >= y**2/(2+y) as log1p(y) >= 2y/(2+y), which is >= t at y = t + sqrt(2t).
-    root_t = math.sqrt(2.0) * np.sqrt(t)
+    root_t = np.sqrt(ta, out=bufs[2])
+    root_t *= math.sqrt(2.0)
     if phi.kind == "exp_type":
-        x = np.minimum(np.minimum(root_t, math.log(2.0) + np.log1p(t)), _LOG_MAX)
+        np.minimum(root_t, np.add(np.log1p(ta, out=bufs[3]), math.log(2.0), out=bufs[3]), out=xa)
+        np.minimum(xa, _LOG_MAX, out=xa)
     else:
-        x = t + root_t
-    # The working set: row indices, their iterates and targets, and scratch.
-    todo = np.flatnonzero((t > 0.0) & (t < math.inf))
-    xa, ta = x[todo], t[todo]
-    step_buf, aux_buf = np.empty(todo.size), np.empty(todo.size)
+        np.add(ta, root_t, out=xa)
+    np.copyto(xa, 1.0, where=dummy)
+    todo = None  # the working set's rows of x: all of them until the first compaction
     series = _NEWTON_SERIES[phi.kind]
     for _ in range(_NEWTON_ITERS):
         m = xa.size
-        slope = derivative(phi, xa)
-        step = step_buf[:m]  # phi(x)/phi'(x), then the step, then the next iterate
-        if phi.kind == "exp_type":
-            z = xa
-            np.subtract(1.0, np.divide(xa, slope, out=step), out=step)
-        else:
-            z = slope
-            np.subtract(np.add(xa, 1.0, out=step), np.divide(xa, slope, out=aux_buf[:m]), out=step)
+        slope = derivative(phi, xa, out=bufs[2][:m])
+        step = np.divide(xa, slope, out=bufs[3][:m])  # x/phi'(x), then phi(x)/phi'(x), the step, the next iterate
+        z = xa if phi.kind == "exp_type" else slope
         # Integer indices: a boolean gather costs several times nonzero + take.
-        small = (z < _SERIES_BELOW).nonzero()[0]
+        small = np.less(z, _SERIES_BELOW, out=mask[:m]).nonzero()[0]
         if small.size:
-            zs = z[small]
+            zs = np.take(z, small, out=bufs[4][: small.size], mode="clip")
             # np.polyval's Horner loop in place (its first step, 0*z + c0, is c0),
             # then z * series * (z / phi'), in that order.
-            poly = np.full_like(zs, series[0])
+            poly = bufs[5][: small.size]
+            poly.fill(series[0])
             for c in series[1:]:
                 poly *= zs
                 poly += c
             poly *= zs
-            poly *= np.divide(zs, slope[small], out=zs)
+            # z / phi'(z): x/phi'(x) for exp_type, phi'/phi' for log_type, whose z is the slope.
+            poly *= np.take(step, small, out=zs, mode="clip") if phi.kind == "exp_type" else np.divide(zs, zs, out=zs)
+        if phi.kind == "exp_type":
+            np.subtract(1.0, step, out=step)
+        else:
+            np.subtract(np.add(xa, 1.0, out=bufs[4][:m]), step, out=step)
+        if small.size:
             step[small] = poly
+        del small
         np.divide(ta, slope, out=slope)
         np.subtract(step, slope, out=step)
         nxt = np.subtract(xa, step, out=step)
-        moving = nxt < xa
+        moving = np.less(nxt, xa, out=mask[:m])
         n_moving = np.count_nonzero(moving)
         if n_moving and 2 * n_moving >= m:
             np.fmin(xa, nxt, out=xa)  # nxt where it is smaller, else (NaN too) xa
             continue
-        x[todo] = xa
+        if todo is None:
+            np.copyto(x, xa, where=good)
+        else:
+            x[todo] = xa
         if not n_moving:
-            break
+            return
         keep = moving.nonzero()[0]
-        todo, xa, ta = todo[keep], nxt[keep], ta[keep]
-    else:
-        raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {_NEWTON_ITERS} passes")
-    x[t == math.inf] = math.inf
-    return x.reshape(tt.shape)
+        todo = keep if todo is None else todo[keep]
+        xa = np.take(nxt, keep, out=bufs[0][: keep.size], mode="clip")
+        # The targets move to the slope row, which takes their old row.
+        ta = np.take(ta, keep, out=bufs[2][: keep.size], mode="clip")
+        bufs[1], bufs[2] = bufs[2], bufs[1]
+        del keep
+    raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {_NEWTON_ITERS} passes")
 
 
 _CONJUGATE_TABLE = {

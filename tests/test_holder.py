@@ -1,6 +1,7 @@
 """Conditional Hölder inequality: ratios, empirical constants, sufficient conditions."""
 
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -349,3 +350,76 @@ class TestStreamedSearch:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestRangeWorkspace:
+    """Each row range scores its chunks in one workspace, made at its first chunk."""
+
+    PAIRS = {"power": scaled_pair(3.0), "exp": (young.exp_type(), young.log_type())}
+    SEARCHES = {
+        "ratio": lambda space, part, pair, budget: empirical_holder_constant(space, part, *pair, budget=budget, seed=5),
+        "normalization": lambda space, part, pair, budget: normalization_constants(
+            space, part, *pair, sample_budget=budget, seed=5
+        ),
+    }
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_later_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
+        # The exp-pair workload's space, one range of four chunks of the size the
+        # searches draw on one CPU.  A later chunk still allocates numpy's ufunc
+        # buffers (2 x 8192 values, for the member gather's strided passes) and
+        # Newton's index arrays (one integer per series row or kept row).
+        space, part = build_symmetric_space(64)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: 1)
+        budget = 4 * (holder._SEARCH_CHUNK // space.n_atoms)
+        chunks, transient, sizes = holder.log_uniform_chunks, [], []
+
+        def measured(*args):
+            for k, (f, g) in enumerate(chunks(*args)):
+                sizes.append(f.nbytes)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                yield f, g  # scored before the next chunk is asked for
+                if k:
+                    transient.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(holder, "log_uniform_chunks", measured)
+        tracemalloc.start()
+        try:
+            self.SEARCHES[search](space, part, self.PAIRS[pair], budget)
+        finally:
+            tracemalloc.stop()
+        assert len(transient) == 3 and len(set(sizes)) == 1
+        assert max(transient) < sizes[0] / 8, (transient, sizes[0])
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_every_range_has_its_own_workspace(self, monkeypatch, search):
+        # More ranges than CPUs, switching threads as often as the interpreter
+        # allows: two ranges sharing a workspace would overwrite each other's
+        # levels and move the result off the one-shot bits.
+        (space, part), pair, budget, seed = CASES["odd-exp"]
+        want = (one_shot_search if search == "ratio" else one_shot_normalization)(space, part, *pair, budget, seed)
+        made = []
+
+        class Counted(young.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(holder, "Workspace", Counted)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(4, rows))
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * space.n_atoms)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                made.clear()
+                if search == "ratio":
+                    got = empirical_holder_constant(space, part, *pair, budget=budget, seed=seed)
+                else:
+                    got = normalization_constants(space, part, *pair, sample_budget=budget, seed=seed)
+                assert bits(got) == bits(want)
+                assert len(made) == 4
+        finally:
+            sys.setswitchinterval(interval)

@@ -79,6 +79,8 @@ class TestPartition:
         with pytest.raises(ConfigError):
             Partition([1, 2])  # must start at 0
         with pytest.raises(ConfigError):
+            Partition([0, 10**15])  # a gap no count array could hold
+        with pytest.raises(ConfigError):
             Partition([])
 
     def test_space_size_must_match(self):

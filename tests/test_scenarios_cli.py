@@ -25,6 +25,8 @@ from orliczlab.scenarios import (
 )
 from orliczlab.suites import run_suite
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
 
 def minimal_config(**overrides):
     cfg = {
@@ -592,6 +594,28 @@ class TestCli:
         for check in checks.values():
             if "nonfinite" not in check:
                 assert all(isinstance(check.get(k, 0.0), float) for k in ("value", "bound")), check
+
+    def test_a_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique reaches for numpy.ma on numpy 2, at a cost of about 17 ms per
+        # process.  numpy 1.24 imports numpy.ma with numpy itself, so only the
+        # modules the run adds are read.
+        config = tmp_path / "exp-pair.json"
+        code = (
+            "import json, os, sys\n"
+            f"sys.path.insert(0, {PERFBENCH!r})\n"
+            "from workloads import config\n"
+            "from orliczlab import cli\n"
+            f"path = {str(config)!r}\n"
+            "with open(path, 'w') as fh:\n"
+            "    json.dump(config('exp-pair', 0), fh)\n"
+            "before = set(sys.modules)\n"
+            "for name in ('example-1.6a', path):\n"
+            "    cli.main(['run', '--config', name, '--out', os.devnull])\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_export_matrix(self, tmp_path):
         out_file = tmp_path / "matrix.csv"
