@@ -162,7 +162,7 @@ def from_config(cfg: dict) -> Scenario:
         name=name,
         description=description,
         space=_parse_space(_require(cfg, "space", "scenario")),
-        young={"kind": phi.kind, "p": phi.p} if phi.kind in young_mod.POWER_KINDS else {"kind": phi.kind},
+        young={"kind": phi.kind, "p": phi.p} if phi.row.takes_p else {"kind": phi.kind},
         u=_parse_u(_require(cfg, "u", "scenario")),
         partition=partition,
         seed=as_seed(cfg.get("seed", 0), "scenario.seed"),

@@ -99,7 +99,7 @@ def _suite_young_calculus(mat: Materialized) -> list[dict]:
     violation = young_mod.young_inequality_check(phi, psi, samples=samples, seed=mat.scenario.seed + 3)
 
     cert = young_mod.check_delta2(phi)
-    expect_cert = phi.kind != "exp_type"  # the exponential kind genuinely fails doubling
+    expect_cert = phi.row.doubling  # a kind that fails Delta_2 must get no certificate
     doubling_ok = (cert is not None) == expect_cert
 
     checks = [
@@ -167,7 +167,7 @@ def _suite_gcthi(mat: Materialized) -> list[dict]:
     searched = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed)
     c0 = domination_constant(space, part)
     checks = [_at_most("ratio_within_domination_constant", searched, claimed, 1e-9, samples=budget)]
-    if phi.kind in young_mod.POWER_KINDS:
+    if phi.row.takes_p:  # a pair of the homogeneous kinds has unit constant
         unit = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed + 1)
         checks.append(_at_most("homogeneous_pair_unit_constant", unit, 1.0, 1e-9, samples=budget))
     c1, c2 = normalization_constants(space, part, phi, psi, sample_budget=2_000, seed=seed + 2)

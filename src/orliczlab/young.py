@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,20 +46,12 @@ __all__ = [
 INVERSE_TOL = 1e-10
 CONJUGATE_TOL = 1e-9
 SAFETY_FACTOR = 1.01
-POWER_KINDS = ("power", "scaled_power", "conjugate_power")  # the kinds that take p > 1
-_KINDS = (*POWER_KINDS, "exp_type", "log_type")
 
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """A parametric convex function on the line, evaluated on |x|.
-
-    Kinds:
-      power            |x|**p, p > 1
-      scaled_power     |x|**p / p, p > 1
-      conjugate_power  the exact convex conjugate of |x|**p: (p-1) p**(-q) |y|**q
-      exp_type         exp(|x|) - |x| - 1
-      log_type         (1+|y|) log(1+|y|) - |y|   (conjugate of exp_type)
+    """A parametric convex function on the line, evaluated on |x|; its kind
+    names its row of _KINDS, and p is given exactly when the row takes one.
 
     `work` is None, or the Workspace that a copy made by `using` lends to
     its batch passes; it is not a field, so it takes no part in ==, hash or
@@ -68,13 +61,13 @@ class YoungFunction:
     kind: str
     p: float | None = None
     work = None
+    row = property(lambda self: _KINDS[self.kind])  # the kind's row of _KINDS, not a field either
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:  # an unhashable kind is unknown too
             raise ConfigError(f"young.kind: unknown kind {self.kind!r}")
-        if self.kind in POWER_KINDS:
-            if self.p is None or not self.p > 1:
-                raise ConfigError(f"young.p: need p > 1 for kind {self.kind!r}, got {self.p}")
+        if self.row.takes_p != (self.p is not None) or self.p is not None and not self.p > 1:
+            raise ConfigError(f"young.p: {self.kind!r} takes {'p > 1' if self.row.takes_p else 'no p'}, got {self.p}")
 
     def __call__(self, x, out=None):
         return evaluate(self, x, out)
@@ -138,6 +131,68 @@ def log_type() -> YoungFunction:
     return YoungFunction("log_type")
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """A row of _KINDS: all that this module knows of one kind.  A kind with
+    a power formula needs nothing below it; any other is inverted by Newton."""
+
+    conjugate: Callable  # phi -> its complementary Young function, in closed form
+    takes_p: bool = False  # p > 1 is given: the homogeneous kinds
+    doubling: bool = True  # phi meets Delta_2, so check_delta2 certifies it
+    power: Callable | None = None  # p -> (a, b, r) with phi = |x|**r * a / b; a factor of 1.0 is skipped
+    value: Callable | None = None  # (ax, out, aux): phi at ax into out, not ax; aux None or scratch
+    slope: Callable | None = None  # (x, out=): phi' at x >= 0 into out
+    start: Callable | None = None  # (t, sqrt(2t), x, scratch): an upper bracket of each root into x
+    series: np.ndarray | None = None  # phi = z**2 * polyval(series, z) near 0, with z = x
+    series_in_slope: bool = False  # or with z = phi'(x)
+
+
+def _log_type_into(ax: np.ndarray, out: np.ndarray, aux) -> None:
+    lg = np.log1p(ax, out=aux)
+    np.add(ax, 1.0, out=out)
+    out *= lg
+    out -= ax
+    # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
+    if np.isinf(out).any():
+        over = np.isinf(out) & (ax < math.inf)
+        if over.any():
+            np.copyto(out, ax * (lg - 1.0) + lg, where=over)
+
+
+# One row per kind.  Each Newton start is short of its root by rounding at most (the first step then stops):
+# exp_type: phi(x) >= x**2/2, and phi(log(2(1+t))) - t = 1 + t - log(2(1+t)) > 0;
+# log_type: phi(y) >= y**2/(2+y) as log1p(y) >= 2y/(2+y), which is >= t at y = t + sqrt(2t).
+_KINDS = {
+    "power": _Kind(lambda phi: conjugate_power(phi.p), takes_p=True, power=lambda p: (1.0, 1.0, p)),
+    "scaled_power": _Kind(lambda phi: scaled_power(phi.p / (phi.p - 1.0)), takes_p=True, power=lambda p: (1.0, p, p)),
+    "conjugate_power": _Kind(
+        lambda phi: power(phi.p),
+        takes_p=True,
+        power=lambda p: ((p - 1.0) * p ** (-p / (p - 1.0)), 1.0, p / (p - 1.0)),
+    ),
+    # exp(|x|) - |x| - 1 = sum_{k>=2} x**k / k!
+    "exp_type": _Kind(
+        lambda phi: log_type(),
+        doubling=False,
+        value=lambda ax, out, aux: np.subtract(np.expm1(ax, out=out), ax, out=out),
+        slope=np.expm1,
+        start=lambda t, root_t, x, s: np.minimum(
+            np.minimum(root_t, np.add(np.log1p(t, out=s), math.log(2.0), out=s), out=x), _LOG_MAX, out=x
+        ),
+        series=np.array([1.0 / math.factorial(k) for k in range(15, 1, -1)]),
+    ),
+    # (1+|y|) log(1+|y|) - |y| = 1 + (z-1) e**z = sum_{k>=2} (k-1) z**k / k! in z = log1p(|y|)
+    "log_type": _Kind(
+        lambda phi: exp_type(),
+        value=_log_type_into,
+        slope=np.log1p,
+        start=lambda t, root_t, x, s: np.add(t, root_t, out=x),
+        series=np.array([(k - 1.0) / math.factorial(k) for k in range(15, 1, -1)]),
+        series_in_slope=True,
+    ),
+}
+
+
 def _as_float(value, where: str) -> float:
     # The int/float comparison is exact: it rejects NaN, infinities and too large ints.
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -147,23 +202,18 @@ def _as_float(value, where: str) -> float:
 
 
 def from_config(fragment: dict) -> YoungFunction:
-    """A YoungFunction from a fragment like {"kind": "scaled_power", "p": 2.0}; p is read for POWER_KINDS only."""
+    """A YoungFunction from a fragment like {"kind": "scaled_power", "p": 2.0}; p is read for a kind that takes one."""
     if not isinstance(fragment, dict) or "kind" not in fragment:
         raise ConfigError("young: expected an object with a 'kind' field")
     kind = fragment["kind"]
-    if kind in POWER_KINDS and "p" in fragment:
+    row = _KINDS.get(kind) if isinstance(kind, str) else None  # None: YoungFunction refuses the kind
+    if row is not None and row.takes_p and "p" in fragment:
         return YoungFunction(kind, p=_as_float(fragment["p"], "young.p"))
     return YoungFunction(kind)
 
 
-def _conj_power_params(p: float) -> tuple[float, float]:
-    """Coefficient and exponent of the conjugate of |x|**p: c*|y|**q."""
-    q = p / (p - 1.0)
-    return (p - 1.0) * p ** (-q), q
-
-
 # Values per batch of inverse's Newton passes, and per block of evaluate's
-# exp_type and log_type passes into a given array: their scratch is a few
+# Newton kinds' passes into a given array: their scratch is a few
 # arrays of that many values, not arrays the size of the batch.  Each Newton
 # pass is some forty numpy calls, and two search ranges contend for the
 # interpreter at every call, so the batches are large.
@@ -174,7 +224,7 @@ def evaluate(phi: YoungFunction, x, out=None):
     """Evaluate phi at |x|.  Accepts scalars or ndarrays; exact for closed-form kinds.
 
     out: a C-contiguous float array of x's shape (x itself too) that receives
-    phi(|x|).  The power kinds work it in place; exp_type and log_type fill
+    phi(|x|).  The closed-form kinds work it in place; the Newton kinds fill
     it _BATCH values at a time, their only scratch two arrays of one block,
     borrowed from phi.work when phi has one.
     """
@@ -182,11 +232,11 @@ def evaluate(phi: YoungFunction, x, out=None):
         if out is None:
             xs = np.asarray(x, dtype=float)
             ax = np.abs(xs, out=np.empty_like(xs))  # an array even for a scalar x, so it can be written
-            res = ax if phi.kind in POWER_KINDS else np.empty_like(ax)
-            _phi_into(phi, ax, res, np.empty_like(ax) if phi.kind == "log_type" else None)
+            res = ax if phi.row.power is not None else np.empty_like(ax)
+            _phi_into(phi, ax, res, None)
             return float(res) if np.isscalar(x) or np.ndim(x) == 0 else res
         xs, flat = np.asarray(x, dtype=float).reshape(-1), out.reshape(-1)
-        if phi.kind in POWER_KINDS:
+        if phi.row.power is not None:
             _phi_into(phi, np.abs(xs, out=flat), flat, None)
             return out
         size = max(1, min(_BATCH, flat.size))
@@ -199,36 +249,19 @@ def evaluate(phi: YoungFunction, x, out=None):
 
 def _phi_into(phi: YoungFunction, ax: np.ndarray, out: np.ndarray, aux) -> None:
     """phi at the magnitudes ax, written into out, which may be ax itself for
-    the power kinds only; log_type also writes log1p(ax) into aux."""
-    if phi.kind == "power":
-        np.power(ax, phi.p, out=out)
-    elif phi.kind == "scaled_power":
-        np.power(ax, phi.p, out=out)
-        out /= phi.p
-    elif phi.kind == "conjugate_power":
-        c, q = _conj_power_params(phi.p)
-        np.power(ax, q, out=out)
-        out *= c
-    elif phi.kind == "exp_type":
-        np.expm1(ax, out=out)
-        out -= ax
-    else:  # log_type
-        lg = np.log1p(ax, out=aux)
-        np.add(ax, 1.0, out=out)
-        out *= lg
-        out -= ax
-        # (1+y) log1p(y) overflows below y ~ 2.6e305, before the difference does.
-        if np.isinf(out).any():
-            over = np.isinf(out) & (ax < math.inf)
-            if over.any():
-                np.copyto(out, ax * (lg - 1.0) + lg, where=over)
+    a closed-form kind only; aux is None or scratch of ax's shape."""
+    if phi.row.power is None:
+        return phi.row.value(ax, out, aux)
+    a, b, r = phi.row.power(phi.p)
+    np.power(ax, r, out=out)
+    if a != 1.0:
+        out *= a
+    if b != 1.0:
+        out /= b
 
 
 def derivative(phi: YoungFunction, x, out=None):
     """phi' at |x|, the slope of phi on [0, inf); scalars or ndarrays, like evaluate.
-
-    - power p x**(p-1), scaled_power x**(p-1), conjugate_power c q y**(q-1).
-    - exp_type expm1(x), log_type log1p(y).
 
     out: an array of x's shape that receives the slope at x itself, which
     must then be nonnegative: no copy and no |x| is made (inverse's Newton
@@ -238,35 +271,25 @@ def derivative(phi: YoungFunction, x, out=None):
         out = np.array(x, dtype=float)  # one copy, worked in place
         x = np.abs(out, out=out)
     with np.errstate(over="ignore"):
-        if phi.kind == "power":
-            np.power(x, phi.p - 1.0, out=out)
-            out *= phi.p
-        elif phi.kind == "scaled_power":
-            np.power(x, phi.p - 1.0, out=out)
-        elif phi.kind == "conjugate_power":
-            c, q = _conj_power_params(phi.p)
-            np.power(x, q - 1.0, out=out)
-            out *= c * q
-        elif phi.kind == "exp_type":
-            np.expm1(x, out=out)
-        else:  # log_type
-            np.log1p(x, out=out)
+        if phi.row.power is None:
+            phi.row.slope(x, out=out)
+        else:  # x**(r-1) * (a*r/b)
+            a, b, r = phi.row.power(phi.p)
+            np.power(x, r - 1.0, out=out)
+            if a * r / b != 1.0:
+                out *= a * r / b
     return float(out) if np.ndim(out) == 0 else out
 
 
 def inverse(phi: YoungFunction, t):
     """Nonnegative x with |phi(x) - t| <= INVERSE_TOL * max(1, t), by the route of phi's kind.
 
-    - power, scaled_power, conjugate_power: closed form.
-    - exp_type, log_type: Newton's method from an upper bracket, iterated until
-      the decreasing iterate stops moving, i.e. to machine resolution.  It meets
+    - a kind with a power formula: closed form.
+    - any other: Newton's method from an upper bracket, iterated until the
+      decreasing iterate stops moving, i.e. to machine resolution.  It meets
       INVERSE_TOL (near float max it comes within about 1e-13 * t) and lands
-      within a few ulps of the root.  The targets are solved _BATCH at a time;
-      within a batch the passes run on one working set: while at least half
-      its rows still move, a row that stopped is frozen in place (the next pass
-      recomputes its same step, so it stays put), and once fewer than half
-      move the set is compacted.  Each row sees the same operations in the
-      same order either way, so its root is the same to the bit.
+      within a few ulps of the root.  The targets are solved _BATCH at a time,
+      each on one working set (see the comment above _newton_inverse).
 
     Scalars and ndarrays of targets are both accepted, and each result is
     independent of the batch it came in.  A target of +inf maps to +inf: it
@@ -288,29 +311,29 @@ def inverse(phi: YoungFunction, t):
         raise ValueError("inverse target must be nonnegative and not nan")
     in_place = phi.work is not None and tt is t and tt.flags.c_contiguous and tt.flags.writeable
     out = tt if in_place else None
-    if phi.kind == "power":
-        out = np.power(tt, 1.0 / phi.p, out=out)
-    elif phi.kind == "scaled_power":
-        out = np.multiply(phi.p, tt, out=out)
-        out **= 1.0 / phi.p
-    elif phi.kind == "conjugate_power":
-        c, q = _conj_power_params(phi.p)
-        out = np.divide(tt, c, out=out)
-        out **= 1.0 / q
-    else:
+    if phi.row.power is None:
         out = _newton_inverse(phi, tt if in_place else np.array(tt), phi.work or Workspace())
+    else:  # (t*b/a)**(1/r)
+        a, b, r = phi.row.power(phi.p)
+        if a == b == 1.0:
+            out = np.power(tt, 1.0 / r, out=out)
+        else:  # t*b/a into a new array (or t itself), then its root in place
+            out = np.multiply(b, tt, out=out) if b != 1.0 else np.divide(tt, a, out=out)
+            if a != 1.0 and b != 1.0:
+                out /= a
+            out **= 1.0 / r
     return float(out) if scalar else out
 
 
-# Newton's method for exp_type and log_type.  Both are convex and increasing on
-# [0, inf), so Newton from an upper bracket decreases monotonically to the
-# root, and an iterate that stops decreasing is at the root up to rounding.
-# The step (phi(x) - t) / phi'(x) is taken as phi(x)/phi'(x) - t/phi'(x), which
-# stays finite up to float max.  Near 0, expm1(x) - x and (1+y) log1p(y) - y
-# cancel, so phi comes from its series in z there:
-#   exp_type  z = x,          phi = e**z - 1 - z          = sum_{k>=2} z**k / k!
-#   log_type  z = log1p(y),   phi = 1 + (z - 1) e**z      = sum_{k>=2} (k-1) z**k / k!
-# For z <= 1/4 the terms past k = 15 fall below 1e-17 of the sum.
+# Newton's method for the kinds without a power formula.  Each is convex and
+# increasing on [0, inf), so Newton from an upper bracket (its row's start)
+# decreases monotonically to the root, and an iterate that stops decreasing is
+# at the root up to rounding.  The step (phi(x) - t) / phi'(x) is taken as
+# phi(x)/phi'(x) - t/phi'(x), which stays finite up to float max: phi/phi' is
+# 1 - x/phi' for a series in x (phi = phi' - x), and 1 + x - x/phi' for a
+# series in the slope (phi = (1 + x) phi' - x).  Near 0 phi cancels, so it is
+# taken from the row's series there; for z <= 1/4 the terms past k = 15 fall
+# below 1e-17 of the sum.
 #
 # The passes run on one working set of rows that carries over from pass to
 # pass.  While at least half its rows still move, a row that stopped is frozen
@@ -319,10 +342,6 @@ def inverse(phi: YoungFunction, t):
 # compacted to the moving rows; the loop ends when no row moves.  Each row sees
 # the same operations in the same order as on its own, so its root is
 # bit-identical whatever batch it came in and whenever it stopped.
-_NEWTON_SERIES = {
-    "exp_type": np.array([1.0 / math.factorial(k) for k in range(15, 1, -1)]),
-    "log_type": np.array([(k - 1.0) / math.factorial(k) for k in range(15, 1, -1)]),
-}
 _SERIES_BELOW = 0.25
 _NEWTON_ITERS = 64  # 9 passes, the last seeing no move, suffice from 5e-324 to float max
 _LOG_MAX = math.log(sys.float_info.max)
@@ -341,7 +360,7 @@ def _newton_inverse(phi: YoungFunction, x: np.ndarray, work: Workspace) -> np.nd
 
 
 def _newton_batch(phi: YoungFunction, x: np.ndarray, floats: np.ndarray, masks: np.ndarray) -> None:
-    m = x.size
+    row, m = phi.row, x.size
     good, mask = masks[0, :m], masks[1, :m]
     np.greater(x, 0.0, out=good)
     good &= np.less(x, math.inf, out=mask)
@@ -355,24 +374,16 @@ def _newton_batch(phi: YoungFunction, x: np.ndarray, floats: np.ndarray, masks: 
     np.copyto(ta, x)
     dummy = np.logical_not(good, out=mask)
     np.copyto(ta, 1.0, where=dummy)
-    # Upper brackets, short of the root by rounding at most (the first step then stops):
-    # exp_type: phi(x) >= x**2/2, and phi(log(2(1+t))) - t = 1 + t - log(2(1+t)) > 0;
-    # log_type: phi(y) >= y**2/(2+y) as log1p(y) >= 2y/(2+y), which is >= t at y = t + sqrt(2t).
     root_t = np.sqrt(ta, out=bufs[2])
     root_t *= math.sqrt(2.0)
-    if phi.kind == "exp_type":
-        np.minimum(root_t, np.add(np.log1p(ta, out=bufs[3]), math.log(2.0), out=bufs[3]), out=xa)
-        np.minimum(xa, _LOG_MAX, out=xa)
-    else:
-        np.add(ta, root_t, out=xa)
+    row.start(ta, root_t, xa, bufs[3])
     np.copyto(xa, 1.0, where=dummy)
     todo = None  # the working set's rows of x: all of them until the first compaction
-    series = _NEWTON_SERIES[phi.kind]
     for _ in range(_NEWTON_ITERS):
         m = xa.size
         slope = derivative(phi, xa, out=bufs[2][:m])
         step = np.divide(xa, slope, out=bufs[3][:m])  # x/phi'(x), then phi(x)/phi'(x), the step, the next iterate
-        z = xa if phi.kind == "exp_type" else slope
+        z = slope if row.series_in_slope else xa
         # Integer indices: a boolean gather costs several times nonzero + take.
         small = np.less(z, _SERIES_BELOW, out=mask[:m]).nonzero()[0]
         if small.size:
@@ -380,17 +391,14 @@ def _newton_batch(phi: YoungFunction, x: np.ndarray, floats: np.ndarray, masks: 
             # np.polyval's Horner loop in place (its first step, 0*z + c0, is c0),
             # then z * series * (z / phi'), in that order.
             poly = bufs[5][: small.size]
-            poly.fill(series[0])
-            for c in series[1:]:
+            poly.fill(row.series[0])
+            for c in row.series[1:]:
                 poly *= zs
                 poly += c
             poly *= zs
-            # z / phi'(z): x/phi'(x) for exp_type, phi'/phi' for log_type, whose z is the slope.
-            poly *= np.take(step, small, out=zs, mode="clip") if phi.kind == "exp_type" else np.divide(zs, zs, out=zs)
-        if phi.kind == "exp_type":
-            np.subtract(1.0, step, out=step)
-        else:
-            np.subtract(np.add(xa, 1.0, out=bufs[4][:m]), step, out=step)
+            # z / phi'(x): phi'/phi' for a series in the slope, else the x/phi'(x) in step.
+            poly *= np.divide(zs, zs, out=zs) if row.series_in_slope else np.take(step, small, out=zs, mode="clip")
+        np.subtract(np.add(xa, 1.0, out=bufs[4][:m]) if row.series_in_slope else 1.0, step, out=step)
         if small.size:
             step[small] = poly
         del small
@@ -418,18 +426,9 @@ def _newton_batch(phi: YoungFunction, x: np.ndarray, floats: np.ndarray, masks: 
     raise BracketFailure(f"Newton inverse of {phi.kind} did not settle in {_NEWTON_ITERS} passes")
 
 
-_CONJUGATE_TABLE = {
-    "scaled_power": lambda phi: scaled_power(phi.p / (phi.p - 1.0)),
-    "power": lambda phi: conjugate_power(phi.p),
-    "conjugate_power": lambda phi: power(phi.p),
-    "exp_type": lambda phi: log_type(),
-    "log_type": lambda phi: exp_type(),
-}
-
-
 def conjugate_closed_form(phi: YoungFunction) -> YoungFunction:
     """The complementary Young function; every kind has a closed form."""
-    return _CONJUGATE_TABLE[phi.kind](phi)
+    return phi.row.conjugate(phi)
 
 
 def conjugate_numeric(phi: YoungFunction, y):

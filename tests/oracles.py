@@ -53,8 +53,8 @@ def block_mean_sequential(space: MeasureSpace, partition: Partition, values) -> 
 def newton_inverse_masked(phi: young.YoungFunction, tt: np.ndarray) -> np.ndarray:
     """young._newton_inverse as a masked loop: each pass gathers the rows still
     moving and scatters their next iterate back.  The bitwise reference for the
-    working-set loop; it reads the pass cap and series tables from `young` at
-    call time, so a test that patches the cap changes both."""
+    working-set loop; it reads the pass cap from `young` at call time, so a
+    test that patches the cap changes both, and the series from phi's row."""
     t = np.ravel(tt)
     root_t = math.sqrt(2.0) * np.sqrt(t)
     if phi.kind == "exp_type":
@@ -74,7 +74,7 @@ def newton_inverse_masked(phi: young.YoungFunction, tt: np.ndarray) -> np.ndarra
         small = z < young._SERIES_BELOW
         if small.any():
             zs = z[small]
-            series = np.polyval(young._NEWTON_SERIES[phi.kind], zs)
+            series = np.polyval(phi.row.series, zs)
             phi_over_slope[small] = zs * series * (zs / slope[small])
         nxt = xa - (phi_over_slope - t[todo] / slope)
         moving = nxt < xa

@@ -103,6 +103,8 @@ class TestScenarioSchema:
             ({"space": {"type": "family", "sizes": []}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
             ({"space": {"type": "family", "sizes": 64}, "u": {"type": "law", "name": "flat"}}, "scenario.space.sizes"),
             ({"description": 7}, "scenario.description"),
+            ({"young": {"kind": ["power"]}}, "scenario.young.kind"),
+            ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -269,6 +271,8 @@ class TestCli:
             ({"partition": {"labels": [0, 0, 1]}}, "scenario.partition.labels"),
             ({"young": {"kind": "piecewise_linear", "breakpoints": 5, "slopes": [1.0]}}, "scenario.young.kind"),
             ({"young": {"kind": "piecewise_linear", "breakpoints": ["a"], "slopes": [1.0]}}, "scenario.young.kind"),
+            ({"young": {"kind": ["power"]}}, "scenario.young.kind"),
+            ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
         ],
     )
     def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):

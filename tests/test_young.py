@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import newton_inverse_masked
-from orliczlab import young
+from orliczlab import scenarios, young
 from orliczlab.errors import BracketFailure, ConfigError
 from orliczlab.measure import block_mean, build_symmetric_space
 from orliczlab.sampling import log_uniform
+from orliczlab.suites import run_suite
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden.json").read_text())
 
@@ -388,6 +389,12 @@ ALL_KINDS = [
     young.log_type(),
 ]
 
+
+def test_every_row_has_test_cases():
+    # A new row of the kind table fails here until ALL_KINDS holds a case of it.
+    assert {phi.kind for phi in ALL_KINDS} == set(young._KINDS)
+
+
 # Grids for conjugate_numeric, all three at its one tolerance: the
 # young-calculus suite's (its one caller), three points, and a coarse 9-point
 # log grid.  The keys name the test ids, so the last two stay as they are.
@@ -641,6 +648,41 @@ def test_bad_parameters_rejected():
         young.scaled_power(0.5)
     with pytest.raises(ConfigError):
         young.YoungFunction("mystery")
+    with pytest.raises(ConfigError, match="young.kind: unknown kind"):
+        young.YoungFunction(["power"])  # unhashable: the kind table cannot look it up
+
+
+@pytest.mark.parametrize("kind", ["exp_type", "log_type"])
+def test_a_kind_that_takes_no_p_refuses_one(kind):
+    # A kept p would make the function unequal to its constructor's, so every memo keyed by phi would miss.
+    with pytest.raises(ConfigError, match=r"young\.p: .* takes no p, got 3\.0"):
+        young.YoungFunction(kind, 3.0)
+    assert young.from_config({"kind": kind, "p": 3.0}) == young.YoungFunction(kind)
+
+
+def test_a_new_kind_is_one_row(monkeypatch):
+    # |x|**4 / 4, whose conjugate is |y|**(4/3) / (4/3); nothing but the row is added.
+    monkeypatch.setitem(
+        young._KINDS, "quartic", young._Kind(lambda phi: young.scaled_power(4.0 / 3.0), power=lambda p: (1.0, 4.0, 4.0))
+    )
+    phi = young.from_config({"kind": "quartic"})
+    assert phi == young.YoungFunction("quartic") and phi.p is None
+    xs = np.array([-3.0, 0.0, 0.5, 1.0, 2.0])
+    assert np.allclose(young.evaluate(phi, xs), xs**4 / 4.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(young.derivative(phi, xs), np.abs(xs) ** 3, rtol=1e-15, atol=0.0)
+    assert np.allclose(young.inverse(phi, xs**4 / 4.0), np.abs(xs), rtol=1e-15, atol=0.0)
+    assert young.conjugate_closed_form(phi) == young.scaled_power(4.0 / 3.0)
+    scenario = scenarios.from_config(
+        {
+            "name": "quartic",
+            "space": {"type": "symmetric", "n_half": 2},
+            "young": {"kind": "quartic"},
+            "u": {"type": "generator", "name": "identity"},
+        }
+    )
+    report = run_suite("young-calculus", scenarios.materialize(scenario))
+    assert report["passed"], report
+    assert next(c for c in report["checks"] if c["name"] == "doubling_certificate")["certificate_present"]
 
 
 def test_config_round_trip():

@@ -7,10 +7,11 @@ as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
 blocks, WIDE_BLOCKS, a search whose chunks are averaged both by member
-gather and by bincount, and SYMMETRIC_2048, the largest search, each at
-seeds 0, 1 and 2.  A builtin, UNEQUAL_BLOCKS, WIDE_BLOCKS and SYMMETRIC_2048
-run with `--seed`, a workload config is built at the seed.  Each tree also
-writes every builtin's operator with `export-matrix`.  The `timing` block is
+gather and by bincount, SYMMETRIC_2048, the largest search, and KIND_CONFIGS,
+one scenario for each Young kind that no other case takes as phi, each at
+seeds 0, 1 and 2.  A builtin and each of these configs run with `--seed`, a
+workload config is built at the seed.  Each tree also writes every
+builtin's operator with `export-matrix`.  The `timing` block is
 dropped, each report or CSV whose text or exit code differs is printed, the
 last line gives both totals, and the exit code is 1 if any differs, else 0.
 For a differing pair of reports the line also gives the number of checks
@@ -59,6 +60,23 @@ SYMMETRIC_2048 = {
     "young": {"kind": "scaled_power", "p": 2.0},
     "u": {"type": "generator", "name": "random_uniform", "seed": 7},
 }
+# phi = power p = 3, conjugate_power p = 3 and log_type on 16 symmetric atoms:
+# with the builtins (scaled_power, exp_type) every row of young._KINDS is
+# compared as phi.  The log_type run exits 1: its numeric conjugate finds no
+# bracket past y ~ 354.9, so young-calculus fails as solver_budget_exhausted.
+KIND_CONFIGS = [
+    {
+        "name": name,
+        "space": {"type": "symmetric", "n_half": 8},
+        "young": young,
+        "u": {"type": "generator", "name": "random_uniform", "seed": 5},
+    }
+    for name, young in (
+        ("power-3", {"kind": "power", "p": 3.0}),
+        ("conjugate-power-3", {"kind": "conjugate_power", "p": 3.0}),
+        ("log-type", {"kind": "log_type"}),
+    )
+]
 
 # Run under one tree: print the builtin names and every workload config.
 _CASES = """
@@ -95,7 +113,7 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
-    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS, SYMMETRIC_2048):
+    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS, SYMMETRIC_2048, *KIND_CONFIGS):
         path = tmp / f"{cfg['name']}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for seed in SEEDS:
