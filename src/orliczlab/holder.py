@@ -71,15 +71,15 @@ def _holder_ratios(
     Workspace contract: every pass writes into `work` (a search range's, else
     one made for this call), reading f and g and writing neither.  The two
     levels go into its (2, ..., n_blocks) array "holder.levels", each solved
-    in place there by block_level with phi and psi bound to `work`; phi|f|,
-    psi|g| and then |fg| go into its (..., n) array "atoms"; the block means
-    of |fg| overwrite the second level once the first holds the product.  The
-    result is that row of "holder.levels", valid until the next call.
+    in place there by block_level given `work`; phi|f|, psi|g| and then |fg|
+    go into its (..., n) array "atoms"; the block means of |fg| overwrite the
+    second level once the first holds the product.  The result is that row
+    of "holder.levels", valid until the next call.
     """
     work = Workspace() if work is None else work
     levels = work.array("holder.levels", (2, *f.shape[:-1], partition.n_blocks))
-    rhs = block_level(space, partition, phi.using(work), f, out=levels[0])
-    rhs *= block_level(space, partition, psi.using(work), g, out=levels[1])
+    rhs = block_level(space, partition, phi, f, out=levels[0], work=work)
+    rhs *= block_level(space, partition, psi, g, out=levels[1], work=work)
     fg = np.multiply(f, g, out=work.array("atoms", f.shape))
     return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg), out=levels[1], work=work), rhs)
 
@@ -102,7 +102,7 @@ def _worker_count(tasks: int) -> int:
 
 
 def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndarray:
-    """For each score, np.max of score(|f|, |g|) over the search's samples, NaN propagating.
+    """For each score, np.max of score(|f|, |g|, work) over the search's samples, NaN propagating.
 
     The samples are the two (budget, n) batches that signed_log_uniform draws
     in turn from default_rng(seed), as magnitudes, split into W contiguous row
@@ -112,17 +112,16 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     time, so as many elements are in flight as with one range, drawn in place
     into one pair of buffers that the range owns (a chunk is valid until the
     next is drawn, so each is scored before the next), and folds
-    np.maximum(best, np.max(score(f, g))) from -inf, one score after the
-    other, under the caller's np.geterr().  The ranges then combine by
+    np.maximum(best, np.max(score(f, g, work))) from -inf, one score after
+    the other, under the caller's np.geterr().  The ranges then combine by
     np.maximum.reduce.  Every thread is joined before this returns, and the
     first range's exception (a helper's BracketFailure, say) is raised here.
 
-    Workspace contract: a range calls every score from its own thread, chunk
-    after chunk, largest chunk first, so a score that keeps one Workspace per
-    thread (_range_workspaces) gives each range one set of arrays, allocated
-    at its first chunk and reused by the rest.  A score's result is read
-    (np.max) before the next score or chunk runs, so it may be a view into
-    that workspace.
+    Workspace contract: each range makes one Workspace, `work`, and passes it
+    to every score, chunk after chunk, largest chunk first, so a score that
+    borrows its arrays from `work` allocates them at the range's first chunk
+    and reuses them for the rest.  A score's result is read (np.max) before
+    the next score or chunk runs, so it may be a view into `work`.
     """
     if budget < 1:
         raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
@@ -136,10 +135,10 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
 
     def run(k: int) -> None:
         try:
-            best = -math.inf
+            best, work = -math.inf, Workspace()
             with np.errstate(**errstate):
                 for f, g in log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1]):
-                    best = np.maximum(best, [np.max(score(f, g)) for score in scores])
+                    best = np.maximum(best, [np.max(score(f, g, work)) for score in scores])
             results[k] = best
         except BaseException as exc:  # re-raised on the calling thread
             errors[k] = exc
@@ -154,21 +153,6 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
         if exc is not None:
             raise exc
     return np.maximum.reduce(results)
-
-
-def _range_workspaces():
-    """work() for the scores of one search: the Workspace of the calling
-    thread, so of the row range that thread runs, made at the range's first
-    chunk and dropped when its thread ends (the caller's range: with the
-    search)."""
-    local = threading.local()
-
-    def work() -> Workspace:
-        if not hasattr(local, "work"):
-            local.work = Workspace()
-        return local.work
-
-    return work
 
 
 def empirical_holder_constant(
@@ -193,8 +177,9 @@ def empirical_holder_constant(
     the largest ratio over every (sample, block), NaN if any is NaN: bit for
     bit np.max over the whole batch, whatever W and the chunk size.
     """
-    work = _range_workspaces()
-    (best,) = _search_max(space, budget, seed, lambda f, g: _holder_ratios(space, partition, phi, psi, f, g, work()))
+    (best,) = _search_max(
+        space, budget, seed, lambda f, g, work: _holder_ratios(space, partition, phi, psi, f, g, work)
+    )
     return float(best)
 
 
@@ -225,18 +210,21 @@ def normalization_constants(
     evaluated there in place, and the block means go into the second row;
     the batch itself is not written.
     """
-    work = _range_workspaces()
 
-    def normalized(theta: YoungFunction, batch: np.ndarray) -> np.ndarray:
-        ws = work()
-        theta = theta.using(ws)
-        levels = ws.array("holder.levels", (2, *batch.shape[:-1], partition.n_blocks))
-        level = block_level(space, partition, theta, batch, out=levels[0])
-        x = np.take(level, partition.labels, axis=-1, out=ws.array("atoms", batch.shape), mode="clip")
-        evaluate(theta, np.divide(batch, x, out=x), out=x)
-        return block_mean(space, partition, x, out=levels[1], work=ws)
+    def normalized(theta: YoungFunction, batch: np.ndarray, work: Workspace) -> np.ndarray:
+        levels = work.array("holder.levels", (2, *batch.shape[:-1], partition.n_blocks))
+        level = block_level(space, partition, theta, batch, out=levels[0], work=work)
+        x = np.take(level, partition.labels, axis=-1, out=work.array("atoms", batch.shape), mode="clip")
+        evaluate(theta, np.divide(batch, x, out=x), out=x, work=work)
+        return block_mean(space, partition, x, out=levels[1], work=work)
 
-    c1, c2 = _search_max(space, sample_budget, seed, lambda f, g: normalized(phi, f), lambda f, g: normalized(psi, g))
+    c1, c2 = _search_max(
+        space,
+        sample_budget,
+        seed,
+        lambda f, g, work: normalized(phi, f, work),
+        lambda f, g, work: normalized(psi, g, work),
+    )
     return float(c1), float(c2)
 
 

@@ -268,22 +268,20 @@ def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, sums=N
     return sums
 
 
-def block_level(space: MeasureSpace, partition: Partition, theta, values, out=None) -> np.ndarray:
+def block_level(space: MeasureSpace, partition: Partition, theta, values, out=None, work=None) -> np.ndarray:
     """theta^{-1}(E(theta|values|)) per block, shape (..., n) -> (..., n_blocks):
     the level of `values` in the conditional Hölder inequality.  theta is a
     Young function, evaluated on |x| by calling it and inverted by its
     .inverse; every level in the package is solved here.
 
     out: a C-contiguous float array of shape (..., n_blocks) for the block
-    means.  When theta is bound to a workspace (young.YoungFunction.using),
-    theta|values| goes into the workspace's "atoms" array of values' shape,
-    the member gather borrows from it too, and theta.inverse solves the
-    means in place, so the levels are out itself and nothing is allocated
-    that grows with the batch.
+    means.  Given `work` (a young.Workspace), theta|values| goes into its
+    "atoms" array of values' shape, the member gather and theta's passes
+    borrow from it too, and theta.inverse solves the means in place, so the
+    levels are out itself and nothing is allocated that grows with the batch.
     """
-    work = theta.work
-    values = theta(values, out=None if work is None else work.array("atoms", np.shape(values)))
-    return theta.inverse(block_mean(space, partition, values, out=out, work=work))
+    values = theta(values, None if work is None else work.array("atoms", np.shape(values)), work)
+    return theta.inverse(block_mean(space, partition, values, out=out, work=work), work)
 
 
 def cond_exp(space: MeasureSpace, partition: Partition, f) -> np.ndarray:

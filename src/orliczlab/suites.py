@@ -78,10 +78,6 @@ def _trend_check(mat: Materialized, which: str, *shown: str) -> dict:
     )
 
 
-def _norm_str(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _suite_young_calculus(mat: Materialized) -> list[dict]:
     phi, psi = mat.phi, mat.psi
     # The one check of psi against phi*: max |psi(y) - phi*(y)| / max(1, |phi*(y)|), NaN propagating.
@@ -146,14 +142,7 @@ def _suite_contraction(mat: Materialized) -> list[dict]:
     fixed = abs(neg - ng) <= 1e-9 * max(1.0, ng)
     return [
         _check("norm_nonexpansive", rep["holds"], value=worst_ratio, bound=1.0, tolerance=CONTRACTION_TOL, cases=200),
-        _check(
-            "fixed_on_measurable",
-            fixed,
-            value=neg,
-            bound=ng,
-            tolerance=1e-9,
-            norm_str=_norm_str(neg),
-        ),
+        _check("fixed_on_measurable", fixed, value=neg, bound=ng, tolerance=1e-9),
     ]
 
 
@@ -193,15 +182,7 @@ def _sandwich_checks(mat: Materialized, op: WeightedConditionalExpectation, seed
     route = n_t / n_chi
     slack = NORM_TOL * (max(1.0, n_t) + route * max(1.0, n_chi)) / n_chi
     return [
-        _at_most(
-            "norm_sandwich",
-            lower,
-            upper,
-            1e-6,
-            lower_str=_norm_str(lower),
-            upper_str=_norm_str(upper),
-            constant=C,
-        ),
+        _at_most("norm_sandwich", lower, upper, 1e-6, constant=C),
         _check(
             "block_mean_attained",
             abs(route - sup) <= slack,

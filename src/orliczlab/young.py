@@ -51,17 +51,11 @@ SAFETY_FACTOR = 1.01
 @dataclass(frozen=True)
 class YoungFunction:
     """A parametric convex function on the line, evaluated on |x|; its kind
-    names its row of _KINDS, and p is given exactly when the row takes one.
-
-    `work` is None, or the Workspace that a copy made by `using` lends to
-    its batch passes; it is not a field, so it takes no part in ==, hash or
-    repr, and it changes no value.
-    """
+    names its row of _KINDS, and p is given exactly when the row takes one."""
 
     kind: str
     p: float | None = None
-    work = None
-    row = property(lambda self: _KINDS[self.kind])  # the kind's row of _KINDS, not a field either
+    row = property(lambda self: _KINDS[self.kind])  # the kind's row of _KINDS, not a field
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in _KINDS:  # an unhashable kind is unknown too
@@ -69,19 +63,11 @@ class YoungFunction:
         if self.row.takes_p != (self.p is not None) or self.p is not None and not self.p > 1:
             raise ConfigError(f"young.p: {self.kind!r} takes {'p > 1' if self.row.takes_p else 'no p'}, got {self.p}")
 
-    def __call__(self, x, out=None):
-        return evaluate(self, x, out)
+    def __call__(self, x, out=None, work=None):
+        return evaluate(self, x, out, work)
 
-    def inverse(self, t):
-        return inverse(self, t)
-
-    def using(self, work: Workspace) -> YoungFunction:
-        """This function, borrowing the arrays of its batch passes from `work`:
-        evaluate's blocks, and inverse's Newton passes, which then solve an
-        array target in place (see inverse)."""
-        bound = YoungFunction(self.kind, self.p)
-        object.__setattr__(bound, "work", work)
-        return bound
+    def inverse(self, t, work=None):
+        return inverse(self, t, work)
 
 
 class Workspace:
@@ -220,31 +206,28 @@ def from_config(fragment: dict) -> YoungFunction:
 _BATCH = 1 << 16
 
 
-def evaluate(phi: YoungFunction, x, out=None):
+def evaluate(phi: YoungFunction, x, out=None, work=None):
     """Evaluate phi at |x|.  Accepts scalars or ndarrays; exact for closed-form kinds.
 
     out: a C-contiguous float array of x's shape (x itself too) that receives
-    phi(|x|).  The closed-form kinds work it in place; the Newton kinds fill
-    it _BATCH values at a time, their only scratch two arrays of one block,
-    borrowed from phi.work when phi has one.
+    phi(|x|); without one a new array does, returned as a float for a 0-d x.
+    The closed-form kinds work it in place; the Newton kinds fill it _BATCH
+    values at a time, their only scratch two arrays of one block, borrowed
+    from `work` (a Workspace) when one is given.
     """
+    xs = np.asarray(x, dtype=float)
+    res = np.empty(xs.shape) if out is None else out  # not empty_like: C order whatever x's, so flat is a view
+    xs, flat = xs.reshape(-1), res.reshape(-1)
     with np.errstate(over="ignore"):
-        if out is None:
-            xs = np.asarray(x, dtype=float)
-            ax = np.abs(xs, out=np.empty_like(xs))  # an array even for a scalar x, so it can be written
-            res = ax if phi.row.power is not None else np.empty_like(ax)
-            _phi_into(phi, ax, res, None)
-            return float(res) if np.isscalar(x) or np.ndim(x) == 0 else res
-        xs, flat = np.asarray(x, dtype=float).reshape(-1), out.reshape(-1)
         if phi.row.power is not None:
             _phi_into(phi, np.abs(xs, out=flat), flat, None)
-            return out
-        size = max(1, min(_BATCH, flat.size))
-        mags, aux = (phi.work or Workspace()).array("scratch", (2, size))
-        for lo in range(0, flat.size, size):
-            a = np.abs(xs[lo : lo + size], out=mags[: flat.size - lo])
-            _phi_into(phi, a, flat[lo : lo + size], aux[: a.size])
-    return out
+        else:
+            size = max(1, min(_BATCH, flat.size))
+            mags, aux = (work or Workspace()).array("scratch", (2, size))
+            for lo in range(0, flat.size, size):
+                a = np.abs(xs[lo : lo + size], out=mags[: flat.size - lo])
+                _phi_into(phi, a, flat[lo : lo + size], aux[: a.size])
+    return float(res) if out is None and res.ndim == 0 else res
 
 
 def _phi_into(phi: YoungFunction, ax: np.ndarray, out: np.ndarray, aux) -> None:
@@ -281,7 +264,7 @@ def derivative(phi: YoungFunction, x, out=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def inverse(phi: YoungFunction, t):
+def inverse(phi: YoungFunction, t, work=None):
     """Nonnegative x with |phi(x) - t| <= INVERSE_TOL * max(1, t), by the route of phi's kind.
 
     - a kind with a power formula: closed form.
@@ -297,22 +280,19 @@ def inverse(phi: YoungFunction, t):
     downstream ratios conservatively small.  A solver that runs out of budget
     raises BracketFailure.
 
-    Workspace contract: for phi bound to a Workspace (phi.using(work)), a
-    writeable C-contiguous float64 array t is solved in place, the roots
-    overwriting the targets, and the Newton passes run on arrays of the
-    workspace; measure.block_level inverts its block means so.  Otherwise t
-    is left as it is and the roots are a new array.  The workspace rides on
-    phi, not on an argument, so every level, in a search or not, goes
-    through the same two-argument theta.inverse(t).
+    Workspace contract: given `work`, a writeable C-contiguous float64 array
+    t is solved in place, the roots overwriting the targets, and the Newton
+    passes run on arrays of `work`; measure.block_level inverts its block
+    means so.  Otherwise t is left as it is and the roots are a new array.
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tt = np.asarray(t, dtype=float)
     if not np.min(tt, initial=math.inf) >= 0:  # a NaN fails >= too
         raise ValueError("inverse target must be nonnegative and not nan")
-    in_place = phi.work is not None and tt is t and tt.flags.c_contiguous and tt.flags.writeable
+    in_place = work is not None and tt is t and tt.flags.c_contiguous and tt.flags.writeable
     out = tt if in_place else None
     if phi.row.power is None:
-        out = _newton_inverse(phi, tt if in_place else np.array(tt), phi.work or Workspace())
+        out = _newton_inverse(phi, tt if in_place else np.array(tt), work or Workspace())
     else:  # (t*b/a)**(1/r)
         a, b, r = phi.row.power(phi.p)
         if a == b == 1.0:

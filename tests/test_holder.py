@@ -279,10 +279,10 @@ class TestStreamedSearch:
     def test_a_range_failure_reaches_the_caller_after_every_join(self, monkeypatch, where):
         inverse = young.inverse
 
-        def failing_inverse(theta, t):
+        def failing_inverse(theta, t, work=None):
             if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
                 raise BracketFailure(f"planted in the {where} thread")
-            return inverse(theta, t)
+            return inverse(theta, t, work)
 
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
         # measure.block_level inverts every level through YoungFunction.inverse.
@@ -330,7 +330,7 @@ class TestStreamedSearch:
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
         space, _ = build_symmetric_space(2)
         with np.errstate(divide="ignore"):
-            (best,) = holder._search_max(space, 4, 0, lambda f, g: np.divide(f, 0.0))
+            (best,) = holder._search_max(space, 4, 0, lambda f, g, work: np.divide(f, 0.0))
         assert best == math.inf
 
     def test_empty_budget_is_refused(self):

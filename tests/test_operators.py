@@ -202,6 +202,20 @@ class TestNormEstimate:
         ratio = luxemburg_norm(op.space, phi, op.apply(witness)) / nf
         assert lower <= ratio * (1.0 + 1e-9)
 
+    def test_a_later_ascent_beats_the_block_mean(self):
+        # Why the search keeps NORM_RESTARTS ascents: on this 8-atom log_type
+        # case the three reach 6.915237133689802, while one ascent from the best
+        # start stops at 6.854020110800984, max|E(u)| up to rounding.  It is one
+        # of 2 losses in a probe of 250 random explicit configs at budget 300.
+        weights = [0.14279860217091778, 80.7571702231696, 1.4602347787917425, 0.2327994135772857]
+        weights += [3.29010222211641, 33.46268174441815, 0.010088841511749247, 0.11372381713111723]
+        u = [0.02509395183595438, -0.3115274786976662, 0.44477550149385764, 8.289593787691558]
+        u += [-0.03167677629434867, 0.0, -5.595559606253196, -6.854020110800983]
+        space, part = MeasureSpace(np.array(weights)), Partition(np.array([2, 0, 3, 2, 3, 3, 1, 4]))
+        op = WeightedConditionalExpectation(space, part, np.array(u))
+        block_mean_norm = float(np.max(np.abs(mean_multiplier(op))))
+        assert norm_estimate(op, young.log_type(), budget=300, seed=2974) > block_mean_norm * (1.0 + 1e-3)
+
     def test_deterministic_for_a_fixed_seed(self):
         op, _ = random_op(61)
         phi, _ = pair(2.0)

@@ -395,6 +395,62 @@ def test_every_row_has_test_cases():
     assert {phi.kind for phi in ALL_KINDS} == set(young._KINDS)
 
 
+# EVAL_BATCH + 3 signed values over about [1e-4, 1e3] with 0, -0.0, a tiny and an
+# overflowing one.  The evaluate tests run at _BATCH = EVAL_BATCH, so the
+# Newton kinds fill a second block of 3 values, and the scalar loop stays short.
+EVAL_BATCH = 64
+EVAL_X = np.concatenate(
+    ([0.0, -0.0, 1e-300, 800.0], np.exp(np.random.default_rng(4).uniform(-9.2, 6.9, EVAL_BATCH - 1)))
+)
+EVAL_X[1::3] *= -1.0
+
+
+@functools.cache
+def evaluated_one_by_one(phi):
+    return np.array([young.evaluate(phi, float(x)) for x in EVAL_X])
+
+
+EVAL_INPUTS = {
+    "strided": lambda x: x[::2],
+    "transposed": lambda x: x[:12].reshape(3, 4).T,
+    "0-d": lambda x: np.array(x[3]),
+    "float": lambda x: float(x[5]),
+    "two-blocks": lambda x: x,
+}
+
+
+@pytest.mark.parametrize("work", [False, True], ids=["no-work", "work"])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new-out", "given-out"])
+@pytest.mark.parametrize("shape", EVAL_INPUTS)
+@pytest.mark.parametrize("phi", ALL_KINDS, ids=lambda phi: phi.kind)
+def test_evaluate_is_the_scalar_loop_bitwise(phi, shape, given_out, work, monkeypatch):
+    monkeypatch.setattr(young, "_BATCH", EVAL_BATCH)
+    x, want = (EVAL_INPUTS[shape](a) for a in (EVAL_X.copy(), evaluated_one_by_one(phi)))
+    out = np.empty(np.shape(x)) if given_out else None
+    got = young.evaluate(phi, x, out=out, work=young.Workspace() if work else None)
+    assert (type(got) is float) == (np.ndim(x) == 0 and not given_out)
+    if given_out:
+        assert got is out
+    assert bits(np.ravel(got)) == bits(np.ravel(want))
+
+
+@pytest.mark.parametrize("layout", ["read-only", "strided", "transposed", "in-place"])
+@pytest.mark.parametrize("phi", ALL_KINDS, ids=lambda phi: phi.kind)
+def test_inverse_solves_in_place_only_a_writeable_contiguous_target(phi, layout):
+    ts = evaluated_one_by_one(phi)
+    ts = ts[np.isfinite(ts)][:60]
+    t = {"strided": ts[::2], "transposed": ts.reshape(6, 10).T}.get(layout, ts.copy())
+    if layout == "read-only":
+        t.flags.writeable = False
+    before, want = bits(t.ravel()), bits(young.inverse(phi, t).ravel())
+    got = young.inverse(phi, t, young.Workspace())
+    assert bits(got.ravel()) == want
+    if layout == "in-place":
+        assert got is t
+    else:
+        assert got is not t and bits(t.ravel()) == before
+
+
 # Grids for conjugate_numeric, all three at its one tolerance: the
 # young-calculus suite's (its one caller), three points, and a coarse 9-point
 # log grid.  The keys name the test ids, so the last two stay as they are.

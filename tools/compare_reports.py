@@ -15,8 +15,10 @@ builtin's operator with `export-matrix`.  The `timing` block is
 dropped, each report or CSV whose text or exit code differs is printed, the
 last line gives both totals, and the exit code is 1 if any differs, else 0.
 For a differing pair of reports the line also gives the number of checks
-whose `passed` flipped and the largest relative move |new - old| / max(1,
-|old|) of any number found at the same place in both, with its path.
+whose `passed` flipped, the largest relative move |new - old| / max(1,
+|old|) of any number found at the same place in both, with its path, and
+each key found in one report only, dropped (old only) or added (new only),
+named once with its count.
 Standard library only; runs one child at a time.
 """
 
@@ -27,6 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -142,14 +145,21 @@ def _first_difference(old: str, new: str) -> str:
     return f"lengths differ: {len(old.splitlines())} vs {len(new.splitlines())} lines"
 
 
+_ABSENT = object()  # the side of a key that one report lacks
+
+
 def _leaves(old, new, path: str = ""):
-    """(path, old, new) for each pair of scalars at the same place in both reports.
+    """(path, old, new) for each pair of scalars at the same place in both
+    reports, and for each key of a dict in one report only, with _ABSENT on
+    the other side.
 
     A list item with a `name` (a check) is addressed by that name.
     """
-    if isinstance(old, dict) and isinstance(new, dict):
-        for key in sorted(old.keys() & new.keys()):
-            yield from _leaves(old[key], new[key], f"{path}.{key}" if path else key)
+    if old is _ABSENT or new is _ABSENT:
+        yield path, old, new
+    elif isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _leaves(old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}" if path else key)
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
             label = a.get("name", i) if isinstance(a, dict) else i
@@ -163,9 +173,14 @@ def _is_number(x) -> bool:
 
 
 def _what_moved(old, new) -> str:
-    """Flipped check verdicts and the largest relative move of a number."""
+    """Flipped check verdicts, the largest relative move of a number, and the
+    keys in one report only."""
     flipped, worst, where = 0, 0.0, None
+    one_sided = {"dropped": Counter(), "added": Counter()}
     for path, a, b in _leaves(old, new):
+        if a is _ABSENT or b is _ABSENT:
+            one_sided["added" if a is _ABSENT else "dropped"][path.rsplit(".", 1)[-1]] += 1
+            continue
         if path.endswith(".passed") and ".checks[" in path and a != b:
             flipped += 1
         if _is_number(a) and _is_number(b) and a != b:
@@ -173,7 +188,12 @@ def _what_moved(old, new) -> str:
             if move > worst:
                 worst, where = move, path
     moved = f"largest move {worst:.3g} at {where}" if where else "no number moved"
-    return f"{flipped} checks flipped; {moved}"
+    keys = [
+        f"{side}: " + ", ".join(f"{key} ×{count}" for key, count in sorted(counts.items()))
+        for side, counts in one_sided.items()
+        if counts
+    ]
+    return "; ".join([f"{flipped} checks flipped", moved, *keys])
 
 
 def main(argv: list[str]) -> int:
