@@ -176,8 +176,8 @@ def norm_estimate(
     both steps of a coordinate, so at most max(budget + 1, NORM_RESTARTS + 3)
     ratios are evaluated, each from two Luxemburg norms.  Ratios are computed
     in batches (all starts at once, then both steps of every coordinate the
-    budget can still reach), and a batch is walked in the sequential order,
-    so the search is the same as one ratio at a time.
+    budget can still reach), and a batch is read in order up to its first
+    improvement, so the search is the same as one ratio at a time.
     """
     rng = np.random.default_rng(seed)
     n = op.n_atoms
@@ -210,33 +210,22 @@ def norm_estimate(
             improved = False
             j = 0
             while j < len(coords) and evals < budget:
-                # Each coordinate costs at least one evaluation, so no more
-                # than budget - evals of them can be reached from here.
-                batch = coords[j : j + budget - evals]
-                peak = 0.1 * float(np.max(np.abs(f)))
+                # Rows 2k and 2k + 1 step coordinate batch[k] up and down.
+                batch = coords[j : j + (budget - evals + 1) // 2]
+                delta = step * np.maximum(np.abs(f[batch]), max(0.1 * float(np.max(np.abs(f))), 1e-6))
                 props = np.repeat(f[None], 2 * len(batch), axis=0)
-                for k, i in enumerate(batch):
-                    base = f[i]
-                    scale = max(abs(base), peak, 1e-6)
-                    props[2 * k, i] = base + step * scale
-                    props[2 * k + 1, i] = base + -step * scale
+                rows = 2 * np.arange(len(batch))
+                props[rows, batch] = f[batch] + delta
+                props[rows + 1, batch] = f[batch] - delta
                 cands = ratios(props)
-                # Walk the batch in order: the first improvement is accepted and
-                # the proposals after it, built from the old f, are dropped.
-                for k, i in enumerate(batch):
-                    j += 1
-                    hit = None
-                    for row in (2 * k, 2 * k + 1):
-                        evals += 1
-                        if cands[row] > r * (1.0 + 1e-12):
-                            hit = row
-                            break
-                    if hit is not None:
-                        r = float(cands[hit])
-                        f[i] = props[hit, i]
-                        improved = True
-                    if hit is not None or evals >= budget:
-                        break
+                hits = np.flatnonzero(cands > r * (1.0 + 1e-12))
+                used = int(hits[0]) + 1 if hits.size else len(cands)
+                evals += used
+                j += (used + 1) // 2
+                if hits.size:
+                    r = float(cands[hits[0]])
+                    f = props[hits[0]].copy()
+                    improved = True
             if not improved:
                 step *= 0.5
         best_r = max(best_r, r)
@@ -460,7 +449,7 @@ def resolvent_check(
         "margin": margin,
         "residual_left": r_left,
         "residual_right": r_right,
-        "holds": max(r_left, r_right) <= tol * max(scale, 1e-300),
+        "holds": bool(np.max([r_left, r_right]) <= tol * max(scale, 1e-300)),  # False on a NaN
     }
 
 

@@ -233,10 +233,11 @@ class TestNormEstimate:
             assert lower <= upper * (1.0 + 1e-6)
 
 
-def sequential_norm_estimate(op, phi, budget, seed, restarts=3):
+def sequential_norm_estimate(op, phi, budget, seed, restarts=3, read=None):
     """The one-ratio-at-a-time search that the batched norm_estimate must
     reproduce bitwise; also returns the evaluation count and whether the budget
-    ran out inside a sweep, before its last coordinate."""
+    ran out inside a sweep, before its last coordinate.  A `read` list gets a
+    copy of each vector whose ratio is evaluated, in order."""
     rng = np.random.default_rng(seed)
     n = op.n_atoms
     evals = 0
@@ -244,6 +245,8 @@ def sequential_norm_estimate(op, phi, budget, seed, restarts=3):
     def ratio(f):
         nonlocal evals
         evals += 1
+        if read is not None:
+            read.append(f.copy())
         nf = luxemburg_norm(op.space, phi, f)
         return 0.0 if nf == 0.0 else luxemburg_norm(op.space, phi, op.apply(f)) / nf
 
@@ -291,25 +294,65 @@ def sequential_norm_estimate(op, phi, budget, seed, restarts=3):
     return best_r, best_f, evals, mid_sweep
 
 
+# 10, 2 and 38 atoms, then 48 atoms of which 32 coordinates are sampled, then
+# 7 and 31 atoms: every kind of young._KINDS is searched.
+SEARCH_CASES = [
+    (random_op(700, n_hi=40)[0], young.scaled_power(2.0)),
+    (random_op(701)[0], young.exp_type()),
+    (random_op(703, n_hi=40)[0], young.conjugate_power(3.0)),
+    (RefinementFamily("reciprocal", (12, 24)).member(24), young.exp_type()),
+    (random_op(704)[0], young.log_type()),
+    (random_op(706, n_hi=40)[0], young.power(3.0)),
+]
+SEARCH_BUDGETS = (4, 23, 60, 61, 96)
+
+
 class TestBatchedNormSearch:
     """norm_estimate scores its ratios in batches; the search must not change."""
 
     def test_equals_the_sequential_search_bitwise(self):
-        # 10, 2 and 38 atoms, then 48 atoms of which 32 coordinates are sampled.
-        ops = [random_op(700, n_hi=40)[0], random_op(701)[0], random_op(703, n_hi=40)[0]]
-        ops.append(RefinementFamily("reciprocal", (12, 24)).member(24))
-        kinds = (young.scaled_power(2.0), young.exp_type(), young.conjugate_power(3.0), young.exp_type())
-        ran_out_mid_sweep = over_budget = 0
-        for k, (op, phi) in enumerate(zip(ops, kinds)):
-            for seed, budget in ((k, 4), (k + 1, 23), (k + 2, 61)):
+        ran_out_mid_sweep = on_budget = over_budget = 0
+        for k, (op, phi) in enumerate(SEARCH_CASES):
+            for seed, budget in enumerate(SEARCH_BUDGETS, start=k):
                 got_r = norm_estimate(op, phi, budget=budget, seed=seed)
                 want_r, _, evals, mid_sweep = sequential_norm_estimate(op, phi, budget, seed)
                 assert got_r == want_r and type(got_r) is float
-                # The documented bound on ratio evaluations, and its +1 is reached.
+                # The documented bound on ratio evaluations.  The last batch
+                # leaves an even remainder (the budget is met exactly) or an odd
+                # one (both steps of the last coordinate go one past it).
                 assert evals <= max(budget + 1, 3 + 3)
+                on_budget += evals == budget
                 over_budget += evals == budget + 1
                 ran_out_mid_sweep += mid_sweep
-        assert ran_out_mid_sweep > 0 and over_budget > 0
+        assert ran_out_mid_sweep > 0 and on_budget > 0 and over_budget > 0
+
+    def test_each_batch_solves_only_the_rows_the_budget_can_reach(self, monkeypatch):
+        solved = []
+
+        def recording_norm(space, phi, f):
+            solved.append(f[0].copy())  # f stacks the rows over their images
+            return luxemburg_norm(space, phi, f)
+
+        monkeypatch.setattr("orliczlab.operators.luxemburg_norm", recording_norm)
+        for k, (op, phi) in enumerate(SEARCH_CASES):
+            for seed, budget in enumerate(SEARCH_BUDGETS, start=k):
+                solved.clear()
+                norm_estimate(op, phi, budget=budget, seed=seed)
+                read = []
+                sequential_norm_estimate(op, phi, budget, seed, read=read)
+                starts, *batches = solved
+                evals = len(starts)
+                assert np.array_equal(starts, read[:evals])
+                for rows in batches:
+                    assert len(rows) <= 2 * ((budget - evals + 1) // 2)
+                    # The rows the walk reads are those the sequential search
+                    # evaluates next; after the first improvement they differ.
+                    used = 0
+                    while used < len(rows) and evals + used < len(read) and np.array_equal(rows[used], read[evals + used]):
+                        used += 1
+                    assert used > 0
+                    evals += used
+                assert evals == len(read)
 
 
 @given(st.integers(0, 10_000), st.floats(1e-3, 1e3))
@@ -587,6 +630,18 @@ class TestResolvent:
         op = demo_op()
         report = resolvent_check(op, 2.0 + 1e-6, np.ones(4), tol=1.0)
         assert report["margin"] == pytest.approx(1e-6, rel=1e-3)
+
+    def test_a_nan_residual_does_not_hold(self):
+        # At lambda = 0.6 the right composition divides T f by 0.36 before T
+        # multiplies it by u = +-1e154 again: the products overflow to -inf and
+        # inf, whose mean is NaN, while the left one stays finite.  A tolerance
+        # that admits the finite residual must still not admit the NaN.
+        space, part = MeasureSpace(np.ones(4)), Partition([0, 0, 1, 1])
+        op = WeightedConditionalExpectation(space, part, np.array([1e154, -1e154, 2.0, 3.0]))
+        with np.errstate(all="ignore"):
+            report = resolvent_check(op, 0.6, np.array([1.0, 3.0, 1.0, 1.0]), tol=1e300)
+        assert math.isfinite(report["residual_left"]) and math.isnan(report["residual_right"])
+        assert report["holds"] is False
 
 
 class TestClassifier:

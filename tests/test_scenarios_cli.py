@@ -453,6 +453,25 @@ class TestCli:
             assert check["value"] == "NaN", name
             assert check["passed"] is False and check["nonfinite"] is True, name
 
+    def test_a_nan_resolvent_residual_fails_as_nonfinite(self, capsys, tmp_path):
+        # Block means 0 and 2.5 are finite, so lambdas are drawn, but u T f
+        # overflows on the first block and every residual is NaN.  The largest
+        # residual must be NaN, not the 0.0 a NaN-dropping max() leaves.
+        cfg = tmp_path / "nan_resolvent.json"
+        scenario = minimal_config(
+            space={"type": "explicit", "weights": [1, 1, 1, 1]},
+            partition={"labels": [0, 0, 1, 1]},
+            u={"type": "explicit", "values": [1e300, -1e300, 2, 3]},
+        )
+        cfg.write_text(json.dumps(scenario))
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", str(cfg), "--suite", "resolvent"])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err
+        (check,) = json.loads(out)["scenarios"][0]["suites"]["resolvent"]["checks"]
+        assert check["name"] == "inversion_residuals" and check["value"] == "NaN"
+        assert check["passed"] is False and check["nonfinite"] is True
+
     def test_large_multiplier_passes_spectrum(self, capsys, tmp_path):
         # eigvals leaves imaginary parts near 1e-6 on this 5-atom block of
         # entries near 1e10: rounding relative to the spectrum, not a defect.

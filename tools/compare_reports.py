@@ -16,15 +16,18 @@ dropped, each report or CSV whose text or exit code differs is printed, the
 last line gives both totals, and the exit code is 1 if any differs, else 0.
 For a differing pair of reports the line also gives the number of checks
 whose `passed` flipped, the largest relative move |new - old| / max(1,
-|old|) of any number found at the same place in both, with its path, and
-each key found in one report only, dropped (old only) or added (new only),
-named once with its count.
+|old|) of any finite number found at the same place in both, with its path,
+the path of each number that changes to or from NaN or +-inf (strict JSON
+writes these as the strings "NaN", "Infinity" and "-Infinity"), and each
+key found in one report only, dropped (old only) or added (new only), named
+once with its count.
 Standard library only; runs one child at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,14 +171,19 @@ def _leaves(old, new, path: str = ""):
         yield path, old, new
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _number(x) -> float | None:
+    """A report value as a float if it is a number, else None; strict JSON
+    writes NaN and +-inf as strings."""
+    if isinstance(x, str):
+        return float(x) if x in ("NaN", "Infinity", "-Infinity") else None
+    return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else None
 
 
 def _what_moved(old, new) -> str:
-    """Flipped check verdicts, the largest relative move of a number, and the
-    keys in one report only."""
-    flipped, worst, where = 0, 0.0, None
+    """Flipped check verdicts, the largest relative move of a finite number,
+    each number that changes to or from a non-finite one, and the keys in
+    one report only."""
+    flipped, worst, where, nonfinite = 0, 0.0, None, []
     one_sided = {"dropped": Counter(), "added": Counter()}
     for path, a, b in _leaves(old, new):
         if a is _ABSENT or b is _ABSENT:
@@ -183,17 +191,24 @@ def _what_moved(old, new) -> str:
             continue
         if path.endswith(".passed") and ".checks[" in path and a != b:
             flipped += 1
-        if _is_number(a) and _is_number(b) and a != b:
-            move = abs(b - a) / max(1.0, abs(a))
-            if move > worst:
-                worst, where = move, path
-    moved = f"largest move {worst:.3g} at {where}" if where else "no number moved"
+        x, y = _number(a), _number(b)
+        if x is None or y is None or a == b:
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            nonfinite.append(f"{path} ({a} -> {b})")
+            continue
+        move = abs(y - x) / max(1.0, abs(x))
+        if move > worst:
+            worst, where = move, path
+    moved = [f"largest move {worst:.3g} at {where}"] if where else []
+    if nonfinite:
+        moved.append("non-finite change at " + ", ".join(nonfinite))
     keys = [
         f"{side}: " + ", ".join(f"{key} ×{count}" for key, count in sorted(counts.items()))
         for side, counts in one_sided.items()
         if counts
     ]
-    return "; ".join([f"{flipped} checks flipped", moved, *keys])
+    return "; ".join([f"{flipped} checks flipped", *(moved or ["no number moved"]), *keys])
 
 
 def main(argv: list[str]) -> int:
