@@ -15,7 +15,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
 Reports are deterministic for a fixed config and seed, except the timing block,
 and strict JSON: a non-finite float is written as "NaN", "Infinity" or "-Infinity".
 The only environment override is ORLICZLAB_OUT_DIR, which prefixes relative
---out paths.
+--out paths; OPENBLAS_NUM_THREADS is set to 1 when the caller leaves it unset.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ import platform
 import sys
 import time
 from dataclasses import replace
+
+# One OpenBLAS thread unless the caller chose: the lab's BLAS calls are too
+# small to split, and an idle second OpenBLAS thread spins after numpy loads.
+# Set before numpy is first imported, which is when OpenBLAS reads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -22,6 +22,17 @@ through |f| and |g|, so the ranges draw the magnitudes alone and no sign is draw
 Each range scores its chunks in one young.Workspace of its own: the
 evaluations, block means, levels and Newton passes write into its arrays,
 allocated at the range's first chunk and reused by the rest.
+
+The ratio search of a pair with a Newton kind solves few of its levels.  Each
+score is given its range's running maximum, and may leave out the entries it
+proves below it, which cannot move the maximum.  By the conditional Jensen
+inequality phi(E|f|) <= E phi(|f|), on which the Hölder inequality rests,
+each level is at least E|f|, and at least the kind's closed-form floor of its
+root (young._Kind.floor); the ratio search drops every entry whose E|fg| over
+the product of those bounds lies below the maximum (_kept_ratios), about 88 %
+of them on the exp-pair workload.  Every other entry is solved as before, so
+the result is bit for bit the same, while each range, holding its own
+maximum, drops different entries for each W.
 """
 
 from __future__ import annotations
@@ -52,6 +63,11 @@ _SEARCH_CHUNK = 1 << 18
 # scenarios a `run` runs in parallel (cli._build_report); only 2 CPUs have
 # been measured.
 _MAX_WORKERS = 2
+# Rows of a range's first chunk scored exactly to seed its running maximum,
+# and the relative slack below that maximum at which _kept_ratios drops an
+# entry: far above the rounding of its bound (below 1e-12 of it).
+_SEED_ROWS = 8
+_PRUNE_SLACK = 1e-9
 
 
 def _holder_ratios(
@@ -62,26 +78,94 @@ def _holder_ratios(
     f: np.ndarray,
     g: np.ndarray,
     work: Workspace | None = None,
+    best: float | None = None,
 ) -> np.ndarray:
     """Blockwise E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))], (..., n) -> (..., n_blocks).
 
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
 
+    best: a search range's running maximum, given only with the magnitudes
+    that _search_max draws.  When a kind of the pair has no power formula,
+    the ratios are then those of _kept_ratios, the entries not proved below
+    best, in a flat array that may be empty; a best of -inf (a range's first
+    chunk) is first raised to the exact maximum of the leading _SEED_ROWS rows.
+
     Workspace contract: every pass writes into `work` (a search range's, else
-    one made for this call), reading f and g and writing neither.  The two
-    levels go into its (2, ..., n_blocks) array "holder.levels", each solved
-    in place there by block_level given `work`; phi|f|, psi|g| and then |fg|
-    go into its (..., n) array "atoms"; the block means of |fg| overwrite the
-    second level once the first holds the product.  The result is that row
-    of "holder.levels", valid until the next call.
+    one made for this call), reading f and g and writing neither.  Unless
+    _kept_ratios scores the chunk, the two levels go into its
+    (2, ..., n_blocks) array "holder.levels", each solved in place there by
+    block_level given `work`; phi|f|, psi|g| and then |fg| go into its
+    (..., n) array "atoms"; the block means of |fg| overwrite the second
+    level once the first holds the product.  The result is that row of
+    "holder.levels", valid until the next call.
     """
     work = Workspace() if work is None else work
+    if best is not None and (phi.row.power is None or psi.row.power is None):
+        if best == -math.inf:
+            best = np.max(_holder_ratios(space, partition, phi, psi, f[:_SEED_ROWS], g[:_SEED_ROWS], work))
+        return _kept_ratios(space, partition, phi, psi, f, g, work, best)
     levels = work.array("holder.levels", (2, *f.shape[:-1], partition.n_blocks))
     rhs = block_level(space, partition, phi, f, out=levels[0], work=work)
     rhs *= block_level(space, partition, psi, g, out=levels[1], work=work)
     fg = np.multiply(f, g, out=work.array("atoms", f.shape))
     return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg), out=levels[1], work=work), rhs)
+
+
+def _kept_ratios(
+    space: MeasureSpace,
+    partition: Partition,
+    phi: YoungFunction,
+    psi: YoungFunction,
+    f: np.ndarray,
+    g: np.ndarray,
+    work: Workspace,
+    best: float,
+) -> np.ndarray:
+    """The ratios of _holder_ratios at the (row, block) entries not proved below best, flat.
+
+    f and g are magnitudes.  By the conditional Jensen inequality
+    phi(E|f|) <= E phi(|f|), each level is at least E|f|, and at least
+    phi.row.floor(E phi|f|) when phi has a floor; likewise for g.  So
+    E|fg| / (lo_f * lo_g) bounds the ratio, up to the rounding of the means
+    and of evaluate, below 1e-12 of it on the draws' range [1e-3, 1e3].  An
+    entry is dropped when E|fg| < best * (1 - _PRUNE_SLACK) * lo_f * lo_g,
+    which a NaN on either side never meets; an entry with a zero target
+    (whose ratio is +inf or 0 by _ratio_atoms, not bounded by lo) is kept.
+    The kept entries are solved as _holder_ratios solves them, each root and
+    ratio bit for bit the same.
+
+    Workspace contract: the block means of phi|f|, psi|g| and |fg| go into
+    the three rows of "holder.levels", each taken in "atoms" first; the two
+    bounds then go into "atoms", a (2, ..., n_blocks) array now, each floor
+    taken in "scratch" between kernels; the verdicts go into its bool array
+    "holder.dropped".  The kept targets are compacted into "atoms" and solved
+    there in place, and the kept E|fg| into the first row of "holder.levels",
+    where the result is, valid until the next call.
+    """
+    means = work.array("holder.levels", (3, *f.shape[:-1], partition.n_blocks))
+    for theta, x, out in ((phi, f, means[0]), (psi, g, means[1])):
+        block_mean(space, partition, theta(x, work.array("atoms", x.shape), work), out=out, work=work)
+    block_mean(space, partition, np.multiply(f, g, out=work.array("atoms", f.shape)), out=means[2], work=work)
+    lo = work.array("atoms", means[:2].shape)
+    for theta, x, t, out in ((phi, f, means[0], lo[0]), (psi, g, means[1], lo[1])):
+        block_mean(space, partition, x, out=out, work=work)
+        if theta.row.floor is not None:
+            np.maximum(out, theta.row.floor(t, work.array("scratch", t.shape)), out=out)
+    bound = np.multiply(lo[0], lo[1], out=lo[0])
+    bound *= best * (1.0 - _PRUNE_SLACK)
+    dropped = np.less(means[2], bound, out=work.array("holder.dropped", bound.shape, bool))
+    np.logical_and(dropped, means[0], out=dropped)  # a zero target is kept
+    np.logical_and(dropped, means[1], out=dropped)
+    kept = np.logical_not(dropped, out=dropped).reshape(-1).nonzero()[0]
+
+    def compacted(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The kept entries of values, in order, at the front of out."""
+        return np.take(values.reshape(-1), kept, out=out.reshape(-1)[: kept.size], mode="clip")
+
+    rhs = phi.inverse(compacted(means[0], lo[0]), work)
+    rhs *= psi.inverse(compacted(means[1], lo[1]), work)
+    return _ratio_atoms(compacted(means[2], means[0]), rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -102,7 +186,7 @@ def _worker_count(tasks: int) -> int:
 
 
 def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndarray:
-    """For each score, np.max of score(|f|, |g|, work) over the search's samples, NaN propagating.
+    """For each score, np.max of score(|f|, |g|, work, best) over the search's samples, NaN propagating.
 
     The samples are the two (budget, n) batches that signed_log_uniform draws
     in turn from default_rng(seed), as magnitudes, split into W contiguous row
@@ -112,10 +196,14 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
     time, so as many elements are in flight as with one range, drawn in place
     into one pair of buffers that the range owns (a chunk is valid until the
     next is drawn, so each is scored before the next), and folds
-    np.maximum(best, np.max(score(f, g, work))) from -inf, one score after
-    the other, under the caller's np.geterr().  The ranges then combine by
-    np.maximum.reduce.  Every thread is joined before this returns, and the
-    first range's exception (a helper's BracketFailure, say) is raised here.
+    best = np.maximum(best, np.max(score(f, g, work, best), initial=-inf))
+    from -inf, one score after the other, under the caller's np.geterr().
+    Each score is given its own running maximum `best` (-inf at the range's
+    first chunk) and may leave out of its result any entry that it proves
+    below `best`, or return no entry at all; the fold is then what it would
+    be on every entry.  The ranges then combine by np.maximum.reduce.  Every
+    thread is joined before this returns, and the first range's exception (a
+    helper's BracketFailure, say) is raised here.
 
     Workspace contract: each range makes one Workspace, `work`, and passes it
     to every score, chunk after chunk, largest chunk first, so a score that
@@ -135,10 +223,12 @@ def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndar
 
     def run(k: int) -> None:
         try:
-            best, work = -math.inf, Workspace()
+            best, work = np.full(len(scores), -math.inf), Workspace()
             with np.errstate(**errstate):
                 for f, g in log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1]):
-                    best = np.maximum(best, [np.max(score(f, g, work)) for score in scores])
+                    best = np.maximum(
+                        best, [np.max(score(f, g, work, b), initial=-math.inf) for score, b in zip(scores, best)]
+                    )
             results[k] = best
         except BaseException as exc:  # re-raised on the calling thread
             errors[k] = exc
@@ -173,12 +263,13 @@ def empirical_holder_constant(
     draw buffers it owns, so memory stays bounded whatever the budget.  The
     ratio reads only |f|, |g| and |fg| = |f|*|g| (exact in IEEE arithmetic),
     so the ranges score the magnitudes alone, each chunk in its range's
-    workspace (_holder_ratios).  The result is
-    the largest ratio over every (sample, block), NaN if any is NaN: bit for
-    bit np.max over the whole batch, whatever W and the chunk size.
+    workspace (_holder_ratios), solving for a pair with a Newton kind only
+    the entries not proved below the range's maximum.  The result is the
+    largest ratio over every (sample, block), NaN if any is NaN: bit for bit
+    np.max over the whole batch, whatever W and the chunk size.
     """
     (best,) = _search_max(
-        space, budget, seed, lambda f, g, work: _holder_ratios(space, partition, phi, psi, f, g, work)
+        space, budget, seed, lambda f, g, work, best: _holder_ratios(space, partition, phi, psi, f, g, work, best)
     )
     return float(best)
 
@@ -222,8 +313,8 @@ def normalization_constants(
         space,
         sample_budget,
         seed,
-        lambda f, g, work: normalized(phi, f, work),
-        lambda f, g, work: normalized(psi, g, work),
+        lambda f, g, work, best: normalized(phi, f, work),
+        lambda f, g, work, best: normalized(psi, g, work),
     )
     return float(c1), float(c2)
 

@@ -217,8 +217,10 @@ def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work
 
     out: a C-contiguous float array of shape (..., n_blocks) that receives
     the means; the member gather then takes its one other array of that
-    shape from `work` (a young.Workspace) when one is given, so it allocates
-    nothing.  bincount's own temporaries stay below _BLOCK_MEAN_CHUNK values.
+    shape from `work` (a young.Workspace) when one is given, and bincount
+    its chunk products and row-offset labels, so neither allocates more
+    than bincount's own counts.  bincount's arrays stay below
+    _BLOCK_MEAN_CHUNK values.
     """
     values = _rows(space, values)
     mass = partition.block_measures(space)
@@ -229,7 +231,7 @@ def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work
         part = None if work is None else work.array("scratch", (rows.shape[0], partition.n_blocks))
         sums = _gather_sums(space.weights, partition, rows, sums, part)
     else:
-        sums = _bincount_sums(space.weights, partition, rows, sums)
+        sums = _bincount_sums(space.weights, partition, rows, sums, work)
     sums /= mass
     return sums.reshape(values.shape[:-1] + (partition.n_blocks,))
 
@@ -253,15 +255,23 @@ def _rank_products(w: np.ndarray, sel, rows: np.ndarray, out: np.ndarray) -> np.
     return np.multiply(x, w[sel], out=out)
 
 
-def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, sums=None) -> np.ndarray:
+def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, sums=None, work=None) -> np.ndarray:
     """Block sums of (rows, n) by bincount over labels offset by row, in chunks
-    of whole rows, written into sums when given."""
+    of whole rows, written into sums when given; the chunk products and
+    labels go into the arrays "scratch" and "measure.offsets" of `work`
+    when given, else into new arrays (cheaper for the one-row calls of
+    cond_exp)."""
     lab, k = partition.labels, partition.n_blocks
     sums = np.empty((rows.shape[0], k)) if sums is None else sums
     step = max(1, _BLOCK_MEAN_CHUNK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step] * w
-        index = np.arange(0, len(chunk) * k, k)[:, None] + lab
+        chunk = rows[start : start + step]
+        offsets = np.arange(0, len(chunk) * k, k)[:, None]
+        if work is None:
+            chunk, index = chunk * w, offsets + lab
+        else:
+            chunk = np.multiply(chunk, w, out=work.array("scratch", chunk.shape))
+            index = np.add(offsets, lab, out=work.array("measure.offsets", chunk.shape, np.intp))
         sums[start : start + step] = np.bincount(
             index.ravel(), weights=chunk.ravel(), minlength=len(chunk) * k
         ).reshape(-1, k)

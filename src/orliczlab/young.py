@@ -80,9 +80,9 @@ class Workspace:
     again.  The passes that borrow one are sequential and each name is held
     by one pass at a time: a caller's own names ("atoms" for its (..., n)
     values, say) are free while a kernel it calls runs.  The kernels share
-    the name "scratch" (evaluate's blocks, the member gather's products,
-    inverse's Newton passes), each only while it runs.  Not thread-safe:
-    one per thread.
+    the name "scratch" (evaluate's blocks, the block means' products,
+    inverse's Newton passes), each only while it runs, so a caller may
+    borrow it between kernel calls.  Not thread-safe: one per thread.
     """
 
     def __init__(self) -> None:
@@ -120,7 +120,9 @@ def log_type() -> YoungFunction:
 @dataclass(frozen=True)
 class _Kind:
     """A row of _KINDS: all that this module knows of one kind.  A kind with
-    a power formula needs nothing below it; any other is inverted by Newton."""
+    a power formula needs nothing below it; any other is inverted by Newton,
+    and its floor, a closed-form lower bound of each root, lets the Hölder
+    search skip the roots it proves cannot move its maximum (holder._kept_ratios)."""
 
     conjugate: Callable  # phi -> its complementary Young function, in closed form
     takes_p: bool = False  # p > 1 is given: the homogeneous kinds
@@ -131,6 +133,7 @@ class _Kind:
     start: Callable | None = None  # (t, sqrt(2t), x, scratch): an upper bracket of each root into x
     series: np.ndarray | None = None  # phi = z**2 * polyval(series, z) near 0, with z = x
     series_in_slope: bool = False  # or with z = phi'(x)
+    floor: Callable | None = None  # (t, out): a lower bound of each root, at most the computed one, into out
 
 
 def _log_type_into(ax: np.ndarray, out: np.ndarray, aux) -> None:
@@ -148,6 +151,11 @@ def _log_type_into(ax: np.ndarray, out: np.ndarray, aux) -> None:
 # One row per kind.  Each Newton start is short of its root by rounding at most (the first step then stops):
 # exp_type: phi(x) >= x**2/2, and phi(log(2(1+t))) - t = 1 + t - log(2(1+t)) > 0;
 # log_type: phi(y) >= y**2/(2+y) as log1p(y) >= 2y/(2+y), which is >= t at y = t + sqrt(2t).
+# Each floor lies below its root; log1p(t) meets the root in rounding at large t and sqrt(2t) at small t,
+# so _FLOOR_SHORT keeps both below the computed root too, which lands within a few ulps of the exact one:
+# exp_type: log1p(t), as phi(log1p t) = t - log1p t <= t;
+# log_type: sqrt(2t), as phi'' = 1/(1+y) <= 1 gives phi(y) <= y**2/2.
+_FLOOR_SHORT = 1.0 - 2.0**-48
 _KINDS = {
     "power": _Kind(lambda phi: conjugate_power(phi.p), takes_p=True, power=lambda p: (1.0, 1.0, p)),
     "scaled_power": _Kind(lambda phi: scaled_power(phi.p / (phi.p - 1.0)), takes_p=True, power=lambda p: (1.0, p, p)),
@@ -166,6 +174,7 @@ _KINDS = {
             np.minimum(root_t, np.add(np.log1p(t, out=s), math.log(2.0), out=s), out=x), _LOG_MAX, out=x
         ),
         series=np.array([1.0 / math.factorial(k) for k in range(15, 1, -1)]),
+        floor=lambda t, out: np.multiply(np.log1p(t, out=out), _FLOOR_SHORT, out=out),
     ),
     # (1+|y|) log(1+|y|) - |y| = 1 + (z-1) e**z = sum_{k>=2} (k-1) z**k / k! in z = log1p(|y|)
     "log_type": _Kind(
@@ -175,6 +184,7 @@ _KINDS = {
         start=lambda t, root_t, x, s: np.add(t, root_t, out=x),
         series=np.array([(k - 1.0) / math.factorial(k) for k in range(15, 1, -1)]),
         series_in_slope=True,
+        floor=lambda t, out: np.multiply(np.sqrt(t, out=out), math.sqrt(2.0) * _FLOOR_SHORT, out=out),
     ),
 }
 

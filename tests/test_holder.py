@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import holder, sampling, young
+from orliczlab import holder, measure, sampling, young
 from orliczlab.errors import BracketFailure, PreconditionViolated
 from orliczlab.holder import (
     _holder_ratios,
@@ -198,6 +198,21 @@ def drawn_chunks(*args):
     return chunks
 
 
+def plant_in_row(monkeypatch, row, edit):
+    """Make the searches' draws pass the f and g of sample `row` through edit(f_row, g_row)."""
+    chunks = holder.log_uniform_chunks
+
+    def planted(seed, shape, chunk_rows, start=0, stop=None):
+        lo = start
+        for f, g in chunks(seed, shape, chunk_rows, start, stop):
+            if lo <= row < lo + len(f):
+                edit(f[row - lo], g[row - lo])
+            lo += len(f)
+            yield f, g
+
+    monkeypatch.setattr(holder, "log_uniform_chunks", planted)
+
+
 ODD_SPACE = (MeasureSpace(np.ones(127)), Partition(np.arange(127) % 5))  # 37 * 127 is odd
 CASES = {
     "odd-power": (ODD_SPACE, scaled_pair(2.0), 37, 11),
@@ -305,23 +320,55 @@ class TestStreamedSearch:
         # it.  Two rows per chunk give every range more than one chunk.
         space, part = build_symmetric_space(4)
         budget = 9
-        row = 0 if where == "first" else budget - 1
-        chunks = holder.log_uniform_chunks
 
-        def planted(seed, shape, chunk_rows, start=0, stop=None):
-            lo = start
-            for f, g in chunks(seed, shape, chunk_rows, start, stop):
-                if lo <= row < lo + len(f):
-                    f[row - lo, 0] = g[row - lo, 0] = math.inf
-                lo += len(f)
-                yield f, g
+        def infinite(f, g):
+            f[0] = g[0] = math.inf
 
-        monkeypatch.setattr(holder, "log_uniform_chunks", planted)
+        plant_in_row(monkeypatch, 0 if where == "first" else budget - 1, infinite)
         monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
         searched = empirical_holder_constant(space, part, *scaled_pair(2.0), budget=budget, seed=3)
         c1, c2 = normalization_constants(space, part, *scaled_pair(2.0), sample_budget=budget, seed=3)
         assert math.isnan(searched) and math.isnan(c1) and math.isnan(c2)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_nan_in_one_chunk_wins_on_the_exp_pair(self, monkeypatch, where, workers):
+        # The ratio search of test_a_nan_in_one_chunk_wins on the exp pair, whose search drops
+        # ratios against each range's maximum.  The first row is scored exactly, to seed that
+        # maximum, and the last row is bounded against one.  evaluate maps an infinite |f| to
+        # NaN for these kinds, which no inverse takes, so the largest double is planted: both
+        # levels of its block are then +inf, and so is E|fg|, so the ratio is inf/inf.
+        space, part = build_symmetric_space(4)
+        budget = 9
+
+        def largest(f, g):
+            f[0] = g[0] = sys.float_info.max
+
+        plant_in_row(monkeypatch, 0 if where == "first" else budget - 1, largest)
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        with np.errstate(over="ignore"):
+            searched = empirical_holder_constant(space, part, young.exp_type(), young.log_type(), budget=budget, seed=3)
+        assert math.isnan(searched)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_a_zero_target_is_never_dropped(self, monkeypatch, workers):
+        # |f| = 1e-170 on block 0 (atoms 0 and 7) of the last row, in a range's last chunk:
+        # exp_type(1e-170) cancels to 0, so the level of f is 0 and the ratio +inf by convention,
+        # while the Jensen bound E|fg| / (E|f| * lo_g) is near 1, below the range's maximum.
+        space, part = build_symmetric_space(4)
+        budget = 9
+
+        def tiny(f, g):
+            f[[0, 7]] = 1e-170
+
+        plant_in_row(monkeypatch, budget - 1, tiny)
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        searched = empirical_holder_constant(space, part, young.exp_type(), young.log_type(), budget=budget, seed=3)
+        assert searched == math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_the_callers_errstate_reaches_every_range(self, monkeypatch):
@@ -330,7 +377,7 @@ class TestStreamedSearch:
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
         space, _ = build_symmetric_space(2)
         with np.errstate(divide="ignore"):
-            (best,) = holder._search_max(space, 4, 0, lambda f, g, work: np.divide(f, 0.0))
+            (best,) = holder._search_max(space, 4, 0, lambda f, g, work, best: np.divide(f, 0.0))
         assert best == math.inf
 
     def test_empty_budget_is_refused(self):
@@ -363,14 +410,9 @@ class TestRangeWorkspace:
         ),
     }
 
-    @pytest.mark.parametrize("search", sorted(SEARCHES))
-    @pytest.mark.parametrize("pair", sorted(PAIRS))
-    def test_later_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
-        # The exp-pair workload's space, one range of four chunks of the size the
-        # searches draw on one CPU.  A later chunk still allocates numpy's ufunc
-        # buffers (2 x 8192 values, for the member gather's strided passes) and
-        # Newton's index arrays (one integer per series row or kept row).
-        space, part = build_symmetric_space(64)
+    def later_chunk_allocations(self, monkeypatch, space, part, pair, search):
+        """Bytes allocated while each later chunk of a one-range search of four chunks is
+        scored, and the bytes of one chunk."""
         monkeypatch.setattr(holder, "_worker_count", lambda rows: 1)
         budget = 4 * (holder._SEARCH_CHUNK // space.n_atoms)
         chunks, transient, sizes = holder.log_uniform_chunks, [], []
@@ -391,7 +433,28 @@ class TestRangeWorkspace:
         finally:
             tracemalloc.stop()
         assert len(transient) == 3 and len(set(sizes)) == 1
-        assert max(transient) < sizes[0] / 8, (transient, sizes[0])
+        return transient, sizes[0]
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_later_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
+        # The exp-pair workload's space, one range of four chunks of the size the
+        # searches draw on one CPU.  A later chunk still allocates numpy's ufunc
+        # buffers (2 x 8192 values, for the member gather's strided passes) and
+        # Newton's index arrays (one integer per series row or kept row).
+        transient, chunk = self.later_chunk_allocations(monkeypatch, *build_symmetric_space(64), pair, search)
+        assert max(transient) < chunk / 8, (transient, chunk)
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_bincount_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
+        # 128 atoms in 4 blocks of 32 members: more ranks than the member gather takes, so
+        # every block mean goes through bincount, whose chunk products and row-offset labels
+        # come from the range's workspace.  Only bincount's counts are allocated.
+        space, part = build_rotation_space(32, 4)
+        assert len(part._ranks) > measure._GATHER_RANKS
+        transient, chunk = self.later_chunk_allocations(monkeypatch, space, part, pair, search)
+        assert max(transient) < chunk / 8, (transient, chunk)
 
     @pytest.mark.parametrize("search", sorted(SEARCHES))
     def test_every_range_has_its_own_workspace(self, monkeypatch, search):
@@ -423,3 +486,44 @@ class TestRangeWorkspace:
                 assert len(made) == 4
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestPruning:
+    """The exp pair's ratio search drops the entries that a Jensen bound proves below its maximum."""
+
+    PAIR = (young.exp_type(), young.log_type())
+
+    def test_every_dropped_ratio_is_below_the_maximum(self):
+        # The exp-pair workload's space, chunks of 512 rows at the seed of its gcthi search.
+        # Each chunk is bounded against the running maximum of the chunks before it (for the
+        # first, the maximum of its leading rows), and against its own median and maximum:
+        # half its ratios lie above the median, where the bound comes within 4e-6 of some.
+        # The kept ratios are exact ratios of the chunk, and every exact ratio at or above
+        # the maximum given is among them.
+        space, part = build_symmetric_space(64)
+        work, best = young.Workspace(), -math.inf
+        for f, g in drawn_chunks(22, (2048, space.n_atoms), 512):
+            exact = _holder_ratios(space, part, *self.PAIR, f, g).ravel().copy()
+            for against in (best, np.median(exact), exact.max()):
+                kept = _holder_ratios(space, part, *self.PAIR, f, g, work, against).copy()
+                if against == -math.inf:
+                    against = exact[: holder._SEED_ROWS * part.n_blocks].max()
+                assert np.all(np.isin(kept, exact)) and kept.size < exact.size
+                assert bits(np.sort(kept[kept >= against])) == bits(np.sort(exact[exact >= against]))
+            best = max(best, exact.max())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_exp_pair_search_solves_at_most_a_quarter_of_its_targets(self, monkeypatch, workers):
+        # The exp-pair workload's gcthi ratio search at seed 0: 10,000 samples on 64 blocks,
+        # two block means per (sample, block).
+        space, part = build_symmetric_space(64)
+        solved, newton = [], young._newton_inverse
+
+        def counted(phi, x, work):
+            solved.append(x.size)
+            return newton(phi, x, work)
+
+        monkeypatch.setattr(young, "_newton_inverse", counted)
+        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        empirical_holder_constant(space, part, *self.PAIR, budget=10_000, seed=22)
+        assert sum(solved) <= 2 * 10_000 * part.n_blocks / 4

@@ -681,6 +681,16 @@ class TestCli:
         capsys.readouterr()
         assert (tmp_path / "nested-report.json").exists()
 
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["default", "preset-2"])
+    def test_openblas_gets_one_thread_unless_the_caller_chose(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, orliczlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [want]
+
     def test_module_entry_point(self):
         import subprocess
         import sys

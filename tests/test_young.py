@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -175,6 +176,37 @@ def test_newton_inverse_fails_loudly_at_its_iteration_cap(monkeypatch):
     monkeypatch.setattr(young, "_NEWTON_ITERS", 2)
     with pytest.raises(BracketFailure):
         young.inverse(young.log_type(), 1e300)
+
+
+def _exact_phi(kind: str, x: float) -> Decimal:
+    """phi(x) for a finite double x >= 0 to about 50 digits: by its series below 1e-3."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = Decimal(x)
+        if y < Decimal("1e-3"):
+            if kind == "exp_type":
+                return sum(y**k / math.factorial(k) for k in range(2, 24))
+            return sum((-1) ** k * y**k / (k * (k - 1)) for k in range(2, 24))
+        return y.exp() - y - 1 if kind == "exp_type" else (1 + y) * (1 + y).ln() - y
+
+
+@pytest.mark.parametrize("phi", [young.exp_type(), young.log_type()], ids=lambda phi: phi.kind)
+def test_floor_lies_below_every_root(phi):
+    # The Hölder search drops a ratio on this floor of its levels, so it must not pass any root:
+    # not the computed one, not the exact one (phi(floor) <= t), not a recorded 50-digit one.
+    ts = np.concatenate([[0.0, 5e-324], np.logspace(-323, 308, 2001), [sys.float_info.max, math.inf]])
+    floor = phi.row.floor(ts, np.empty_like(ts))
+    assert np.all(floor <= young.inverse(phi, ts))
+    assert floor[0] == 0.0 and floor[-1] == math.inf
+    # phi is evaluated exactly: young.evaluate cancels near 0, and maps inf to NaN.
+    for t, x in zip(ts[:-1], floor[:-1]):
+        assert _exact_phi(phi.kind, float(x)) <= Decimal(float(t)), t
+    for t, root in GOLDEN["inverse_roots"][phi.kind]:
+        assert Decimal(float(phi.row.floor(np.array(float(t)), np.empty(())))) <= Decimal(root), t
+
+
+def test_every_newton_kind_has_a_floor():
+    assert all((row.floor is None) == (row.power is not None) for row in young._KINDS.values())
 
 
 NEWTON_KINDS = [young.exp_type(), young.log_type()]

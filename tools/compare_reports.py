@@ -6,8 +6,9 @@ OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
 as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
-blocks, WIDE_BLOCKS, a search whose chunks are averaged both by member
-gather and by bincount, SYMMETRIC_2048, the largest search, and KIND_CONFIGS,
+blocks, UNEQUAL_EXP, the same on the exp pair, WIDE_BLOCKS, a search whose
+chunks are averaged both by member gather and by bincount, SYMMETRIC_2048,
+the largest search, and KIND_CONFIGS,
 one scenario for each Young kind that no other case takes as phi, each at
 seeds 0, 1 and 2.  A builtin and each of these configs run with `--seed`, a
 workload config is built at the seed.  Each tree also writes every
@@ -48,6 +49,10 @@ UNEQUAL_BLOCKS = {
     "u": {"type": "generator", "name": "identity"},
     "budget": 12000,
 }
+# UNEQUAL_BLOCKS with phi = exp_type: the exp pair's ratio search, which drops
+# the ratios that a Jensen bound proves below its range's maximum, on unequal
+# weights and blocks.
+UNEQUAL_EXP = {**UNEQUAL_BLOCKS, "name": "unequal-exp", "young": {"kind": "exp_type"}}
 # 16 rotation blocks of 8 members on 128 atoms, budget 8200: a search chunk of
 # at least 256 rows is averaged by member gather, a shorter one by bincount.
 WIDE_BLOCKS = {
@@ -119,7 +124,7 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
-    for cfg in (UNEQUAL_BLOCKS, WIDE_BLOCKS, SYMMETRIC_2048, *KIND_CONFIGS):
+    for cfg in (UNEQUAL_BLOCKS, UNEQUAL_EXP, WIDE_BLOCKS, SYMMETRIC_2048, *KIND_CONFIGS):
         path = tmp / f"{cfg['name']}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for seed in SEEDS:
