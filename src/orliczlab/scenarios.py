@@ -4,23 +4,21 @@ A scenario bundles one measure-space setup (or a refinement family), one
 Young-function pair, one multiplier, and the seed and search budget the
 suites should use.  Configs are plain JSON-compatible dicts; every parse
 failure names the offending field, and a key no field reads is ignored.
+A space or multiplier section is read off its table, _SPACES or _MULTIPLIERS,
+whose row holds the section's fields and the function that builds its object.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import young as young_mod
 from .errors import ConfigError
-from .measure import (
-    MeasureSpace,
-    Partition,
-    build_rotation_space,
-    build_symmetric_space,
-)
+from .measure import MeasureSpace, Partition, build_rotation_space, build_symmetric_space
 from .operators import RefinementFamily, WeightedConditionalExpectation, boundedness_classifier, law_values
 from .young import YoungFunction, _as_float
 
@@ -61,81 +59,120 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def as_seed(value, where: str) -> int:
-    """A seed: numpy's generators take nonnegative integers only."""
-    v = _as_int(value, where)
-    if v < 0:
-        raise ConfigError(f"{where}: must be nonnegative, got {v}")
-    return v
+def _int_at_least(least: int, what: str) -> Callable:
+    def parse(value, where: str) -> int:
+        v = _as_int(value, where)
+        if v < least:
+            raise ConfigError(f"{where}: must be {what}, got {v}")
+        return v
+    return parse
 
 
-def _as_positive_int(value, where: str) -> int:
-    v = _as_int(value, where)
-    if v < 1:
-        raise ConfigError(f"{where}: must be positive, got {v}")
-    return v
+as_seed = _int_at_least(0, "nonnegative")  # numpy's generators take nonnegative integer seeds only
+_as_positive_int = _int_at_least(1, "positive")
 
 
-def _parse_space(cfg, where: str = "scenario.space") -> dict:
+def _list_of(item: Callable, expected: str, nonempty: bool = True) -> Callable:
+    """A field parser of a list, each item parsed by `item` under the list's name."""
+    def parse(value, where: str) -> list:
+        if not isinstance(value, list) or nonempty and not value:
+            raise ConfigError(f"{where}: expected {expected}")
+        return [item(v, where) for v in value]
+    return parse
+
+
+def _law(name, where: str) -> str:
+    if not isinstance(name, str) or name not in RefinementFamily.LAWS:  # an unhashable name is unknown too
+        raise ConfigError(f"{where}: unknown law {name!r}; choose from {tuple(RefinementFamily.LAWS)}")
+    return name
+
+
+def _explicit_u(space: MeasureSpace, partition: Partition, values: list) -> np.ndarray:
+    if len(values) != space.n_atoms:
+        raise ConfigError(f"u.values: got {len(values)} values for {space.n_atoms} atoms")
+    return np.asarray(values, dtype=float)
+
+
+def _indicator(space: MeasureSpace, partition: Partition, block: int) -> np.ndarray:
+    if not 0 <= block < partition.n_blocks:
+        raise ConfigError(f"u.block: block {block} out of range for {partition.n_blocks} blocks")
+    return (partition.labels == block).astype(float)
+
+
+class _Row(NamedTuple):
+    """One type of a section: its fields, name -> (parser, default), in parse
+    and write order, and the function that builds the section's object from
+    them by name.  A space row builds (space, partition), with None for a
+    partition the config must give; the family row builds a RefinementFamily
+    from u's law.  A multiplier row builds u's values on (space, partition)."""
+
+    build: Callable
+    fields: dict
+
+
+class _Table(NamedTuple):
+    """The rows a section picks from by the string in its field `key`; a row
+    may itself be a table that picks by a further field."""
+
+    key: str
+    noun: str  # what an unknown key is called in its error
+    rows: dict
+
+
+_REQUIRED = object()  # the default of a field that a config must give
+_COUNT, _FLOATS = (_as_positive_int, _REQUIRED), (_list_of(_as_float, "a nonempty list"), _REQUIRED)
+_SPACES = _Table("type", "space type", {
+    "symmetric": _Row(build_symmetric_space, {"n_half": _COUNT}),
+    "rotation": _Row(build_rotation_space, {"n": _COUNT, "cells_per_block_orbit": (_as_positive_int, 1)}),
+    "explicit": _Row(lambda weights: (MeasureSpace(weights), None), {"weights": _FLOATS}),
+    # RefinementFamily checks the count and order of the sizes.
+    "family": _Row(
+        lambda sizes, atoms_per_block, law: RefinementFamily(law, tuple(sizes), atoms_per_block),
+        {
+            "sizes": (_list_of(_as_positive_int, "a list of block counts", nonempty=False), _REQUIRED),
+            "atoms_per_block": (_as_positive_int, 2),
+        },
+    ),
+})
+_MULTIPLIERS = _Table("type", "multiplier type", {
+    "explicit": _Row(_explicit_u, {"values": _FLOATS}),
+    "law": _Row(lambda space, part, name: law_values(name, part.n_blocks)[part.labels], {"name": (_law, _REQUIRED)}),
+    "generator": _Table("name", "generator", {
+        "identity": _Row(
+            lambda space, _: np.asarray(range(space.n_atoms) if space.labels is None else space.labels, dtype=float), {}
+        ),
+        "random_uniform": _Row(
+            lambda space, _, seed: np.random.default_rng(seed).uniform(0.0, 1.0, space.n_atoms), {"seed": (as_seed, 0)}
+        ),
+        "indicator": _Row(_indicator, {"block": (_as_int, _REQUIRED)}),
+    }),
+})
+
+
+def _parse_section(cfg, where: str, table: _Table) -> dict:
+    """A section as the key that picks its row, then the row's fields in order."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
-    kind = _require(cfg, "type", where)
-    if kind == "symmetric":
-        return {"type": "symmetric", "n_half": _as_positive_int(_require(cfg, "n_half", where), f"{where}.n_half")}
-    if kind == "rotation":
-        return {
-            "type": "rotation",
-            "n": _as_positive_int(_require(cfg, "n", where), f"{where}.n"),
-            "cells_per_block_orbit": _as_positive_int(
-                cfg.get("cells_per_block_orbit", 1), f"{where}.cells_per_block_orbit"
-            ),
-        }
-    if kind == "explicit":
-        weights = _require(cfg, "weights", where)
-        if not isinstance(weights, list) or not weights:
-            raise ConfigError(f"{where}.weights: expected a nonempty list")
-        return {"type": "explicit", "weights": [_as_float(w, f"{where}.weights") for w in weights]}
-    if kind == "family":
-        sizes = _require(cfg, "sizes", where)
-        if not isinstance(sizes, list):  # RefinementFamily checks their count and order
-            raise ConfigError(f"{where}.sizes: expected a list of block counts")
-        return {
-            "type": "family",
-            "sizes": [_as_positive_int(s, f"{where}.sizes") for s in sizes],
-            "atoms_per_block": _as_positive_int(
-                cfg.get("atoms_per_block", 2), f"{where}.atoms_per_block"
-            ),
-        }
-    raise ConfigError(f"{where}.type: unknown space type {kind!r}")
+    key = _require(cfg, table.key, where)
+    row = table.rows.get(key) if isinstance(key, str) else None  # an unhashable key is unknown too
+    if row is None:
+        raise ConfigError(f"{where}.{table.key}: unknown {table.noun} {key!r}")
+    if isinstance(row, _Table):
+        return {table.key: key, **_parse_section(cfg, where, row)}
+    out = {table.key: key}
+    for name, (parse, default) in row.fields.items():
+        value = _require(cfg, name, where) if default is _REQUIRED else cfg.get(name, default)
+        out[name] = parse(value, f"{where}.{name}")
+    return out
 
 
-def _parse_u(cfg, where: str = "scenario.u") -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = _require(cfg, "type", where)
-    if kind == "explicit":
-        values = _require(cfg, "values", where)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{where}.values: expected a nonempty list")
-        return {"type": "explicit", "values": [_as_float(v, f"{where}.values") for v in values]}
-    if kind == "law":
-        name = _require(cfg, "name", where)
-        if name not in RefinementFamily.LAWS:
-            raise ConfigError(
-                f"{where}.name: unknown law {name!r}; choose from {tuple(RefinementFamily.LAWS)}"
-            )
-        return {"type": "law", "name": name}
-    if kind == "generator":
-        name = _require(cfg, "name", where)
-        if name not in ("identity", "random_uniform", "indicator"):
-            raise ConfigError(f"{where}.name: unknown generator {name!r}")
-        out = {"type": "generator", "name": name}
-        if name == "random_uniform":
-            out["seed"] = as_seed(cfg.get("seed", 0), f"{where}.seed")
-        if name == "indicator":
-            out["block"] = _as_int(_require(cfg, "block", where), f"{where}.block")
-        return out
-    raise ConfigError(f"{where}.type: unknown multiplier type {kind!r}")
+def _build(table: _Table, spec: dict, *args, **kwargs):
+    """What a parsed section describes: its row's build function called with
+    args, kwargs and the section's fields."""
+    row = table.rows[spec[table.key]]
+    if isinstance(row, _Table):
+        return _build(row, spec, *args, **kwargs)
+    return row.build(*args, **kwargs, **{name: spec[name] for name in row.fields})
 
 
 def from_config(cfg: dict) -> Scenario:
@@ -161,9 +198,9 @@ def from_config(cfg: dict) -> Scenario:
     return Scenario(
         name=name,
         description=description,
-        space=_parse_space(_require(cfg, "space", "scenario")),
+        space=_parse_section(_require(cfg, "space", "scenario"), "scenario.space", _SPACES),
         young={"kind": phi.kind, "p": phi.p} if phi.row.takes_p else {"kind": phi.kind},
-        u=_parse_u(_require(cfg, "u", "scenario")),
+        u=_parse_section(_require(cfg, "u", "scenario"), "scenario.u", _MULTIPLIERS),
         partition=partition,
         seed=as_seed(cfg.get("seed", 0), "scenario.seed"),
         budget=_as_positive_int(cfg.get("budget", 10_000), "scenario.budget"),
@@ -206,63 +243,25 @@ class Materialized:
         return boundedness_classifier(self.family, self.phi, self.psi)
 
 
-def _materialize_u(scenario: Scenario, space: MeasureSpace, partition: Partition) -> np.ndarray:
-    spec = scenario.u
-    if spec["type"] == "explicit":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.size != space.n_atoms:
-            raise ConfigError(
-                f"u.values: got {values.size} values for {space.n_atoms} atoms"
-            )
-        return values
-    if spec["type"] == "law":
-        return law_values(spec["name"], partition.n_blocks)[partition.labels]
-    name = spec["name"]
-    if name == "identity":
-        if space.labels is not None:
-            return np.asarray(space.labels, dtype=float)
-        return np.arange(space.n_atoms, dtype=float)
-    if name == "random_uniform":
-        rng = np.random.default_rng(spec.get("seed", 0))
-        return rng.uniform(0.0, 1.0, space.n_atoms)
-    block = spec["block"]
-    if not 0 <= block < partition.n_blocks:
-        raise ConfigError(
-            f"u.block: block {block} out of range for {partition.n_blocks} blocks"
-        )
-    return (partition.labels == block).astype(float)
-
-
 def _operator(scenario: Scenario) -> tuple[WeightedConditionalExpectation, RefinementFamily | None]:
     """(operator, family); a ConfigError names its field below `scenario.`."""
-    sp = scenario.space
-    if sp["type"] == "family":
-        if scenario.u["type"] != "law":
+    sp, u = scenario.space, scenario.u
+    if sp["type"] == "family":  # each member builds its own partition, and its u from u's law
+        if u["type"] != "law":
             raise ConfigError("u.type: family scenarios need a block law multiplier")
-        family = RefinementFamily(
-            law=scenario.u["name"],
-            sizes=tuple(sp["sizes"]),
-            atoms_per_block=sp["atoms_per_block"],
-        )
+        family = _build(_SPACES, sp, law=u["name"])
+        if scenario.partition is not None:
+            raise ConfigError("partition: a family space takes none; each member builds its own")
         return family.members[len(family.sizes) // 2][1], family
-
-    if sp["type"] == "symmetric":
-        space, partition = build_symmetric_space(sp["n_half"])
-    elif sp["type"] == "rotation":
-        space, partition = build_rotation_space(sp["n"], sp["cells_per_block_orbit"])
-    else:
-        space, partition = MeasureSpace(np.asarray(sp["weights"], dtype=float)), None
+    space, partition = _build(_SPACES, sp)
     if scenario.partition is not None:
         labels = np.asarray(scenario.partition["labels"], dtype=int)
         if labels.size != space.n_atoms:
-            raise ConfigError(
-                f"partition.labels: got {labels.size} labels for {space.n_atoms} atoms"
-            )
+            raise ConfigError(f"partition.labels: got {labels.size} labels for {space.n_atoms} atoms")
         partition = Partition(labels)
     elif partition is None:
         raise ConfigError("partition: required for explicit spaces")
-    u = _materialize_u(scenario, space, partition)
-    return WeightedConditionalExpectation(space, partition, u), None
+    return WeightedConditionalExpectation(space, partition, _build(_MULTIPLIERS, u, space, partition)), None
 
 
 def materialize(scenario: Scenario) -> Materialized:

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from orliczlab import cli, operators, young
+from orliczlab import cli, operators, scenarios, young
 from orliczlab import suites as suites_mod
 from orliczlab.errors import ConfigError
 from orliczlab.holder import domination_holder_constant
@@ -37,6 +37,21 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# A list or dict where a table key or a law name goes: each is unknown, not a traceback.
+UNHASHABLE_KEYS = [
+    ({"u": {"type": "law", "name": ["flat"]}}, "scenario.u.name"),
+    ({"u": {"type": "law", "name": {"a": 1}}}, "scenario.u.name"),
+    ({"space": {"type": ["symmetric"]}}, "scenario.space.type"),
+    ({"u": {"type": "generator", "name": {"a": 1}}}, "scenario.u.name"),
+]
+# A family builds the partition of each member, so it takes none from the config.
+FAMILY_WITH_PARTITION = {
+    "space": {"type": "family", "sizes": [4, 8]},
+    "partition": {"labels": [0]},
+    "u": {"type": "law", "name": "flat"},
+}
 
 
 class TestScenarioSchema:
@@ -105,6 +120,7 @@ class TestScenarioSchema:
             ({"description": 7}, "scenario.description"),
             ({"young": {"kind": ["power"]}}, "scenario.young.kind"),
             ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
+            *UNHASHABLE_KEYS,
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -177,6 +193,11 @@ class TestMaterialize:
             materialize(from_config(cfg))
         assert "scenario.u.type" in str(exc.value)
 
+    def test_family_takes_no_partition(self):
+        with pytest.raises(ConfigError) as exc:
+            materialize(from_config(minimal_config(**FAMILY_WITH_PARTITION)))
+        assert str(exc.value).startswith("scenario.partition: ")
+
     def test_explicit_space_requires_a_partition(self):
         cfg = minimal_config(space={"type": "explicit", "weights": [1.0, 1.0]})
         with pytest.raises(ConfigError) as exc:
@@ -194,6 +215,77 @@ class TestMaterialize:
         with pytest.raises(ConfigError) as exc:
             materialize(from_config(cfg))
         assert "scenario.u.block" in str(exc.value)
+
+
+def table_rows(section, table):
+    """(section, keys, row) for each row of a section table: keys is the dict
+    of table keys that picks the row, through any nested table."""
+    for key, row in table.rows.items():
+        if isinstance(row, scenarios._Table):
+            for _, keys, leaf in table_rows(section, row):
+                yield section, {table.key: key, **keys}, leaf
+        else:
+            yield section, {table.key: key}, row
+
+
+SCHEMA_ROWS = [*table_rows("space", scenarios._SPACES), *table_rows("u", scenarios._MULTIPLIERS)]
+# A small valid value of each required field, by section; the space rows run
+# with a law multiplier, the multiplier rows on a symmetric space of 4 atoms.
+REQUIRED_VALUES = {
+    "space": {"n_half": 2, "n": 4, "weights": [1.0, 2.0, 3.0, 4.0], "sizes": [2, 4]},
+    "u": {"values": [1.0, 2.0, 3.0, 4.0], "name": "flat", "block": 1},
+}
+# The top-level fields a row needs besides its own: an explicit space takes its partition from the config.
+ROW_CONTEXT = {("space", "explicit"): {"partition": {"labels": [0, 0, 1, 1]}}}
+
+
+def required_fields(row):
+    return [name for name, (_, default) in row.fields.items() if default is scenarios._REQUIRED]
+
+
+def row_config(section, keys, row, drop=None):
+    """A config giving only the row's keys and required fields, without `drop`."""
+    values = {**keys, **{name: REQUIRED_VALUES[section][name] for name in required_fields(row)}}
+    values.pop(drop, None)
+    cfg = {**minimal_config(u={"type": "law", "name": "flat"}), section: values}
+    return {**cfg, **ROW_CONTEXT.get((section, keys["type"]), {})}
+
+
+def row_id(case):
+    section, keys, _ = case
+    return ".".join([section, *keys.values()])
+
+
+@pytest.mark.parametrize("case", SCHEMA_ROWS, ids=row_id)
+class TestSchemaTables:
+    """Each row of the section tables parses, materializes and round-trips
+    from its required fields alone, and names each one that is missing."""
+
+    def test_required_fields_alone_materialize(self, case):
+        section, keys, row = case
+        scenario = from_config(row_config(section, keys, row))
+        # The parsed section is the row's keys, then every field in table order.
+        assert list(getattr(scenario, section)) == [*keys, *row.fields]
+        assert materialize(scenario).operator.n_atoms > 0
+
+    def test_each_missing_required_field_is_named(self, case):
+        section, keys, row = case
+        for name in [*keys, *required_fields(row)]:
+            with pytest.raises(ConfigError) as exc:
+                materialize(from_config(row_config(section, keys, row, drop=name)))
+            assert str(exc.value).startswith(f"scenario.{section}.{name}: "), name
+
+    def test_round_trip(self, case):
+        scenario = from_config(row_config(*case))
+        assert from_config(to_config(scenario)) == scenario
+
+
+def test_readme_names_every_schema_key_and_field():
+    readme = open(os.path.join(os.path.dirname(PERFBENCH), "README.md"), encoding="utf-8").read()
+    schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    for _, keys, row in SCHEMA_ROWS:
+        for name in [*keys, *keys.values(), *row.fields]:
+            assert f"`{name}`" in schema, name
 
 
 class TestConjugatePairCheck:
@@ -273,6 +365,8 @@ class TestCli:
             ({"young": {"kind": "piecewise_linear", "breakpoints": ["a"], "slopes": [1.0]}}, "scenario.young.kind"),
             ({"young": {"kind": ["power"]}}, "scenario.young.kind"),
             ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
+            *UNHASHABLE_KEYS,
+            (FAMILY_WITH_PARTITION, "scenario.partition"),
         ],
     )
     def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):

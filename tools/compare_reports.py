@@ -8,11 +8,12 @@ config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
 blocks, UNEQUAL_EXP, the same on the exp pair, WIDE_BLOCKS, a search whose
 chunks are averaged both by member gather and by bincount, SYMMETRIC_2048,
-the largest search, and KIND_CONFIGS,
-one scenario for each Young kind that no other case takes as phi, each at
-seeds 0, 1 and 2.  A builtin and each of these configs run with `--seed`, a
+the largest search, KIND_CONFIGS, one scenario for each Young kind that no
+other case takes as phi, and SCHEMA_CONFIGS, one for each row and default of
+the scenario schema tables that no other case takes, each at seeds 0, 1 and
+2: 63 reports.  A builtin and each of these configs run with `--seed`, a
 workload config is built at the seed.  Each tree also writes every
-builtin's operator with `export-matrix`.  The `timing` block is
+builtin's operator with `export-matrix` (7 CSVs).  The `timing` block is
 dropped, each report or CSV whose text or exit code differs is printed, the
 last line gives both totals, and the exit code is 1 if any differs, else 0.
 For a differing pair of reports the line also gives the number of checks
@@ -88,6 +89,36 @@ KIND_CONFIGS = [
         ("log-type", {"kind": "log_type"}),
     )
 ]
+# One scenario for each row and default of scenarios._SPACES and _MULTIPLIERS
+# that no case above takes: the indicator generator, identity on a labelled
+# (symmetric) space, a rotation space at its default cells_per_block_orbit with
+# random_uniform at its default seed, and a family at its default
+# atoms_per_block.
+SCHEMA_CONFIGS = [
+    {"name": name, "young": {"kind": "scaled_power", "p": 2.0}, **fields}
+    for name, fields in (
+        (
+            "indicator",
+            {
+                "space": {"type": "explicit", "weights": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+                "partition": {"labels": [0, 0, 1, 1, 2, 2]},
+                "u": {"type": "generator", "name": "indicator", "block": 1},
+            },
+        ),
+        (
+            "identity-symmetric",
+            {"space": {"type": "symmetric", "n_half": 4}, "u": {"type": "generator", "name": "identity"}},
+        ),
+        (
+            "rotation-defaults",
+            {"space": {"type": "rotation", "n": 4}, "u": {"type": "generator", "name": "random_uniform"}},
+        ),
+        (
+            "family-defaults",
+            {"space": {"type": "family", "sizes": [16, 32, 64]}, "u": {"type": "law", "name": "reciprocal"}},
+        ),
+    )
+]
 
 # Run under one tree: print the builtin names and every workload config.
 _CASES = """
@@ -124,7 +155,7 @@ def _cases(src: Path, tmp: Path) -> dict[str, list[str]]:
             path = tmp / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
             cases[f"{name} workload, seed {seed}"] = ["run", "--config", str(path)]
-    for cfg in (UNEQUAL_BLOCKS, UNEQUAL_EXP, WIDE_BLOCKS, SYMMETRIC_2048, *KIND_CONFIGS):
+    for cfg in (UNEQUAL_BLOCKS, UNEQUAL_EXP, WIDE_BLOCKS, SYMMETRIC_2048, *KIND_CONFIGS, *SCHEMA_CONFIGS):
         path = tmp / f"{cfg['name']}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for seed in SEEDS:
