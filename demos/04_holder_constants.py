@@ -38,7 +38,8 @@ for name in ("example-1.6a", "example-1.6b", "example-1.6d"):
 
 # ---------------------------------------------------------------------------
 # The normalization route: C1 and C2 bound the modulars of the normalized
-# factors, and C1 + C2 is itself a valid Hoelder constant.
+# factors.  Their exact suprema would make C1 + C2 a Hoelder constant; the
+# sampled ones only estimate them from below, so their sum certifies nothing.
 mat = materialize(builtin_scenario("example-1.6b"))
 c1, c2 = normalization_constants(
     mat.operator.space, mat.operator.partition, mat.phi, mat.psi,
@@ -47,7 +48,7 @@ c1, c2 = normalization_constants(
 print("\nnormalization constants on the exponential pair:")
 print(f"  C1 = {c1:.6f} <= phi(2) = {evaluate(mat.phi, 2.0):.6f}")
 print(f"  C2 = {c2:.6f} <= psi(2) = {evaluate(mat.psi, 2.0):.6f}")
-print(f"  C1 + C2 = {c1 + c2:.6f} is an alternative certified constant")
+print(f"  C1 + C2 = {c1 + c2:.6f}, a sampled estimate, not a certified constant")
 
 # ---------------------------------------------------------------------------
 # A single ratio evaluation, to see the object itself: the constant function 1

@@ -5,8 +5,12 @@ block averages phi^{-1}(E(phi|f|)) and psi^{-1}(E(psi|g|)) for a complementary
 pair (phi, psi).  The constant has no closed form in general.  This module
 estimates it by randomized search, certifies C0**2 from pointwise domination
 |h| <= C0 * E(|h|) (C0 the partition's domination constant; proof in
-domination_holder_constant), and estimates C1 + C2 from the normalized block
-averages, a valid constant by Young's inequality x*y <= phi(x) + psi(y).
+domination_holder_constant), and samples C1 and C2, the suprema of the
+normalized block averages.  Only the exact suprema make C1 + C2 a Hölder
+constant (by Young's inequality x*y <= phi(x) + psi(y)); the sampled ones
+are lower estimates of them, and a pair outside the sampled box can exceed
+their sum.  One routine, _holder_ratios, computes every ratio from the three
+block means it takes itself, inverting both targets by the pair's .inverse.
 The pair is taken as given and never conjugated here: the CLI builds psi by
 young.conjugate_closed_form, and the young-calculus suite's
 conjugate_consistency is the one check of psi against the numeric conjugate.
@@ -23,16 +27,12 @@ Each range scores its chunks in one young.Workspace of its own: the
 evaluations, block means, levels and Newton passes write into its arrays,
 allocated at the range's first chunk and reused by the rest.
 
-The ratio search of a pair with a Newton kind solves few of its levels.  Each
-score is given its range's running maximum, and may leave out the entries it
-proves below it, which cannot move the maximum.  By the conditional Jensen
-inequality phi(E|f|) <= E phi(|f|), on which the Hölder inequality rests,
-each level is at least E|f|, and at least the kind's closed-form floor of its
-root (young._Kind.floor); the ratio search drops every entry whose E|fg| over
-the product of those bounds lies below the maximum (_kept_ratios), about 88 %
-of them on the exp-pair workload.  Every other entry is solved as before, so
-the result is bit for bit the same, while each range, holding its own
-maximum, drops different entries for each W.
+The ratio search of a pair with a Newton kind solves few of its levels: each
+score is given its range's running maximum, and _holder_ratios leaves out the
+entries that the conditional Jensen inequality phi(E|f|) <= E phi(|f|), on
+which the Hölder inequality rests, proves below it, about 88 % of them on the
+exp-pair workload.  The result is bit for bit the same, while each range,
+holding its own maximum, drops different entries for each W.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _SEARCH_CHUNK = 1 << 18
 # been measured.
 _MAX_WORKERS = 2
 # Rows of a range's first chunk scored exactly to seed its running maximum,
-# and the relative slack below that maximum at which _kept_ratios drops an
+# and the relative slack below that maximum at which _holder_ratios drops an
 # entry: far above the rounding of its bound (below 1e-12 of it).
 _SEED_ROWS = 8
 _PRUNE_SLACK = 1e-9
@@ -87,85 +87,56 @@ def _holder_ratios(
 
     best: a search range's running maximum, given only with the magnitudes
     that _search_max draws.  When a kind of the pair has no power formula,
-    the ratios are then those of _kept_ratios, the entries not proved below
-    best, in a flat array that may be empty; a best of -inf (a range's first
-    chunk) is first raised to the exact maximum of the leading _SEED_ROWS rows.
+    the result is then flat and holds only the entries not proved below
+    best, in order, and may be empty; a best of -inf (a range's first chunk)
+    is first raised to the exact maximum of the leading _SEED_ROWS rows.  By
+    the conditional Jensen inequality phi(E|f|) <= E phi(|f|), each level is
+    at least E|f|, and at least phi.row.floor(E phi|f|) when phi has a floor;
+    likewise for g.  So E|fg| / (lo_f * lo_g) bounds the ratio, up to the
+    rounding of the means and of evaluate, below 1e-12 of it on the draws'
+    range [1e-3, 1e3].  An entry is dropped when
+    E|fg| < best * (1 - _PRUNE_SLACK) * lo_f * lo_g, which a NaN on either
+    side never meets; an entry with a zero target (whose ratio is +inf or 0
+    by _ratio_atoms, not bounded by lo) is kept.  Each kept root and ratio is
+    bit for bit the one solved without best.
 
     Workspace contract: every pass writes into `work` (a search range's, else
-    one made for this call), reading f and g and writing neither.  Unless
-    _kept_ratios scores the chunk, the two levels go into its
-    (2, ..., n_blocks) array "holder.levels", each solved in place there by
-    block_level given `work`; phi|f|, psi|g| and then |fg| go into its
-    (..., n) array "atoms"; the block means of |fg| overwrite the second
-    level once the first holds the product.  The result is that row of
-    "holder.levels", valid until the next call.
+    one made for this call), reading f and g and writing neither.  The block
+    means of phi|f|, psi|g| and |fg| go into the three rows of its
+    (3, ..., n_blocks) array "holder.levels", each taken in its (..., n)
+    array "atoms" first.  To drop entries, the two bounds go into "atoms", a
+    (2, ..., n_blocks) array now, each floor taken in "scratch" between
+    kernels, and the verdicts into its bool array "holder.dropped"; the kept
+    targets are then compacted to the front of "atoms" and the kept E|fg| to
+    the front of the first row.  Both targets are solved in place and the
+    ratios written over E|fg|, where the result is, valid until the next call.
     """
     work = Workspace() if work is None else work
-    if best is not None and (phi.row.power is None or psi.row.power is None):
-        if best == -math.inf:
-            best = np.max(_holder_ratios(space, partition, phi, psi, f[:_SEED_ROWS], g[:_SEED_ROWS], work))
-        return _kept_ratios(space, partition, phi, psi, f, g, work, best)
-    levels = work.array("holder.levels", (2, *f.shape[:-1], partition.n_blocks))
-    rhs = block_level(space, partition, phi, f, out=levels[0], work=work)
-    rhs *= block_level(space, partition, psi, g, out=levels[1], work=work)
-    fg = np.multiply(f, g, out=work.array("atoms", f.shape))
-    return _ratio_atoms(block_mean(space, partition, np.abs(fg, out=fg), out=levels[1], work=work), rhs)
-
-
-def _kept_ratios(
-    space: MeasureSpace,
-    partition: Partition,
-    phi: YoungFunction,
-    psi: YoungFunction,
-    f: np.ndarray,
-    g: np.ndarray,
-    work: Workspace,
-    best: float,
-) -> np.ndarray:
-    """The ratios of _holder_ratios at the (row, block) entries not proved below best, flat.
-
-    f and g are magnitudes.  By the conditional Jensen inequality
-    phi(E|f|) <= E phi(|f|), each level is at least E|f|, and at least
-    phi.row.floor(E phi|f|) when phi has a floor; likewise for g.  So
-    E|fg| / (lo_f * lo_g) bounds the ratio, up to the rounding of the means
-    and of evaluate, below 1e-12 of it on the draws' range [1e-3, 1e3].  An
-    entry is dropped when E|fg| < best * (1 - _PRUNE_SLACK) * lo_f * lo_g,
-    which a NaN on either side never meets; an entry with a zero target
-    (whose ratio is +inf or 0 by _ratio_atoms, not bounded by lo) is kept.
-    The kept entries are solved as _holder_ratios solves them, each root and
-    ratio bit for bit the same.
-
-    Workspace contract: the block means of phi|f|, psi|g| and |fg| go into
-    the three rows of "holder.levels", each taken in "atoms" first; the two
-    bounds then go into "atoms", a (2, ..., n_blocks) array now, each floor
-    taken in "scratch" between kernels; the verdicts go into its bool array
-    "holder.dropped".  The kept targets are compacted into "atoms" and solved
-    there in place, and the kept E|fg| into the first row of "holder.levels",
-    where the result is, valid until the next call.
-    """
+    prune = best is not None and (phi.row.power is None or psi.row.power is None)
+    if prune and best == -math.inf:
+        best = np.max(_holder_ratios(space, partition, phi, psi, f[:_SEED_ROWS], g[:_SEED_ROWS], work))
     means = work.array("holder.levels", (3, *f.shape[:-1], partition.n_blocks))
     for theta, x, out in ((phi, f, means[0]), (psi, g, means[1])):
         block_mean(space, partition, theta(x, work.array("atoms", x.shape), work), out=out, work=work)
-    block_mean(space, partition, np.multiply(f, g, out=work.array("atoms", f.shape)), out=means[2], work=work)
-    lo = work.array("atoms", means[:2].shape)
-    for theta, x, t, out in ((phi, f, means[0], lo[0]), (psi, g, means[1], lo[1])):
-        block_mean(space, partition, x, out=out, work=work)
-        if theta.row.floor is not None:
-            np.maximum(out, theta.row.floor(t, work.array("scratch", t.shape)), out=out)
-    bound = np.multiply(lo[0], lo[1], out=lo[0])
-    bound *= best * (1.0 - _PRUNE_SLACK)
-    dropped = np.less(means[2], bound, out=work.array("holder.dropped", bound.shape, bool))
-    np.logical_and(dropped, means[0], out=dropped)  # a zero target is kept
-    np.logical_and(dropped, means[1], out=dropped)
-    kept = np.logical_not(dropped, out=dropped).reshape(-1).nonzero()[0]
-
-    def compacted(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The kept entries of values, in order, at the front of out."""
-        return np.take(values.reshape(-1), kept, out=out.reshape(-1)[: kept.size], mode="clip")
-
-    rhs = phi.inverse(compacted(means[0], lo[0]), work)
-    rhs *= psi.inverse(compacted(means[1], lo[1]), work)
-    return _ratio_atoms(compacted(means[2], means[0]), rhs)
+    fg = np.multiply(f, g, out=work.array("atoms", f.shape))
+    block_mean(space, partition, np.abs(fg, out=fg), out=means[2], work=work)
+    if prune:
+        lo = work.array("atoms", means[:2].shape)
+        for theta, x, t, out in ((phi, f, means[0], lo[0]), (psi, g, means[1], lo[1])):
+            block_mean(space, partition, x, out=out, work=work)
+            if theta.row.floor is not None:
+                np.maximum(out, theta.row.floor(t, work.array("scratch", t.shape)), out=out)
+        bound = np.multiply(lo[0], lo[1], out=lo[0])
+        bound *= best * (1.0 - _PRUNE_SLACK)
+        dropped = np.less(means[2], bound, out=work.array("holder.dropped", bound.shape, bool))
+        np.logical_and(dropped, means[0], out=dropped)  # a zero target is kept
+        np.logical_and(dropped, means[1], out=dropped)
+        kept = np.logical_not(dropped, out=dropped).reshape(-1).nonzero()[0]
+        outs = (lo[0], lo[1], means[0])  # in order: the first row is read before the kept E|fg| go there
+        means = [np.take(m.reshape(-1), kept, out=o.reshape(-1)[: kept.size], mode="clip") for m, o in zip(means, outs)]
+    rhs = phi.inverse(means[0], work)
+    rhs *= psi.inverse(means[1], work)
+    return _ratio_atoms(means[2], rhs)
 
 
 def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -285,12 +256,14 @@ def normalization_constants(
     """Empirical suprema (C1, C2) of the normalized block averages.
 
     C1 is the sup over sampled f of the max atom value of
-    E(phi(f / phi^{-1}(E(phi|f|)))), and C2 the same with (psi, g).  A valid
-    Hölder constant is then C1 + C2, by the pointwise product inequality
-    x*y <= phi(x) + psi(y) applied to the normalized factors.  The f and g
-    samples are the two (sample_budget, n) batches that signed_log_uniform
-    draws in turn from default_rng(seed), split into row ranges and chunks as
-    in empirical_holder_constant; each constant is bit for bit np.max over the
+    E(phi(f / phi^{-1}(E(phi|f|)))), and C2 the same with (psi, g).  With the
+    suprema over every f and g, C1 + C2 would be a Hölder constant, by the
+    pointwise product inequality x*y <= phi(x) + psi(y) applied to the
+    normalized factors; these sampled suprema only bound them from below, so
+    their sum is an estimate, not a certificate.  The f and g samples are the
+    two (sample_budget, n) batches that signed_log_uniform draws in turn from
+    default_rng(seed), split into row ranges and chunks as in
+    empirical_holder_constant; each constant is bit for bit np.max over the
     one-shot batch, NaN if any value is NaN, whatever W and the chunk size.
     No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
 

@@ -282,7 +282,8 @@ def block_level(space: MeasureSpace, partition: Partition, theta, values, out=No
     """theta^{-1}(E(theta|values|)) per block, shape (..., n) -> (..., n_blocks):
     the level of `values` in the conditional Hölder inequality.  theta is a
     Young function, evaluated on |x| by calling it and inverted by its
-    .inverse; every level in the package is solved here.
+    .inverse.  Every level but the Hölder ratio's two is solved here:
+    holder._holder_ratios takes its own means, to prune the exp pair's first.
 
     out: a C-contiguous float array of shape (..., n_blocks) for the block
     means.  Given `work` (a young.Workspace), theta|values| goes into its

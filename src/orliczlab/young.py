@@ -122,7 +122,7 @@ class _Kind:
     """A row of _KINDS: all that this module knows of one kind.  A kind with
     a power formula needs nothing below it; any other is inverted by Newton,
     and its floor, a closed-form lower bound of each root, lets the Hölder
-    search skip the roots it proves cannot move its maximum (holder._kept_ratios)."""
+    search skip the roots it proves cannot move its maximum (holder._holder_ratios)."""
 
     conjugate: Callable  # phi -> its complementary Young function, in closed form
     takes_p: bool = False  # p > 1 is given: the homogeneous kinds
@@ -292,8 +292,9 @@ def inverse(phi: YoungFunction, t, work=None):
 
     Workspace contract: given `work`, a writeable C-contiguous float64 array
     t is solved in place, the roots overwriting the targets, and the Newton
-    passes run on arrays of `work`; measure.block_level inverts its block
-    means so.  Otherwise t is left as it is and the roots are a new array.
+    passes run on arrays of `work`; measure.block_level and
+    holder._holder_ratios invert their block means so.  Otherwise t is left
+    as it is and the roots are a new array.
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tt = np.asarray(t, dtype=float)

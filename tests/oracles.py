@@ -9,7 +9,6 @@ import numpy as np
 
 from orliczlab import young
 from orliczlab.errors import BracketFailure, PreconditionViolated
-from orliczlab.holder import _holder_ratios
 from orliczlab.measure import MeasureSpace, Partition, as_values
 from orliczlab.sampling import log_uniform
 
@@ -128,9 +127,19 @@ def conditional_holder_ratio(
     """Max over atoms of E(|fg|) / [phi^{-1}(E(phi|f|)) * psi^{-1}(E(psi|g|))].
 
     0/0 counts as 0 (the bound trivially holds there) and positive/0 as inf.
+    Every block mean is block_mean_sequential's and every level is
+    young.inverse of young.evaluate's, so no code of the holder module is
+    shared.
     """
     f, g = as_values(space, f), as_values(space, g)
-    ratios = _holder_ratios(space, partition, phi, psi, f, g)
+
+    def level(theta, x):
+        return young.inverse(theta, block_mean_sequential(space, partition, young.evaluate(theta, x)))
+
+    lhs = block_mean_sequential(space, partition, np.abs(f * g))
+    rhs = level(phi, f) * level(psi, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rhs == 0.0, np.where(lhs > 0.0, math.inf, 0.0), lhs / rhs)
     return float(np.max(ratios))
 
 

@@ -300,7 +300,7 @@ class TestStreamedSearch:
             return inverse(theta, t, work)
 
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
-        # measure.block_level inverts every level through YoungFunction.inverse.
+        # Every level is inverted through YoungFunction.inverse, which calls young.inverse.
         monkeypatch.setattr(young, "inverse", failing_inverse)
         space, part = build_symmetric_space(4)
         before = threading.active_count()
@@ -527,3 +527,24 @@ class TestPruning:
         monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
         empirical_holder_constant(space, part, *self.PAIR, budget=10_000, seed=22)
         assert sum(solved) <= 2 * 10_000 * part.n_blocks / 4
+
+    @pytest.mark.parametrize("kind", sorted(kind for kind, row in young._KINDS.items() if row.power is not None))
+    def test_a_power_pair_scores_every_entry_whatever_the_maximum(self, kind):
+        # No bound is taken for a pair of power kinds: whatever maximum the search passes,
+        # the score is the full (rows, n_blocks) array of ratios, bit for bit.
+        space, part = build_symmetric_space(8)
+        phi = young.YoungFunction(kind, p=3.0)
+        psi = young.conjugate_closed_form(phi)
+        ((f, g),) = drawn_chunks(5, (64, space.n_atoms), 64)
+        exact = _holder_ratios(space, part, phi, psi, f, g).copy()
+        assert exact.shape == (64, part.n_blocks)
+        for best in (-math.inf, np.median(exact), exact.max(), math.nan):
+            assert bits(_holder_ratios(space, part, phi, psi, f, g, young.Workspace(), best)) == bits(exact)
+
+    def test_a_nan_maximum_drops_no_exp_pair_entry(self):
+        # A NaN maximum makes every bound NaN, which no E|fg| lies below.
+        space, part = build_symmetric_space(8)
+        ((f, g),) = drawn_chunks(6, (64, space.n_atoms), 64)
+        exact = _holder_ratios(space, part, *self.PAIR, f, g).ravel().copy()
+        kept = _holder_ratios(space, part, *self.PAIR, f, g, young.Workspace(), math.nan)
+        assert bits(kept) == bits(exact)

@@ -152,7 +152,7 @@ class TestMaterialize:
 
     def test_family_suites_solve_each_members_levels_once(self, monkeypatch):
         calls, inverse = [], young.inverse
-        # measure.block_level inverts every level through YoungFunction.inverse.
+        # Every level is inverted through YoungFunction.inverse, which calls young.inverse.
         monkeypatch.setattr(young, "inverse", lambda *a: calls.append(a) or inverse(*a))
         mat = materialize(builtin_scenario("decay-family"))
         for name in ("boundedness", "compactness-trend", "essential-norm"):
