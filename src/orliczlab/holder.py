@@ -56,8 +56,8 @@ __all__ = [
 
 # Elements drawn and scored at once by the randomized searches: bounds each
 # sample array and temporary to 2**18 doubles (2 MiB) whatever the budget and
-# space; the block means' own temporaries are no larger (two rows x n_blocks
-# arrays for the member gather, measure._BLOCK_MEAN_CHUNK for bincount).
+# space; the block means' own temporaries are no larger, whatever the chunk's
+# length (the gather's two rows x n_blocks arrays, or _BLOCK_MEAN_CHUNK values).
 _SEARCH_CHUNK = 1 << 18
 # Most row ranges a search runs in parallel (see _search_max), and most
 # scenarios a `run` runs in parallel (cli._build_report); only 2 CPUs have

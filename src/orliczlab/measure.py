@@ -9,9 +9,9 @@ block-measurable factors.
 All block averaging runs through one entry point, block_mean.  It sums a
 batch either by member gather (one pass per member rank, for a partition of
 equal-size blocks) or by one bincount over labels offset by row, choosing from
-the shapes alone.  Both add each block's weighted values to +0.0 in ascending
-atom order, so they agree to the bit and every batched row equals a single
-call on it.  The block masses it divides by are solved only by
+the partition alone.  Both add each block's weighted values to +0.0 in
+ascending atom order, so they agree to the bit and every batched row equals a
+single call on it.  The block masses it divides by are solved only by
 Partition.block_measures, once per space and partition.  Spaces, partitions
 and operators compare and hash by identity, so a partition can key a space's
 memo.
@@ -116,17 +116,18 @@ class Partition:
         return int(self.labels.max()) + 1
 
     @cached_property
-    def _ranks(self) -> list | None:
-        """The members of every block listed by their rank inside it, or None
-        when block sizes differ: _ranks[j] selects the j-th member, in
-        ascending atom order, of every block in block order, as a slice where
-        those atoms are evenly spaced and at least _SLICE_MIN (symmetric and
-        rotation spaces), else as an index array."""
+    def _ranks(self) -> np.ndarray | None:
+        """The members of every block by their rank inside it, or None when
+        block sizes differ: a read-only C-contiguous (ranks, blocks) intp
+        array whose row j holds the j-th member, in ascending atom order, of
+        every block in block order."""
         sizes = np.bincount(self.labels)
         if np.any(sizes != sizes[0]):
             return None
         by_block = np.argsort(self.labels, kind="stable").reshape(sizes.size, -1)
-        return [_as_slice(members) for members in by_block.T.copy()]
+        ranks = np.ascontiguousarray(by_block.T)
+        ranks.setflags(write=False)
+        return ranks
 
     def block_measures(self, space: MeasureSpace) -> np.ndarray:
         """The weight of each block, read-only, solved once per space by
@@ -141,22 +142,6 @@ class Partition:
             return np.bincount(self.labels, weights=space.weights, minlength=self.n_blocks)
 
         return once(space, self, solve)
-
-
-_SLICE_MIN = 8
-
-
-def _as_slice(index: np.ndarray):
-    """index as an equivalent slice when it holds at least _SLICE_MIN evenly
-    spaced entries, else index itself.  A slice selects a view, which saves a
-    copy but leaves a strided pass with a cost per row: on 2 CPUs it took
-    0.5-0.7x the index array's time from 16 atoms per rank up, and 1.7-3x at
-    2 and 4."""
-    step = int(index[1] - index[0]) if index.size > 1 else 1
-    if index.size < _SLICE_MIN or np.any(np.diff(index) != step):
-        return index
-    stop = int(index[-1]) + step
-    return slice(int(index[0]), stop if stop >= 0 else None, step)
 
 
 def once(owner, key, solve):
@@ -195,22 +180,19 @@ def _rows(space: MeasureSpace, f) -> np.ndarray:
 # Elements per bincount call in _bincount_sums: bounds the offset-label and
 # weighted-chunk temporaries (2**16 doubles, 512 KiB) whatever the batch.
 _BLOCK_MEAN_CHUNK = 1 << 16
-# The member gather is taken for a batch whose partition has equal-size blocks
-# of at most _GATHER_RANKS members and which holds at least _GATHER_VALUES
-# values per rank.  Each rank costs a few calls and a pass that reads every
-# row of the batch, which a short batch or many ranks do not repay; bincount
-# costs the same per value whatever the partition.  Both limits were measured
-# on 2 CPUs (ROADMAP, "at numpy's floor").
+# The member gather takes a partition of equal-size blocks of at most
+# _GATHER_RANKS members, whatever the batch: each rank costs a few calls and a
+# pass over every row, which many ranks do not repay, while bincount costs the
+# same per value whatever the partition (2 CPUs; ROADMAP, "at numpy's floor").
 _GATHER_RANKS = 16
-_GATHER_VALUES = 4096
 
 
 def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work=None) -> np.ndarray:
     """Weighted mean of `values` over each block: shape (..., n) -> (..., n_blocks).
 
     The one block-averaging kernel.  The values are summed by member gather
-    when the partition has a rank table of at most _GATHER_RANKS ranks and
-    the batch is tall, else by bincount over row-offset labels.  Each
+    when the partition has a rank table of at most _GATHER_RANKS ranks, else
+    by bincount over row-offset labels, whatever the batch's length.  Each
     strategy adds w_i * x_i to +0.0 in ascending atom order per block, as a
     bincount does, so the sums are the same to the bit either way and a
     batched row equals a single call on it.
@@ -227,7 +209,7 @@ def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work
     rows = values.reshape(-1, space.n_atoms)
     sums = None if out is None else out.reshape(rows.shape[0], partition.n_blocks)
     ranks = partition._ranks
-    if ranks is not None and len(ranks) <= _GATHER_RANKS and rows.size >= _GATHER_VALUES * len(ranks):
+    if ranks is not None and len(ranks) <= _GATHER_RANKS:
         part = None if work is None else work.array("scratch", (rows.shape[0], partition.n_blocks))
         sums = _gather_sums(space.weights, partition, rows, sums, part)
     else:
@@ -237,22 +219,14 @@ def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work
 
 
 def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, acc=None, part=None) -> np.ndarray:
-    """Block sums of (rows, n) by member rank (Partition._ranks), written into
-    acc when given: the rank-0 members' w * x plus +0.0, then one in-place add
-    per further rank, whose products go into part (when given) first."""
-    first, *later = partition._ranks
-    acc = _rank_products(w, first, rows, np.empty((len(rows), partition.n_blocks)) if acc is None else acc)
-    acc += 0.0
+    """Block sums of (rows, n) by member rank (Partition._ranks), into acc when
+    given: +0.0 plus each rank's w * x in turn, formed in part when given."""
+    acc = np.empty((len(rows), partition.n_blocks)) if acc is None else acc
     part = np.empty_like(acc) if part is None else part
-    for sel in later:
-        acc += _rank_products(w, sel, rows, part)
+    for j, (sel, ws) in enumerate(zip(partition._ranks, w[partition._ranks])):
+        np.multiply(np.take(rows, sel, axis=1, out=part, mode="clip"), ws, out=part)
+        np.add(acc if j else 0.0, part, out=acc)
     return acc
-
-
-def _rank_products(w: np.ndarray, sel, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """w * x over one member rank (a slice or an index array of atoms), written into out."""
-    x = rows[:, sel] if isinstance(sel, slice) else np.take(rows, sel, axis=1, out=out, mode="clip")
-    return np.multiply(x, w[sel], out=out)
 
 
 def _bincount_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, sums=None, work=None) -> np.ndarray:

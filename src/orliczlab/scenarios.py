@@ -255,7 +255,10 @@ def _operator(scenario: Scenario) -> tuple[WeightedConditionalExpectation, Refin
         return family.members[len(family.sizes) // 2][1], family
     space, partition = _build(_SPACES, sp)
     if scenario.partition is not None:
-        labels = np.asarray(scenario.partition["labels"], dtype=int)
+        try:
+            labels = np.asarray(scenario.partition["labels"], dtype=int)
+        except OverflowError:
+            raise ConfigError("partition.labels: block ids must be 0..n_blocks-1 with no gaps") from None
         if labels.size != space.n_atoms:
             raise ConfigError(f"partition.labels: got {labels.size} labels for {space.n_atoms} atoms")
         partition = Partition(labels)

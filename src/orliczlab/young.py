@@ -62,6 +62,9 @@ class YoungFunction:
             raise ConfigError(f"young.kind: unknown kind {self.kind!r}")
         if self.row.takes_p != (self.p is not None) or self.p is not None and not self.p > 1:
             raise ConfigError(f"young.p: {self.kind!r} takes {'p > 1' if self.row.takes_p else 'no p'}, got {self.p}")
+        # The conjugate exponent p/(p-1) rounds to 1 from p ~ 1e16 up, a degenerate conjugate.
+        if self.p is not None and not self.p / (self.p - 1.0) > 1:
+            raise ConfigError(f"young.p: {self.kind!r} needs p/(p-1) > 1 in floating point, got p = {self.p!r}")
 
     def __call__(self, x, out=None, work=None):
         return evaluate(self, x, out, work)

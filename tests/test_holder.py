@@ -440,8 +440,8 @@ class TestRangeWorkspace:
     def test_later_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
         # The exp-pair workload's space, one range of four chunks of the size the
         # searches draw on one CPU.  A later chunk still allocates numpy's ufunc
-        # buffers (2 x 8192 values, for the member gather's strided passes) and
-        # Newton's index arrays (one integer per series row or kept row).
+        # buffer (8192 values, for the block means' broadcast weights and masses)
+        # and Newton's index arrays (one integer per series row or kept row).
         transient, chunk = self.later_chunk_allocations(monkeypatch, *build_symmetric_space(64), pair, search)
         assert max(transient) < chunk / 8, (transient, chunk)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import measure, young
+from orliczlab import holder, measure, young
 from orliczlab.errors import ConfigError, NegativeInput, SpaceMismatch
 from orliczlab.holder import _holder_ratios
 from orliczlab.measure import (
@@ -385,7 +385,7 @@ def _kernel_partitions():
     return [
         ("equal", *build_symmetric_space(n // 2)),
         ("rotation", *build_rotation_space(8, 8)),
-        ("rotation-wide", *build_rotation_space(4, 32)),  # gathers from 128 rows on
+        ("rotation-wide", *build_rotation_space(4, 32)),  # 4 ranks of 32 blocks
         ("unequal", MeasureSpace(weights), Partition(np.repeat(np.arange(11), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 9]))),
         ("singleton", MeasureSpace(weights), Partition(np.arange(n))),
         ("one-wide-block", MeasureSpace(weights), Partition(np.zeros(n, dtype=int))),
@@ -416,14 +416,6 @@ def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _switch_rows(space, partition):
-    """The fewest rows the member gather takes for this partition (None: never)."""
-    ranks = partition._ranks
-    if ranks is None or len(ranks) > measure._GATHER_RANKS:
-        return None
-    return -(-measure._GATHER_VALUES * len(ranks) // space.n_atoms)
-
-
 # The member gather takes only partitions of equal-size blocks; bincount takes all.
 _STRATEGY_CASES = [
     (strategy, name, space, part)
@@ -438,11 +430,11 @@ class TestBlockMeanKernel:
 
     @pytest.mark.parametrize("name, space, part", _KERNEL_PARTITIONS, ids=_KERNEL_IDS)
     def test_every_shape_matches_the_scalar_loop(self, name, space, part):
-        n, switch = space.n_atoms, _switch_rows(space, part)
-        rows = {1, 3}
-        if switch:
-            rows |= {switch - 1, switch}
-        shapes = [(n,), (0, n), (2, 3, n)] + [(r, n) for r in sorted(rows)]
+        # Short batches, chunk-sized batches and a full one-CPU search chunk
+        # on every partition.
+        n = space.n_atoms
+        rows = [1, 3, 63, 64, 127, 128, 511, 512, holder._SEARCH_CHUNK // n]
+        shapes = [(n,), (0, n), (2, 3, n)] + [(r, n) for r in rows]
         for seed, shape in enumerate(shapes):
             x = _hard_values(shape, seed)
             want = block_mean_sequential(space, part, x)
@@ -453,7 +445,7 @@ class TestBlockMeanKernel:
         "strategy, name, space, part", _STRATEGY_CASES, ids=[f"{c[0]}-{c[1]}" for c in _STRATEGY_CASES]
     )
     def test_each_strategy_matches_the_scalar_loop(self, strategy, name, space, part):
-        # Whichever the shape rule would pick, each strategy is exact on every partition it takes.
+        # Whichever the partition rule would pick, each strategy is exact on every partition it takes.
         sums = getattr(measure, strategy)
         mass = part.block_measures(space)
         for rows in (0, 1, 7, 40):
@@ -462,37 +454,38 @@ class TestBlockMeanKernel:
             got /= mass
             assert _same_bits(got, block_mean_sequential(space, part, x)), rows
 
-    def test_the_shape_rule_reaches_both_strategies(self, monkeypatch):
-        # rotation 32 x 2: 32 ranks, more than 16, so bincount at any row count;
-        # symmetric 64 atoms: 2 ranks, so gather from 4096 * 2 / 64 = 128 rows on;
-        # rotation 4 x 32: 4 ranks on 128 atoms, so gather from 128 rows on;
-        # unequal blocks of at most 10 members: no rank table, so bincount.
+    def test_the_partition_rule_reaches_both_strategies(self, monkeypatch):
+        # The partition alone picks the kernel: every batch length takes the same one.
         taken = []
         for strategy in ("_gather_sums", "_bincount_sums"):
             kernel = getattr(measure, strategy)
             monkeypatch.setattr(measure, strategy, lambda *a, k=kernel, s=strategy: taken.append(s) or k(*a))
-        unequal = next((space, part) for name, space, part in _KERNEL_PARTITIONS if name == "unequal")
-        cases = [
-            (build_rotation_space(32, 2), 3000, "_bincount_sums"),
-            (build_symmetric_space(32), 127, "_bincount_sums"),
-            (build_symmetric_space(32), 128, "_gather_sums"),
-            (build_rotation_space(4, 32), 127, "_bincount_sums"),
-            (build_rotation_space(4, 32), 128, "_gather_sums"),
-            (unequal, 3000, "_bincount_sums"),
-        ]
-        for (space, part), rows, strategy in cases:
+
+        def kernels(space, part):
             taken.clear()
-            x = _hard_values((rows, space.n_atoms), rows)
-            assert _same_bits(block_mean(space, part, x), block_mean_sequential(space, part, x))
-            assert taken == [strategy], (part.n_blocks, rows)
+            for rows in (1, 3, 127, 128, 4096):
+                x = _hard_values((rows, space.n_atoms), rows)
+                assert _same_bits(block_mean(space, part, x), block_mean_sequential(space, part, x)), rows
+            return set(taken)
+
+        for name, space, part in _KERNEL_PARTITIONS:
+            assert len(kernels(space, part)) == 1, name
+        # rotation 16 x 4: 16 ranks, the most the gather takes; rotation 17 x 4: 17 ranks;
+        # unequal blocks: no rank table.
+        unequal = next((space, part) for name, space, part in _KERNEL_PARTITIONS if name == "unequal")
+        assert kernels(*build_rotation_space(16, 4)) == {"_gather_sums"}
+        assert kernels(*build_rotation_space(17, 4)) == {"_bincount_sums"}
+        assert kernels(*unequal) == {"_bincount_sums"}
 
     def test_rank_table_lists_members_by_rank(self):
         # Blocks 0 (atoms 1, 3), 1 (0, 5), 2 (2, 4): rank j holds each block's j-th member.
+        # The table is one read-only C-contiguous (ranks, blocks) intp array.
         ranks = Partition([1, 0, 2, 0, 2, 1])._ranks
-        assert [list(np.arange(6)[sel]) for sel in ranks] == [[1, 0, 2], [3, 5, 4]]
-        # Runs of at least 8 evenly spaced atoms become slices.
-        assert build_symmetric_space(8)[1]._ranks == [slice(0, 8, 1), slice(15, 7, -1)]
-        assert [list(sel) for sel in build_symmetric_space(2)[1]._ranks] == [[0, 1], [3, 2]]
+        assert ranks.dtype == np.intp and ranks.flags.c_contiguous and not ranks.flags.writeable
+        assert ranks.tolist() == [[1, 0, 2], [3, 5, 4]]
+        # Evenly spaced members are listed like any others.
+        assert build_symmetric_space(8)[1]._ranks.tolist() == [list(range(8)), list(range(15, 7, -1))]
+        assert build_symmetric_space(2)[1]._ranks.tolist() == [[0, 1], [3, 2]]
         # Blocks of different sizes have no rank table.
         assert Partition([2, 0, 0, 1, 2, 0])._ranks is None
 

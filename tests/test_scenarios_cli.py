@@ -46,6 +46,15 @@ UNHASHABLE_KEYS = [
     ({"space": {"type": ["symmetric"]}}, "scenario.space.type"),
     ({"u": {"type": "generator", "name": {"a": 1}}}, "scenario.u.name"),
 ]
+# Numbers that parse but overflow a later conversion: a label past int64, and a
+# p whose conjugate exponent p/(p-1) rounds to 1, named as the config gave it.
+OVERFLOWING_NUMBERS = [
+    ({"partition": {"labels": [0, 0, 1, 10**29]}}, "scenario.partition.labels"),
+    *(
+        ({"young": {"kind": kind, "p": 1e17}}, f"scenario.young.p: '{kind}' needs p/(p-1) > 1 in floating point, got p = 1e+17")
+        for kind in ("power", "scaled_power", "conjugate_power")
+    ),
+]
 # A family builds the partition of each member, so it takes none from the config.
 FAMILY_WITH_PARTITION = {
     "space": {"type": "family", "sizes": [4, 8]},
@@ -121,6 +130,7 @@ class TestScenarioSchema:
             ({"young": {"kind": ["power"]}}, "scenario.young.kind"),
             ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
             *UNHASHABLE_KEYS,
+            *OVERFLOWING_NUMBERS,
         ],
     )
     def test_errors_name_the_offending_field(self, mutation, field):
@@ -367,6 +377,7 @@ class TestCli:
             ({"young": {"kind": {"a": 1}}}, "scenario.young.kind"),
             *UNHASHABLE_KEYS,
             (FAMILY_WITH_PARTITION, "scenario.partition"),
+            *OVERFLOWING_NUMBERS,
         ],
     )
     def test_malformed_values_exit_two(self, capsys, tmp_path, mutation, field):

@@ -6,8 +6,8 @@ OLD_SRC and NEW_SRC are directories that hold the `orliczlab` package, such
 as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
-blocks, UNEQUAL_EXP, the same on the exp pair, WIDE_BLOCKS, a search whose
-chunks are averaged both by member gather and by bincount, SYMMETRIC_2048,
+blocks, UNEQUAL_EXP, the same on the exp pair, WIDE_BLOCKS, a member gather
+over 8 ranks whose chunk boundaries differ between 1 and 2 CPUs, SYMMETRIC_2048,
 the largest search, KIND_CONFIGS, one scenario for each Young kind that no
 other case takes as phi, and SCHEMA_CONFIGS, one for each row and default of
 the scenario schema tables that no other case takes, each at seeds 0, 1 and
@@ -54,8 +54,9 @@ UNEQUAL_BLOCKS = {
 # the ratios that a Jensen bound proves below its range's maximum, on unequal
 # weights and blocks.
 UNEQUAL_EXP = {**UNEQUAL_BLOCKS, "name": "unequal-exp", "young": {"kind": "exp_type"}}
-# 16 rotation blocks of 8 members on 128 atoms, budget 8200: a search chunk of
-# at least 256 rows is averaged by member gather, a shorter one by bincount.
+# 16 rotation blocks of 8 members on 128 atoms, budget 8200: every block mean is
+# a member gather over 8 ranks, and one search range reads 2048-row chunks and
+# ends on 8 rows, two ranges read 1024-row chunks and end on 4.
 WIDE_BLOCKS = {
     "name": "wide-blocks",
     "space": {"type": "rotation", "n": 8, "cells_per_block_orbit": 16},
