@@ -34,7 +34,7 @@ print(f"\nblock means E(u): {mean_multiplier(op)}")
 # bound comes from block indicators plus randomized ascent, and block
 # indicators are exact eigenvectors so the best block mean is attained.
 C = domination_constant(op.space, op.partition) ** 2
-upper = norm_upper_bound(op, mat.phi, mat.psi, C)
+upper = norm_upper_bound(op, mat.psi, C)
 lower = norm_estimate(op, mat.phi, budget=300, seed=0)
 print(f"\nnorm sandwich: {lower:.9f} <= ||T|| <= {upper:.9f}")
 

@@ -213,6 +213,8 @@ def _cmd_list_scenarios(_args) -> int:
 
 def _cmd_export_matrix(args) -> int:
     scenarios = _load_scenarios(args.config, args.seed)
+    if len(scenarios) != 1:
+        raise ConfigError(f"config.scenarios: export-matrix takes one scenario, got {len(scenarios)}")
     op = materialize(scenarios[0]).operator
     out = _resolve_out(args.out)
     if out:

@@ -36,7 +36,6 @@ __all__ = [
     "build_symmetric_space",
     "build_rotation_space",
     "jensen_check",
-    "MinOfLinear",
     "generalized_jensen_check",
     "domination_constant",
 ]
@@ -343,42 +342,14 @@ def _gap_report(gap: np.ndarray, rhs: np.ndarray) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MinOfLinear:
-    """(x_1,..,x_n) -> min_j sum_i coeffs[j][i]*x_i, concave and positively homogeneous.
-
-    Coefficient vectors must be nonnegative so the function is monotone in each
-    argument; this is the finite surrogate for a min over countably many linear
-    functionals.
-    """
-
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ConfigError("min_of_linear: need at least one coefficient vector")
-        n = len(self.coeffs[0])
-        if any(len(row) != n for row in self.coeffs):
-            raise ConfigError("min_of_linear: coefficient vectors must share a length")
-        if any(c < 0 for row in self.coeffs for c in row):
-            raise ConfigError("min_of_linear: coefficients must be nonnegative")
-
-    def __call__(self, stacked):
-        """Evaluate on an array of shape (n, ...) stacking the n arguments."""
-        stacked = np.asarray(stacked, dtype=float)
-        vals = np.tensordot(np.asarray(self.coeffs), stacked, axes=(1, 0))
-        out = np.min(vals, axis=0)
-        return float(out) if out.ndim == 0 else out
-
-
-def generalized_jensen_check(space: MeasureSpace, partition: Partition, theta: MinOfLinear, fs) -> dict:
+def generalized_jensen_check(space: MeasureSpace, partition: Partition, theta, fs) -> dict:
     """Verify E(theta(f_1,..,f_n)) <= theta(E f_1,..,E f_n) for nonnegative inputs, up to JENSEN_TOL.
 
-    Each linear piece commutes with E exactly, so the min of the averaged
-    pieces dominates the average of the min; this check confirms the sampled
-    direction and raises NegativeInput when any input has negative entries,
-    where the one-sided form no longer applies.  The f_i may be batches of
-    one shape (..., n).
+    This is conditional Jensen for a concave theta, since each block average is
+    a convex combination of its atoms; the jensen suite's min(f, g) is a min of
+    nonnegative linear forms.  theta is any callable from the stacked inputs,
+    shape (n, ..., atoms), to (..., atoms), as jensen_check takes phi.  Raises
+    NegativeInput when any input has a negative entry.
     """
     stacked = np.stack([_rows(space, f) for f in fs])
     if np.any(stacked < 0):

@@ -135,7 +135,6 @@ def _bound_levels(op: WeightedConditionalExpectation, psi: YoungFunction) -> tup
 
 def norm_upper_bound(
     op: WeightedConditionalExpectation,
-    phi: YoungFunction,
     psi: YoungFunction,
     C: float,
 ) -> float:

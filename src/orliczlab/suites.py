@@ -19,7 +19,7 @@ import numpy as np
 from . import young as young_mod
 from .errors import BracketFailure, SpectralOracleError
 from .holder import domination_holder_constant, empirical_holder_constant, normalization_constants
-from .measure import JENSEN_TOL, MinOfLinear, cond_exp, domination_constant, generalized_jensen_check, jensen_check
+from .measure import JENSEN_TOL, cond_exp, domination_constant, generalized_jensen_check, jensen_check
 from .operators import (
     RESOLVENT_TOL,
     TRUNCATION_GAP_TOL,
@@ -120,8 +120,9 @@ def _suite_jensen(mat: Materialized) -> list[dict]:
     fs = np.stack([signed_log_uniform(rng, n) for _ in range(200)])
     rep = jensen_check(space, op.partition, mat.phi, fs)
     pairs = np.abs([[signed_log_uniform(rng, n), signed_log_uniform(rng, n)] for _ in range(50)])
-    theta = MinOfLinear(((1.0, 0.0), (0.0, 1.0)))  # (f, g) -> min(f, g)
-    gen = generalized_jensen_check(space, op.partition, theta, [pairs[:, 0], pairs[:, 1]])
+    gen = generalized_jensen_check(
+        space, op.partition, lambda stacked: np.min(stacked, axis=0), [pairs[:, 0], pairs[:, 1]]
+    )
     return [
         _check("convexity_inequality", rep["holds"], value=rep["max_violation"], tolerance=JENSEN_TOL, cases=200),
         _check("concave_min_inequality", gen["holds"], value=gen["max_violation"], tolerance=JENSEN_TOL, cases=50),
@@ -169,7 +170,7 @@ def _suite_gcthi(mat: Materialized) -> list[dict]:
 
 def _sandwich_checks(mat: Materialized, op: WeightedConditionalExpectation, seed: int) -> list[dict]:
     C = domination_holder_constant(op.space, op.partition)
-    upper = norm_upper_bound(op, mat.phi, mat.psi, C)
+    upper = norm_upper_bound(op, mat.psi, C)
     lower = norm_estimate(op, mat.phi, budget=300, seed=seed)
     # max|E(u)| against the computed ratio ||T 1_B|| / ||1_B|| on the top block
     # B.  Each norm lies in [||g||, ||g|| + NORM_TOL * max(1, ||g||)], which

@@ -194,7 +194,7 @@ def test_criterion_05_norm_sandwich(announce):
         p = float(rng.choice([1.5, 2.0, 3.0]))
         phi, psi = power_pair(p)
         C = domination_constant(op.space, op.partition) ** 2
-        upper = norm_upper_bound(op, phi, psi, C)
+        upper = norm_upper_bound(op, psi, C)
         lower = norm_estimate(op, phi, budget=120, seed=case)
         worst_rel = max(worst_rel, lower / upper if upper else 0.0)
         eu = np.abs(mean_multiplier(op))

@@ -168,15 +168,15 @@ class TestMultiplierLevels:
         psi = young.conjugate_closed_form(phi)
         with np.errstate(all="ignore"):
             assert np.count_nonzero(multiplier_levels(op, psi) == 0) == 7
-            assert norm_upper_bound(op, phi, psi, 4.0) == 4.0
+            assert norm_upper_bound(op, psi, 4.0) == 4.0
 
     def test_underflowed_level_that_could_be_the_max_gives_nan(self):
         op = WeightedConditionalExpectation(MeasureSpace(np.ones(4)), Partition([0, 0, 1, 1]), [0.5, 0.5, 0.0, 0.0])
         phi = young.power(1.0000000001)
         psi = young.conjugate_closed_form(phi)
         with np.errstate(all="ignore"):
-            assert math.isnan(norm_upper_bound(op, phi, psi, 4.0))
-            assert norm_upper_bound(op.with_multiplier(np.zeros(4)), phi, psi, 4.0) == 0.0
+            assert math.isnan(norm_upper_bound(op, psi, 4.0))
+            assert norm_upper_bound(op.with_multiplier(np.zeros(4)), psi, 4.0) == 0.0
 
 
 class TestNormEstimate:
@@ -228,7 +228,7 @@ class TestNormEstimate:
         for seed in range(15):
             op, _ = random_op(seed + 300)
             c = domination_constant(op.space, op.partition) ** 2
-            upper = norm_upper_bound(op, phi, psi, c)
+            upper = norm_upper_bound(op, psi, c)
             lower = norm_estimate(op, phi, budget=120, seed=seed)
             assert lower <= upper * (1.0 + 1e-6)
 

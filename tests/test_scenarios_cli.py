@@ -746,9 +746,6 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_export_matrix(self, tmp_path):
-        out_file = tmp_path / "matrix.csv"
-        assert cli.main(["export-matrix", "--config", "spectrum-demo", "--out", str(out_file)]) == 0
-        got = np.loadtxt(out_file, delimiter=",")
         want = np.array(
             [
                 [0.5, 1.5, 0.0, 0.0],
@@ -757,7 +754,22 @@ class TestCli:
                 [0.0, 0.0, 1.0, 1.0],
             ]
         )
-        assert np.array_equal(got, want)
+        # The builtin by name, and a {"scenarios": [...]} config that lists it alone.
+        listed = tmp_path / "one.json"
+        listed.write_text(json.dumps({"scenarios": [to_config(builtin_scenario("spectrum-demo"))]}))
+        out_file = tmp_path / "matrix.csv"
+        for config in ("spectrum-demo", str(listed)):
+            assert cli.main(["export-matrix", "--config", config, "--out", str(out_file)]) == 0
+            assert np.array_equal(np.loadtxt(out_file, delimiter=","), want)
+
+    def test_export_matrix_of_several_scenarios_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps({"scenarios": [minimal_config(), minimal_config(name="tiny2")]}))
+        out_file = tmp_path / "matrix.csv"
+        assert cli.main(["export-matrix", "--config", str(cfg), "--out", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config.scenarios:") and "got 2" in captured.err
+        assert captured.out == "" and not out_file.exists()
 
     def test_export_matrix_of_a_family_is_its_middle_member(self, tmp_path):
         out_file = tmp_path / "matrix.csv"
