@@ -45,7 +45,7 @@ from .suites import SUITE_ORDER, run_all_suites
 __all__ = ["main"]
 
 
-def _load_scenarios(config: str, seed_override: int | None) -> list:
+def _load_scenarios(config: str, seed_override: int | None = None) -> list:
     if seed_override is not None:
         as_seed(seed_override, "--seed")
     if config in BUILTIN_ORDER:
@@ -177,13 +177,19 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _write_out(path: str | None, write) -> bool:
+    """Call write(fh) on the --out file, under ORLICZLAB_OUT_DIR if relative; False if there is none."""
     prefix = os.environ.get("ORLICZLAB_OUT_DIR")
-    if prefix and not os.path.isabs(path):
-        return os.path.join(prefix, path)
-    return path
+    if prefix and path is not None and not os.path.isabs(path):
+        path = os.path.join(prefix, path)
+    if not path:
+        return False
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path!r}: {exc.strerror or exc}") from exc
+    return True
 
 
 def _cmd_run(args) -> int:
@@ -191,13 +197,7 @@ def _cmd_run(args) -> int:
     suite_names = _validate_suites(args.suite)
     report = _build_report(scenarios, suite_names)
     body = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out = _resolve_out(args.out)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise ConfigError(f"out: cannot write {out!r}: {exc.strerror or exc}") from exc
+    _write_out(args.out, lambda fh: fh.write(body))
     if args.format == "table":
         sys.stdout.write(_render_table(report))
     else:
@@ -212,18 +212,13 @@ def _cmd_list_scenarios(_args) -> int:
 
 
 def _cmd_export_matrix(args) -> int:
-    scenarios = _load_scenarios(args.config, args.seed)
+    scenarios = _load_scenarios(args.config)
     if len(scenarios) != 1:
         raise ConfigError(f"config.scenarios: export-matrix takes one scenario, got {len(scenarios)}")
-    op = materialize(scenarios[0]).operator
-    out = _resolve_out(args.out)
-    if out:
-        try:
-            np.savetxt(out, op.matrix, delimiter=",", fmt="%.17g")
-        except OSError as exc:
-            raise ConfigError(f"out: cannot write {out!r}: {exc.strerror or exc}") from exc
-    else:
-        np.savetxt(sys.stdout, op.matrix, delimiter=",", fmt="%.17g")
+    matrix = materialize(scenarios[0]).operator.matrix
+    save = lambda fh: np.savetxt(fh, matrix, delimiter=",", fmt="%.17g")
+    if not _write_out(args.out, save):
+        save(sys.stdout)
     return 0
 
 
@@ -233,11 +228,10 @@ def main(argv=None) -> int:
         description="Numerical checks for weighted averaging operators on Orlicz spaces",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    config_help = "path to a JSON scenario config, or a builtin name"
 
     run_p = sub.add_parser("run", help="run check suites for a scenario")
-    run_p.add_argument(
-        "--config", required=True, help="path to a JSON scenario config, or a builtin name"
-    )
+    run_p.add_argument("--config", required=True, help=config_help)
     run_p.add_argument(
         "--suite",
         action="append",
@@ -253,11 +247,8 @@ def main(argv=None) -> int:
     ls_p.set_defaults(func=_cmd_list_scenarios)
 
     ex_p = sub.add_parser("export-matrix", help="export the operator matrix as CSV")
-    ex_p.add_argument(
-        "--config", required=True, help="path to a JSON scenario config, or a builtin name"
-    )
+    ex_p.add_argument("--config", required=True, help=config_help)
     ex_p.add_argument("--out", help="write CSV here instead of stdout")
-    ex_p.add_argument("--seed", type=int, help="override the scenario seed")
     ex_p.set_defaults(func=_cmd_export_matrix)
 
     args = parser.parse_args(argv)

@@ -218,13 +218,14 @@ def block_mean(space: MeasureSpace, partition: Partition, values, out=None, work
 
 
 def _gather_sums(w: np.ndarray, partition: Partition, rows: np.ndarray, acc=None, part=None) -> np.ndarray:
-    """Block sums of (rows, n) by member rank (Partition._ranks), into acc when
-    given: +0.0 plus each rank's w * x in turn, formed in part when given."""
+    """Block sums of (rows, n) by member rank (Partition._ranks), into acc when given: +0.0 plus
+    each rank's w * x in turn, formed in part when given; +inf + -inf is NaN silently, as in bincount."""
     acc = np.empty((len(rows), partition.n_blocks)) if acc is None else acc
     part = np.empty_like(acc) if part is None else part
-    for j, (sel, ws) in enumerate(zip(partition._ranks, w[partition._ranks])):
-        np.multiply(np.take(rows, sel, axis=1, out=part, mode="clip"), ws, out=part)
-        np.add(acc if j else 0.0, part, out=acc)
+    with np.errstate(invalid="ignore"):
+        for j, (sel, ws) in enumerate(zip(partition._ranks, w[partition._ranks])):
+            np.multiply(np.take(rows, sel, axis=1, out=part, mode="clip"), ws, out=part)
+            np.add(acc if j else 0.0, part, out=acc)
     return acc
 
 

@@ -21,7 +21,6 @@ from .errors import BracketFailure, ConfigError
 __all__ = [
     "YoungFunction",
     "Workspace",
-    "GridSpec",
     "ProductConvexityReport",
     "power",
     "scaled_power",
@@ -483,17 +482,9 @@ def conjugate_numeric(phi: YoungFunction, y):
     return float(out[0]) if scalar else out.reshape(ys.shape)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced sampling grid for growth-condition checks."""
-
-    lo: float = 1e-3
-    hi: float = 1e3
-    n: int = 2048
-
-    def points(self, n: int | None = None) -> np.ndarray:
-        n = self.n if n is None else n
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), n)
+def _grid(n: int, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
+    """n log-spaced points from lo to hi, the sampling grid of the growth checks."""
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 def _stable_sup(sups: list[float]) -> bool:
@@ -526,49 +517,41 @@ def _certify(sides, n: int) -> float | None:
 
 
 def check_delta2(phi: YoungFunction) -> float | None:
-    """Constant k of the doubling condition phi(2x) <= k*phi(x) on GridSpec(), or None.
+    """Constant k of the doubling condition phi(2x) <= k*phi(x) on _grid(2048), or None.
 
     k is the grid supremum of the ratio (safety factor applied), accepted only
     when stable under two grid doublings (_certify).  The grid starts at
-    grid.lo > 0, so behaviour at 0 is not probed.
+    1e-3 > 0, so behaviour at 0 is not probed.
     """
-    grid = GridSpec()
 
     def sides(m: int):
-        xs = grid.points(n=m)
+        xs = _grid(m)
         return evaluate(phi, 2.0 * xs), evaluate(phi, xs)
 
-    return _certify(sides, grid.n)
-
-
-def _pair_grid(grid: GridSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = grid.points(n=n)
-    return xs[:, None], xs[None, :]
+    return _certify(sides, 2048)
 
 
 def check_delta_prime(phi: YoungFunction) -> float | None:
-    """Constant c of phi(x*y) <= c*phi(x)*phi(y) over the 2D grid of GridSpec(n=128), or None (_certify)."""
-    grid = GridSpec(n=128)
+    """Constant c of phi(x*y) <= c*phi(x)*phi(y) over the 2D grid _grid(128) squared, or None (_certify)."""
 
     def sides(m: int):
-        x, y = _pair_grid(grid, m)
-        return evaluate(phi, x * y), evaluate(phi, x) * evaluate(phi, y)
+        x = _grid(m)[:, None]
+        return evaluate(phi, x * x.T), evaluate(phi, x) * evaluate(phi, x.T)
 
-    return _certify(sides, grid.n)
+    return _certify(sides, 128)
 
 
 def check_nabla_prime(phi: YoungFunction) -> float | None:
-    """Factor b of phi(b*x*y) >= phi(x)*phi(y) over the 2D grid of GridSpec(n=128), or None.
+    """Factor b of phi(b*x*y) >= phi(x)*phi(y) over the 2D grid _grid(128) squared, or None.
 
     The smallest b is found by bisection; the safety factor is applied.
     """
-    grid = GridSpec(n=128)
-    x, y = _pair_grid(grid, grid.n)
-    rhs = evaluate(phi, x) * evaluate(phi, y)
+    x = _grid(128)[:, None]
+    rhs = evaluate(phi, x) * evaluate(phi, x.T)
 
     def holds(b: float) -> bool:
         with np.errstate(over="ignore"):
-            return bool(np.all(evaluate(phi, b * x * y) >= rhs))
+            return bool(np.all(evaluate(phi, b * x * x.T) >= rhs))
 
     hi = 1.0
     for _ in range(200):
@@ -591,17 +574,17 @@ def check_nabla_prime(phi: YoungFunction) -> float | None:
 
 
 def check_ordering(
-    phi1: YoungFunction, phi2: YoungFunction, grid: GridSpec = GridSpec()
+    phi1: YoungFunction, phi2: YoungFunction, lo: float = 1e-3, hi: float = 1e3, n: int = 2048
 ) -> float | None:
-    """Smallest a on a log candidate grid with phi2(x) <= phi1(a*x) above grid.lo, or None.
+    """Smallest a on a log candidate grid with phi2(x) <= phi1(a*x) on _grid(n, lo, hi), or None.
 
     The winning candidate must survive extending the sample range upward twice;
     a constant that keeps drifting as the range grows certifies nothing.
     """
     candidates = np.logspace(-3, 3, 241)  # odd count so a = 1 is on the grid
 
-    def smallest(hi: float) -> float | None:
-        xs = GridSpec(grid.lo, hi, grid.n).points()
+    def smallest(top: float) -> float | None:
+        xs = _grid(n, lo, top)
         lhs = evaluate(phi2, xs)
         for a in candidates:
             with np.errstate(over="ignore"):
@@ -609,7 +592,7 @@ def check_ordering(
                     return float(a)
         return None
 
-    found = [smallest(grid.hi * factor) for factor in (1.0, 4.0, 16.0)]
+    found = [smallest(hi * factor) for factor in (1.0, 4.0, 16.0)]
     if any(a is None for a in found) or len(set(found)) != 1:
         return None
     return found[0]
@@ -638,14 +621,14 @@ def _derivatives_fd(phi: YoungFunction, xs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def check_product_convexity(phi: YoungFunction, psi: YoungFunction) -> ProductConvexityReport:
-    """Check phi''(x) psi''(y) phi(x) psi(y) - (phi'(x) psi'(y))**2 >= 0 on GridSpec(n=256).
+    """Check phi''(x) psi''(y) phi(x) psi(y) - (phi'(x) psi'(y))**2 >= 0 on _grid(256).
 
     This is the determinant part of joint convexity for the product function,
     up to 1e-8 of its largest magnitude.  Every kind is smooth away from 0, so
     central differences give the derivatives.  The report names the minimizing
     grid point either way.
     """
-    xs = GridSpec(n=256).points()
+    xs = _grid(256)
     f, f1, f2 = _derivatives_fd(phi, xs)
     g, g1, g2 = _derivatives_fd(psi, xs)
     det = f2[:, None] * g2[None, :] * f[:, None] * g[None, :] - (f1[:, None] * g1[None, :]) ** 2

@@ -419,6 +419,7 @@ _STRATEGY_CASES = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlockMeanKernel:
     """Both strategies of the one kernel against a scalar loop, bit for bit (int64 views)."""
 

@@ -779,6 +779,24 @@ class TestCli:
         want = materialize(builtin_scenario("decay-family")).family.members[1][1]
         assert want.n_atoms == 128 and np.array_equal(got, want.matrix)
 
+    def test_export_matrix_does_not_read_the_scenario_seed(self, tmp_path):
+        # u's own seed draws u; the scenario seed feeds only the suites' samples.
+        # A third config with another u.seed shows that the bytes can move.
+        def export(seed, u_seed):
+            cfg, out_file = tmp_path / "scenario.json", tmp_path / f"{seed}-{u_seed}.csv"
+            u = {"type": "generator", "name": "random_uniform", "seed": u_seed}
+            cfg.write_text(json.dumps(minimal_config(seed=seed, u=u)))
+            assert cli.main(["export-matrix", "--config", str(cfg), "--out", str(out_file)]) == 0
+            return out_file.read_bytes()
+
+        assert export(0, 5) == export(123, 5) != export(0, 6)
+
+    def test_export_matrix_takes_no_seed_option(self):
+        argv = [sys.executable, "-m", "orliczlab", "export-matrix", "--config", "spectrum-demo", "--seed", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --seed 1" in proc.stderr
+
     def test_out_dir_override_prefixes_relative_paths(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ORLICZLAB_OUT_DIR", str(tmp_path))
         assert (
