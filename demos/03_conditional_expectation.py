@@ -19,6 +19,7 @@ from orliczlab.measure import (
     jensen_check,
 )
 from orliczlab.orlicz import contraction_check
+from orliczlab.suites import CONTRACTION_TOL, JENSEN_TOL
 
 # ---------------------------------------------------------------------------
 # The symmetric interval: [-1, 1] in 8 equal cells, blocks pairing x with -x.
@@ -52,15 +53,16 @@ print(f"\naveraging identity for a measurable multiplier: max |E(gh) - E(g) h| =
 
 # ---------------------------------------------------------------------------
 # Jensen and the norm contraction: the two inequalities underlying everything.
+# The kernels measure; each verdict is the margin against the suites' tolerance.
 phi = young.scaled_power(2.0)
 rng = np.random.default_rng(7)
 w = rng.normal(0.0, 2.0, 8)
 jensen = jensen_check(space, part, phi, w)
 contraction = contraction_check(space, part, phi, w)
-print(f"\nJensen: phi(E f) <= E(phi f) holds={jensen['holds']} "
-      f"(worst gap {jensen['max_violation']:.3e})")
-print(f"contraction: N(E f) = {contraction['norm_Ef']:.6f} <= "
-      f"N(f) = {contraction['norm_f']:.6f}")
+print(f"\nJensen: phi(E f) <= E(phi f): worst gap {jensen['max_violation']:.3e}, "
+      f"over its scale {jensen['margin']:.3e} <= {JENSEN_TOL:g}: {jensen['margin'] <= JENSEN_TOL}")
+print(f"contraction: N(E f) = {contraction['norm_Ef']:.6f} <= N(f) = {contraction['norm_f']:.6f}: "
+      f"margin {contraction['margin']:.3e} <= {CONTRACTION_TOL:g}: {contraction['margin'] <= CONTRACTION_TOL}")
 
 # ---------------------------------------------------------------------------
 # Domination: E(h) <= C0 * h atomwise for h >= 0, with the smallest C0 fixed

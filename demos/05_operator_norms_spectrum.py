@@ -20,6 +20,7 @@ from orliczlab.operators import (
     spectrum,
 )
 from orliczlab.scenarios import builtin_scenario, materialize
+from orliczlab.suites import RESOLVENT_TOL
 
 # ---------------------------------------------------------------------------
 # The worked four-atom scenario: two blocks, multiplier [1, 3, 2, 2].
@@ -48,10 +49,12 @@ print(f"max paired distance  : {report.max_match_distance:.3e}")
 
 # ---------------------------------------------------------------------------
 # Resolvent.  Away from the block means and zero, (T - lambda)^{-1} has an
-# explicit formula; both compositions must return the input.
+# explicit formula; both compositions must return the input, up to
+# RESOLVENT_TOL relative to ||f||_inf.
 rng = np.random.default_rng(11)
 f = rng.normal(0.0, 2.0, op.n_atoms)
 for lam in (5.0, -1.5, 0.7):
     res = resolvent_check(op, lam, f)
     print(f"lambda = {lam:>5}: margin {res['margin']:.2f}, "
-          f"residuals (left {res['residual_left']:.2e}, right {res['residual_right']:.2e})")
+          f"residuals (left {res['residual_left']:.2e}, right {res['residual_right']:.2e}), "
+          f"relative {res['relative_residual']:.2e} <= {RESOLVENT_TOL:g}: {res['relative_residual'] <= RESOLVENT_TOL}")

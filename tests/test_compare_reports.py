@@ -50,3 +50,16 @@ def test_a_dropped_and_an_added_key_are_named_with_their_counts():
     old = report(1.0, lower_str="1.0")
     new = report(1.0, cases=20)
     assert what_moved(old, new) == "0 checks flipped; no number moved; dropped: lower_str ×1; added: cases ×1"
+
+
+def test_a_check_whose_passed_disagrees_with_its_rule_is_misjudged():
+    def run_report(passed, **extra):
+        check = {"name": "inversion_residuals", "rule": "at_most_tolerance", "passed": passed, **extra}
+        return {"scenarios": [{"scenario": {"name": "s"}, "suites": {"resolvent": {"checks": [check]}}}]}
+
+    misjudged = compare_reports._misjudged
+    assert list(misjudged(run_report(True, value=1e-10, tolerance=1e-9))) == []
+    assert list(misjudged(run_report(True, value=2e-9, tolerance=1e-9))) == [("s/resolvent/inversion_residuals", True)]
+    assert list(misjudged(run_report(True, value="NaN", tolerance=1.0))) == [("s/resolvent/inversion_residuals", True)]
+    assert list(misjudged(run_report(False, value="NaN", tolerance=1.0, nonfinite=True))) == []
+    assert list(misjudged(report(0.5))) == []  # a check without a rule, as in an older report

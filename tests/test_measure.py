@@ -24,6 +24,7 @@ from orliczlab.measure import (
     generalized_jensen_check,
     jensen_check,
 )
+from orliczlab.suites import JENSEN_TOL
 from oracles import block_mean_sequential, conditional_holder_ratio
 
 
@@ -248,16 +249,16 @@ class TestJensen:
         phi = young.scaled_power(float(rng.uniform(1.2, 4.0)))
         f = rng.uniform(-3.0, 3.0, n)
         report = jensen_check(space, part, phi, f)
-        assert report["holds"], report
+        assert report["margin"] <= JENSEN_TOL, report
 
     def test_strict_inequality_visible_for_spread_data(self):
         space = unit_space(2)
         part = Partition([0, 0])
         phi = young.power(2.0)
         report = jensen_check(space, part, phi, np.array([0.0, 2.0]))
-        # phi(E f) = 1 while E(phi f) = 2; the gap is strictly negative.
-        assert report["holds"]
+        # phi(E f) = 1 while E(phi f) = 2; the gap is strictly negative, and so is its margin -1/2.
         assert report["max_violation"] == pytest.approx(-1.0)
+        assert report["margin"] == pytest.approx(-0.5)
 
     def test_each_row_is_held_to_its_own_scale(self):
         # sqrt is concave, so row 0 violates by sqrt(2) - 1 against E(phi f) = 1.
@@ -265,21 +266,20 @@ class TestJensen:
         space, part = unit_space(2), Partition([0, 0])
         phi = lambda x: np.sqrt(np.abs(x))
         fs = np.array([[0.0, 4.0], [1e30, 1e30]])
-        assert not jensen_check(space, part, phi, fs[0])["holds"]
-        assert jensen_check(space, part, phi, fs[1])["holds"]
+        assert not jensen_check(space, part, phi, fs[0])["margin"] <= JENSEN_TOL
+        assert jensen_check(space, part, phi, fs[1])["margin"] <= JENSEN_TOL
         report = jensen_check(space, part, phi, fs)
-        assert not report["holds"]
         assert report["max_violation"] == pytest.approx(np.sqrt(2.0) - 1.0)
+        assert report["margin"] == pytest.approx(np.sqrt(2.0) - 1.0)
 
     def test_overflow_shows_as_nan_and_fails(self):
         # exp_type overflows on both sides at 1e3: inf - inf is a NaN gap.
         space, part = unit_space(4), Partition([0, 0, 1, 1])
         fs = np.array([[0.5, 1.0, 2.0, 0.25], [1e3, 1e3, 1.0, 2.0]])
-        assert jensen_check(space, part, young.exp_type(), fs[0])["holds"]
+        assert jensen_check(space, part, young.exp_type(), fs[0])["margin"] <= JENSEN_TOL
         with np.errstate(invalid="ignore"):
             report = jensen_check(space, part, young.exp_type(), fs)
-        assert np.isnan(report["max_violation"])
-        assert report["holds"] is False
+        assert np.isnan(report["max_violation"]) and np.isnan(report["margin"])
 
 
 def min_of_stacked(stacked):
@@ -293,7 +293,7 @@ class TestGeneralizedJensen:
         part = Partition([0, 0, 1])
         fs = [np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.0, 4.0])]
         report = generalized_jensen_check(space, part, lambda s: 2.0 * s[0] + 3.0 * s[1], fs)
-        assert report["holds"]
+        assert report["margin"] <= JENSEN_TOL
         assert abs(report["max_violation"]) <= 1e-13
 
     def test_min_of_two_coordinates(self):
@@ -302,7 +302,7 @@ class TestGeneralizedJensen:
         f = np.array([1.0, 4.0, 2.0, 8.0])
         g = np.array([3.0, 1.0, 5.0, 2.0])
         report = generalized_jensen_check(space, part, min_of_stacked, [f, g])
-        assert report["holds"]
+        assert report["margin"] <= JENSEN_TOL
         # E(min) = (1+1+2+2)/4 = 1.5 < min(E f, E g) = min(3.75, 2.75)
         assert report["max_violation"] == pytest.approx(1.5 - 2.75)
 
@@ -317,7 +317,7 @@ class TestGeneralizedJensen:
         report = generalized_jensen_check(
             space, part, lambda s: np.min(np.multiply.outer(slopes, s[0]), axis=0), [f]
         )
-        assert report["holds"]
+        assert report["margin"] <= JENSEN_TOL
 
     def test_rejects_negative_inputs(self):
         space = unit_space(3)
@@ -356,13 +356,13 @@ class TestBlockMean:
 
         batch = jensen_check(space, part, young.exp_type(), fs)
         rows = [jensen_check(space, part, young.exp_type(), f) for f in fs]
-        assert batch["holds"] is all(r["holds"] for r in rows)
-        assert batch["max_violation"] == max(r["max_violation"] for r in rows)
+        for key in ("max_violation", "margin"):
+            assert batch[key] == max(r[key] for r in rows)
 
         batch = generalized_jensen_check(space, part, min_of_stacked, [np.abs(fs), np.abs(gs)])
         rows = [generalized_jensen_check(space, part, min_of_stacked, [abs(f), abs(g)]) for f, g in zip(fs, gs)]
-        assert batch["holds"] is all(r["holds"] for r in rows)
-        assert batch["max_violation"] == max(r["max_violation"] for r in rows)
+        for key in ("max_violation", "margin"):
+            assert batch[key] == max(r[key] for r in rows)
 
         for phi in (young.scaled_power(3.0), young.exp_type()):
             psi = young.conjugate_closed_form(phi)
@@ -448,6 +448,18 @@ class TestBlockMeanKernel:
             got = sums(space.weights, part, x)
             got /= mass
             assert _same_bits(got, block_mean_sequential(space, part, x)), rows
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1, 0], [0, 1, 1, 1]], ids=["gather", "bincount"])
+    def test_overflow_is_inf_without_a_warning_on_both_strategies(self, labels):
+        # Finite sums past float max (unit weights) and finite products past it
+        # (weights 4) are +-inf, as in the scalar loop, and neither strategy warns.
+        part = Partition(labels)
+        x = np.array([[1e308] * 4, [-1e308, -1e308, -1e308, 1.0]])
+        for weights in (np.ones(4), np.full(4, 4.0)):
+            space = MeasureSpace(weights)
+            want = block_mean_sequential(space, part, x)
+            assert np.isinf(want[:, 1]).all()
+            assert _same_bits(block_mean(space, part, x), want), weights
 
     def test_the_partition_rule_reaches_both_strategies(self, monkeypatch):
         # The partition alone picks the kernel: every batch length takes the same one.

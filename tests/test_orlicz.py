@@ -11,6 +11,7 @@ from orliczlab import orlicz, young
 from orliczlab.errors import BracketFailure, PreconditionViolated, SpaceMismatch
 from orliczlab.measure import MeasureSpace, Partition, _rows
 from orliczlab.orlicz import contraction_check, luxemburg_norm, modular
+from orliczlab.suites import CONTRACTION_TOL
 
 from oracles import indicator_norm, luxemburg_norm_closed_form, random_space
 
@@ -358,8 +359,9 @@ class TestBatch:
             fs[3] = 0.0
             batch = contraction_check(space, part, phi, fs)
             singles = [contraction_check(space, part, phi, f) for f in fs]
-            assert batch["holds"] is True
-            for key in ("norm_f", "norm_Ef", "slack"):
+            assert batch["margin"] <= CONTRACTION_TOL
+            assert batch["margin"] == max(s["margin"] for s in singles)
+            for key in ("norm_f", "norm_Ef"):
                 assert same_bits(batch[key], [s[key] for s in singles])
             assert all(type(s["norm_f"]) is float for s in singles)
 
@@ -374,7 +376,7 @@ class TestContraction:
         part = Partition(np.arange(n) % int(rng.integers(1, n + 1)))
         phi = young.scaled_power(float(rng.uniform(1.2, 4.0)))
         f = rng.normal(0.0, 3.0, n)
-        assert contraction_check(space, part, phi, f)["holds"]
+        assert contraction_check(space, part, phi, f)["margin"] <= CONTRACTION_TOL
 
     def test_fixed_point_on_measurable_functions(self):
         space = unit_space(4)
@@ -382,7 +384,7 @@ class TestContraction:
         phi = young.power(2.0)
         f = np.array([3.0, 3.0, -1.0, -1.0])
         report = contraction_check(space, part, phi, f)
-        assert report["holds"]
+        assert report["margin"] <= CONTRACTION_TOL
         assert report["norm_Ef"] == pytest.approx(report["norm_f"], rel=1e-9)
 
 

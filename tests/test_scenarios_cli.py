@@ -680,6 +680,18 @@ class TestCli:
             assert f"  {suite:<18} {seconds:.3f} s" in lines
         assert lines[-1] == f"overall: PASS in {timing['total_seconds']:.3f} s on 1 worker(s)"
 
+    def test_table_prints_each_checks_rule_and_tolerance(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        args = ["run", "--config", "spectrum-demo", "--suite", "jensen", "--suite", "gcthi", "--format", "table"]
+        assert cli.main([*args, "--out", str(out_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        suites = json.loads(out_path.read_text())["scenarios"][0]["suites"]
+        for suite, result in suites.items():
+            for check in result["checks"]:
+                (line,) = [line for line in lines if f" {check['name']} " in line]
+                assert f" rule={check['rule']} tolerance={check['tolerance']:.6g}" in line, line
+                assert f"value={check['value']:.6g}" in line, line
+
     def test_report_is_strict_json(self, capsys, tmp_path):
         # Extreme but valid input: the search bound C0**2 overflows to inf, and
         # exp_type overflows inside the Jensen check, whose gap is then NaN.

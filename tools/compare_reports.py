@@ -22,7 +22,9 @@ whose `passed` flipped, the largest relative move |new - old| / max(1,
 the path of each number that changes to or from NaN or +-inf (strict JSON
 writes these as the strings "NaN", "Infinity" and "-Infinity"), and each
 key found in one report only, dropped (old only) or added (new only), named
-once with its count.
+once with its count.  Every report of either tree is also re-judged: a check
+whose `passed` is not what its `rule` gives on its own numbers (rejudge) is
+printed as MISJUDGED and counts its report as differing.
 Standard library only; runs one child at a time.
 """
 
@@ -216,6 +218,78 @@ def _number(x) -> float | None:
     return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else None
 
 
+def _finite(x) -> bool:
+    """Whether every number in x, through nested lists and dicts, is finite."""
+    if isinstance(x, dict):
+        return all(_finite(item) for item in x.values())
+    if isinstance(x, list):
+        return all(_finite(item) for item in x)
+    n = _number(x)
+    return n is None or math.isfinite(n)
+
+
+def _betas_vanish(b: list) -> bool:
+    steps = all(later <= 1.01 * earlier for earlier, later in zip(b, b[1:]))
+    return steps and b[-1] <= b[0] / 2.0
+
+
+# Each rule a report check can name, restated from the report format alone:
+# rule -> (the keys whose numbers must all be finite, the rule on the record).
+# `n` reads a key as a float, strict JSON's "NaN" and "Infinity" included.
+_REJUDGE = {
+    "at_most_tolerance": (("value", "tolerance"), lambda c, n: n("value") <= n("tolerance")),
+    "at_most_bound": (("value", "bound", "tolerance"), lambda c, n: n("value") <= n("bound") * (1.0 + n("tolerance"))),
+    "near_bound": (
+        ("value", "bound", "tolerance"),
+        lambda c, n: abs(n("value") - n("bound")) <= n("tolerance") * max(1.0, n("bound")),
+    ),
+    "near_bound_absolute": (
+        ("value", "bound", "tolerance"),
+        lambda c, n: abs(n("value") - n("bound")) <= n("tolerance"),
+    ),
+    "members_at_most_bound": (
+        ("members", "tolerance"),
+        lambda c, n: all(
+            _number(row["gap_lower_bound"]) <= _number(row["bound"]) * (1.0 + n("tolerance")) for row in c["members"]
+        ),
+    ),
+    "non_increasing": (("counts",), lambda c, n: c["counts"] == sorted(c["counts"], reverse=True)),
+    "matches_expected": (("verdict", "expected"), lambda c, n: c["verdict"] == c["expected"]),
+    "certificate_as_expected": (
+        ("value", "certificate_present", "expected_present"),
+        lambda c, n: c["certificate_present"] == c["expected_present"],
+    ),
+    "betas_vanish": (("betas",), lambda c, n: _betas_vanish([_number(b) for b in c["betas"]])),
+    "betas_stabilize": (
+        ("betas",),
+        lambda c, n: all(
+            abs(_number(b) - _number(c["betas"][0])) <= 0.01 * max(_number(c["betas"][0]), 1e-300) for b in c["betas"]
+        ),
+    ),
+    "raised": ((), lambda c, n: False),
+}
+
+
+def rejudge(check: dict) -> bool:
+    """The verdict of a report check re-judged from its own record: its `rule`
+    holds on the numbers it carries, and every number that rule reads is
+    finite.  Shares no code with orliczlab; an unknown rule raises KeyError."""
+    keys, rule = _REJUDGE[check["rule"]]
+    if not all(_finite(check[key]) for key in keys if key in check):
+        return False
+    return bool(rule(check, lambda key: _number(check[key])))
+
+
+def _misjudged(report: dict):
+    """(path, passed) of each check in `report` whose `passed` differs from rejudge();
+    a check without a rule, as in an older report, is not re-judged."""
+    for section in report.get("scenarios", ()):
+        for suite, result in section["suites"].items():
+            for check in result["checks"]:
+                if "rule" in check and rejudge(check) != check["passed"]:
+                    yield f"{section['scenario']['name']}/{suite}/{check['name']}", check["passed"]
+
+
 def _what_moved(old, new) -> str:
     """Flipped check verdicts, the largest relative move of a finite number,
     each number that changes to or from a non-finite one, and the keys in
@@ -268,6 +342,10 @@ def main(argv: list[str]) -> int:
                 continue
             old_code, old, old_report = _run(old_src, old_cases[label])
             new_code, new, new_report = _run(new_src, new_cases[label])
+            for side, rep in (("old", old_report), ("new", new_report)):
+                for path, passed in _misjudged(rep or {}):
+                    differ_labels.add(label)
+                    print(f"MISJUDGED {label} ({side} tree): {path} reads passed={passed}, its rule gives {not passed}")
             if (old_code, old) != (new_code, new):
                 differ_labels.add(label)
                 detail = f"exit {old_code} -> {new_code}"
