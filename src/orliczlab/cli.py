@@ -5,11 +5,11 @@ Verbs:
   list-scenarios  one line per builtin scenario
   export-matrix   write the operator matrix as CSV for external cross-checks
 
-A `run` materializes every scenario first, so a config error exits 2 with the
-first bad scenario's message before any suite runs.  The scenarios then run
-whole on W = min(CPUs, 2, scenarios) forked workers, gathered in config order;
-with W = 1 they run in this process and nothing is forked.  The timing block
-holds total_seconds, workers (W) and, per scenario, its seconds and each suite's.
+A `run` materializes every scenario first, so a config error exits 2 before any suite
+runs.  Each (scenario, suite) pair is one task.  W = min(CPUs, 2, tasks) forked workers take
+them from one pipe, gcthi first and the largest search first, and the parent, which only
+coordinates, gathers them in config order; with W = 1 they run in process, in the same order.
+The timing block holds total_seconds, workers (W) and, per scenario, each suite's seconds and their sum.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
 Reports are deterministic for a fixed config and seed, except the timing block,
@@ -21,9 +21,11 @@ The only environment override is ORLICZLAB_OUT_DIR, which prefixes relative
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import pickle
 import platform
 import sys
 import time
@@ -40,7 +42,7 @@ from . import __version__
 from .errors import ConfigError
 from .holder import _worker_count
 from .scenarios import BUILTIN_ORDER, as_seed, builtin_scenario, from_config, materialize, to_config
-from .suites import SUITE_ORDER, run_all_suites
+from .suites import SUITE_ORDER, run_suite
 
 __all__ = ["main"]
 
@@ -88,54 +90,108 @@ def _validate_suites(names) -> tuple:
     return tuple(names)
 
 
-def _run_scenario(mat, suite_names) -> tuple:
-    """A scenario's report section, and its timing: its seconds and each suite's."""
+def _run_task(mat, suite: str) -> tuple:
+    """One (scenario, suite) task: the suite's record and its seconds."""
     start = time.perf_counter()
-    result = run_all_suites(mat, suite_names)
-    section = {"scenario": to_config(mat.scenario), "suites": result["suites"], "passed": result["passed"]}
-    return section, {"seconds": time.perf_counter() - start, "suites": result["seconds"]}
+    return run_suite(suite, mat), time.perf_counter() - start
 
 
-# (materialized scenario, suite names) per scenario of a fanned-out run.  Forked
-# workers inherit them and receive only indices; fork spares each a fresh
-# import, and no thread of this package runs when it forks (searches join theirs).
-_FANNED: list = []
+def _task_order(mats, suite_names) -> list:
+    """Indices of the config-order (scenario, suite) tasks in the order workers take them: gcthi, the one
+    suite whose work grows with the budget, first, largest budget x atoms first; the rest in config order."""
+    per, sizes = len(suite_names), [m.scenario.budget * m.operator.n_atoms for m in mats]
+    return sorted(range(len(mats) * per), key=lambda i: -sizes[i // per] if suite_names[i % per] == "gcthi" else 0)
 
 
-def _run_fanned(index: int) -> tuple:
-    return _run_scenario(*_FANNED[index])
+def _serve(tasks, task_r, result_w):
+    """A forked worker's whole life: run the tasks whose 4-byte indices it reads from task_r
+    until EOF, write the pickled [(index, result), ...] to result_w, or the exception at the
+    first error, and end the process.  It never returns to its caller."""
+    try:
+        try:
+            done = []
+            while record := task_r.read(4):
+                index = int.from_bytes(record, "little")
+                done.append((index, _run_task(*tasks[index])))
+            payload = pickle.dumps(done)
+        except BaseException as exc:  # raised again in the parent; its repr if it does not round-trip
+            try:
+                pickle.loads(payload := pickle.dumps(exc))
+            except Exception:
+                payload = pickle.dumps(RuntimeError(repr(exc)))
+        with result_w:
+            result_w.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _fan_out(tasks, order, workers: int) -> dict:
+    """task index -> _run_task's result, from `workers` forked workers that take the indices of `order`
+    from one pipe and send their results back through one pipe each; all are reaped before this ends."""
+    ends = []  # every pipe end opened here, all closed on the way out
+
+    def pipe():  # the read end unbuffered, so that a worker reads no task but its own
+        r, w = os.pipe()
+        ends.extend((os.fdopen(r, "rb", buffering=0), os.fdopen(w, "wb")))
+        return ends[-2:]
+
+    task_r, task_w = pipe()
+    children = {}  # pid -> the read end of its result pipe, until the pid is reaped
+    try:
+        for _ in range(workers):
+            result_r, result_w = pipe()
+            if (pid := os.fork()) == 0:  # safe: the parent runs no suite, so no search thread
+                task_w.close()  # else the task pipe never reads EOF
+                _serve(tasks, task_r, result_w)
+            result_w.close()
+            children[pid] = result_r
+        task_r.close()
+        # Every worker exists now, so no task count can fill the pipe before a reader does.  A
+        # broken pipe means every worker stopped early, and its result says why.
+        with contextlib.suppress(BrokenPipeError), task_w:
+            task_w.write(b"".join(index.to_bytes(4, "little") for index in order))
+        results = {}
+        for pid in list(children):
+            payload = children[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status or not payload:
+                raise RuntimeError(f"a run worker ended with exit status {status} and no result")
+            if isinstance(value := pickle.loads(payload), BaseException):
+                raise value
+            results.update(value)
+        return results
+    finally:
+        for end in ends:
+            end.close()
+        if children:
+            import signal  # here alone: only a failed run needs it
+
+            for pid in children:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
 
 
 def _build_report(scenarios, suite_names) -> dict:
     t0 = time.perf_counter()
-    jobs = [(materialize(s), suite_names) for s in scenarios]  # a ConfigError exits 2 before any fork
-    workers = _worker_count(len(jobs)) if hasattr(os, "fork") else 1
-    if workers == 1:
-        runs = [_run_scenario(*job) for job in jobs]
-    else:
-        import multiprocessing  # here alone, so a serial run never imports it
-
-        _FANNED[:] = jobs
-        try:  # leaving the pool's block terminates and joins every worker
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                runs = pool.map(_run_fanned, range(len(jobs)), chunksize=1)
-        finally:
-            _FANNED.clear()
-    sections = [section for section, _ in runs]
+    mats = [materialize(s) for s in scenarios]  # a ConfigError exits 2 before any fork
+    tasks = [(mat, suite) for mat in mats for suite in suite_names]
+    order = _task_order(mats, suite_names)
+    workers = _worker_count(len(tasks)) if hasattr(os, "fork") else 1
+    results = {i: _run_task(*tasks[i]) for i in order} if workers == 1 else _fan_out(tasks, order, workers)
+    sections, timings, per = [], [], len(suite_names)
+    for i, mat in enumerate(mats):
+        records, seconds = zip(*(results[i * per + j] for j in range(per)))
+        suites = dict(zip(suite_names, records))
+        sections.append({"scenario": to_config(mat.scenario), "suites": suites, "passed": all(r["passed"] for r in records)})
+        timings.append({"seconds": sum(seconds), "suites": dict(zip(suite_names, seconds))})
     return {
         "schema": "orliczlab-report/1",
-        "versions": {
-            "orliczlab": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"orliczlab": __version__, "numpy": np.__version__, "python": platform.python_version()},
         "scenarios": sections,
         "passed": all(s["passed"] for s in sections),
-        "timing": {
-            "total_seconds": time.perf_counter() - t0,
-            "workers": workers,
-            "scenarios": [timing for _, timing in runs],
-        },
+        "timing": {"total_seconds": time.perf_counter() - t0, "workers": workers, "scenarios": timings},
     }
 
 

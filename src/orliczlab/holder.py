@@ -60,8 +60,8 @@ __all__ = [
 # length (the gather's two rows x n_blocks arrays, or _BLOCK_MEAN_CHUNK values).
 _SEARCH_CHUNK = 1 << 18
 # Most row ranges a search runs in parallel (see _search_max), and most
-# scenarios a `run` runs in parallel (cli._build_report); only 2 CPUs have
-# been measured.
+# (scenario, suite) tasks a `run` runs in parallel (cli._build_report); only
+# 2 CPUs have been measured.
 _MAX_WORKERS = 2
 # Rows of a range's first chunk scored exactly to seed its running maximum,
 # and the relative slack below that maximum at which _holder_ratios drops an
@@ -151,7 +151,7 @@ def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _worker_count(tasks: int) -> int:
-    """Workers for `tasks` rows or scenarios: min(CPUs this process may run on, _MAX_WORKERS, tasks)."""
+    """Workers for `tasks` rows or run tasks: min(CPUs this process may run on, _MAX_WORKERS, tasks)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, _MAX_WORKERS, tasks)
 

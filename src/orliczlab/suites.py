@@ -14,7 +14,6 @@ share one set of operators and the levels and norm brackets solved on them.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .sampling import signed_log_uniform
 from .scenarios import Materialized
 from .young import evaluate
 
-__all__ = ["SUITE_ORDER", "run_suite", "run_all_suites"]
+__all__ = ["SUITE_ORDER", "run_suite"]
 
 # The verdict tolerances of the checks whose value is a normalised margin (README, "Reports").
 JENSEN_TOL = 1e-12  # both Jensen checks: the worst row's gap over max(1, max|rhs|) of that row
@@ -352,17 +351,3 @@ def run_suite(name: str, mat: Materialized) -> dict:
         "checks": checks,
     }
 
-
-def run_all_suites(mat: Materialized, names=None) -> dict:
-    """Run the named suites (default all) in order; "seconds" holds each one's wall time."""
-    results, seconds = {}, {}
-    for name in tuple(names) if names else SUITE_ORDER:
-        start = time.perf_counter()
-        results[name] = run_suite(name, mat)
-        seconds[name] = time.perf_counter() - start
-    return {
-        "scenario": mat.scenario.name,
-        "suites": results,
-        "passed": all(r["passed"] for r in results.values()),
-        "seconds": seconds,
-    }

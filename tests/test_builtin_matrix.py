@@ -18,7 +18,7 @@ import pytest
 
 from orliczlab.operators import WeightedConditionalExpectation
 from orliczlab.scenarios import BUILTIN_ORDER, builtin_scenario, materialize
-from orliczlab.suites import run_all_suites
+from orliczlab.suites import SUITE_ORDER, run_suite
 
 FROZEN_PATH = pathlib.Path(__file__).parent / "builtin_matrix.json"
 PINNED = (
@@ -39,12 +39,8 @@ ALLOWED_FAILURES = {("example-1.6b", "jensen", "convexity_inequality")}
 
 
 def run_builtin(name: str) -> dict[str, dict]:
-    report = run_all_suites(materialize(builtin_scenario(name)))
-    return {
-        f"{suite}/{check['name']}": check
-        for suite, result in report["suites"].items()
-        for check in result["checks"]
-    }
+    mat = materialize(builtin_scenario(name))
+    return {f"{suite}/{check['name']}": check for suite in SUITE_ORDER for check in run_suite(suite, mat)["checks"]}
 
 
 def pinned(check: dict) -> dict:

@@ -15,7 +15,7 @@ import pytest
 
 from orliczlab import measure, suites
 from orliczlab.scenarios import BUILTIN_ORDER, builtin_scenario, from_config, materialize
-from orliczlab.suites import run_all_suites
+from orliczlab.suites import SUITE_ORDER, run_suite
 
 from test_builtin_matrix import ALLOWED_FAILURES
 
@@ -71,9 +71,9 @@ def report_checks(names=None) -> dict[str, dict]:
     scenarios = [builtin_scenario(name) for name in BUILTIN_ORDER] + [from_config(UNEQUAL_BLOCKS)]
     return {
         f"{scenario.name}/{suite}/{check['name']}": check
-        for scenario in scenarios
-        for suite, result in run_all_suites(materialize(scenario), names)["suites"].items()
-        for check in result["checks"]
+        for scenario, mat in zip(scenarios, map(materialize, scenarios))
+        for suite in names or SUITE_ORDER
+        for check in run_suite(suite, mat)["checks"]
     }
 
 

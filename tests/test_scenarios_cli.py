@@ -2,12 +2,12 @@
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,29 +440,11 @@ class TestCli:
         assert "unknown suite" in capsys.readouterr().err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        def failing(_mat, _names=None):
-            return {
-                "scenario": "spectrum-demo",
-                "suites": {
-                    "spectrum": {
-                        "suite": "spectrum",
-                        "passed": False,
-                        "checks": [
-                            {
-                                "name": "forced_failure",
-                                "passed": False,
-                                "value": 1.0,
-                                "bound": 0.0,
-                                "tolerance": 0.0,
-                            }
-                        ],
-                    }
-                },
-                "passed": False,
-                "seconds": {"spectrum": 0.0},
-            }
+        def failing(name, _mat):
+            check = {"name": "forced_failure", "passed": False, "value": 1.0, "bound": 0.0, "tolerance": 0.0}
+            return {"suite": name, "passed": False, "checks": [check]}
 
-        monkeypatch.setattr(cli, "run_all_suites", failing)
+        monkeypatch.setattr(cli, "run_suite", failing)  # the forked workers inherit the patch
         code = cli.main(["run", "--config", "spectrum-demo", "--format", "table"])
         assert code == 1
         out = capsys.readouterr().out
@@ -678,7 +660,8 @@ class TestCli:
         assert lines[0] == f"scenario spectrum-demo: PASS in {scenario['seconds']:.3f} s"
         for suite, seconds in scenario["suites"].items():
             assert f"  {suite:<18} {seconds:.3f} s" in lines
-        assert lines[-1] == f"overall: PASS in {timing['total_seconds']:.3f} s on 1 worker(s)"
+        assert scenario["seconds"] == pytest.approx(sum(scenario["suites"].values()), rel=1e-12)
+        assert lines[-1] == f"overall: PASS in {timing['total_seconds']:.3f} s on {timing['workers']} worker(s)"
 
     def test_table_prints_each_checks_rule_and_tolerance(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -869,8 +852,45 @@ def with_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
 
 
+def assert_no_child_left():
+    """No child process of this one is left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in(fail, suite=None, scenario=None):
+    """A stand-in for cli.run_suite (the forked workers inherit it) that calls fail() on the tasks
+    of `suite` on `scenario` (every one where None), but only in a forked worker, and runs the rest."""
+    parent = os.getpid()
+
+    def run(name, mat):
+        if suite in (None, name) and scenario in (None, mat.scenario.name):
+            assert os.getpid() != parent, "a planted failure ran in the parent"
+            fail()
+        return run_suite(name, mat)
+
+    return run
+
+
+def raise_(exc):
+    raise exc
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+class TwoArguments(Exception):
+    """Pickles, but does not unpickle: its args hold one of the two arguments its __init__ takes."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
 class TestScenarioWorkers:
-    """A `run` of several scenarios forks min(CPUs, 2, scenarios) workers; one worker forks none."""
+    """A `run` forks min(CPUs, 2, tasks) workers over its (scenario, suite) tasks; one worker forks none."""
 
     def test_report_does_not_depend_on_the_worker_count(self, capsys, monkeypatch, tmp_path):
         config = three_scenarios(tmp_path)
@@ -887,7 +907,32 @@ class TestScenarioWorkers:
             assert len(timing["scenarios"]) == 3
             for scenario in timing["scenarios"]:
                 assert sorted(scenario["suites"]) == sorted(suites_mod.SUITE_ORDER)
-                assert 0.0 <= sum(scenario["suites"].values()) <= scenario["seconds"]
+                assert scenario["seconds"] == pytest.approx(sum(scenario["suites"].values()), rel=1e-12)
+                assert 0.0 < scenario["seconds"] <= timing["total_seconds"] * timing["workers"]
+        assert_no_child_left()
+
+    def test_one_scenario_fans_its_suites_out(self, capsys, monkeypatch):
+        reports = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            code = cli.main(["run", "--config", "example-1.6b"])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        timings = [report.pop("timing") for _, report in reports]
+        assert reports[0] == reports[1]
+        assert [t["workers"] for t in timings] == [1, 2]
+        assert sorted(reports[0][1]["scenarios"][0]["suites"]) == sorted(suites_mod.SUITE_ORDER)
+        assert_no_child_left()
+
+    def test_searches_go_first_largest_first_then_config_order(self):
+        mats = [
+            SimpleNamespace(scenario=SimpleNamespace(budget=budget), operator=SimpleNamespace(n_atoms=n))
+            for budget, n in ((300, 4), (300, 4), (100, 16), (10, 1))
+        ]
+        names = ("spectrum", "gcthi", "jensen")
+        order = [(i // 3, names[i % 3]) for i in cli._task_order(mats, names)]
+        searches = [(2, "gcthi"), (0, "gcthi"), (1, "gcthi"), (3, "gcthi")]
+        assert order == searches + [(i, name) for i in range(4) for name in ("spectrum", "jensen")]
+        assert cli._task_order(mats, ("spectrum", "jensen")) == list(range(8))
 
     def test_first_bad_scenario_exits_two_before_any_worker(self, capsys, monkeypatch, tmp_path):
         config = three_scenarios(
@@ -901,7 +946,7 @@ class TestScenarioWorkers:
         def never(*_args):
             raise AssertionError("a suite ran although a scenario failed to materialize")
 
-        monkeypatch.setattr(cli, "run_all_suites", never)
+        monkeypatch.setattr(cli, "run_suite", never)
         errors = []
         for cpus in (1, 2):
             with_cpus(monkeypatch, cpus)
@@ -909,23 +954,39 @@ class TestScenarioWorkers:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "scenario.partition" in errors[0] and "scenario.u.values" not in errors[0]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("expected", [0, 2], ids=["passed", "config-error-in-a-worker"])
     def test_no_worker_outlives_main(self, capsys, monkeypatch, tmp_path, expected):
         with_cpus(monkeypatch, 2)
         if expected == 2:
-
-            def fail_on_b(mat, names):
-                if mat.scenario.name == "b":
-                    raise ConfigError("scenario.young: planted failure")
-                return suites_mod.run_all_suites(mat, names)
-
-            monkeypatch.setattr(cli, "run_all_suites", fail_on_b)
+            planted = ConfigError("scenario.young: planted failure")
+            monkeypatch.setattr(cli, "run_suite", fail_in(partial(raise_, planted), "spectrum", "b"))
         with np.errstate(all="ignore"):
             assert cli.main(["run", "--config", three_scenarios(tmp_path), "--suite", "spectrum"]) == expected
         assert ("planted failure" in capsys.readouterr().err) == (expected == 2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    # In one suite, the failing worker may be read last, after the other has ended; in every
+    # task, the first worker read has failed while the other may still run, and is stopped.
+    @pytest.mark.parametrize("suite", ["jensen", None], ids=["in-one-suite", "in-every-task"])
+    @pytest.mark.parametrize(
+        "fail, message",
+        [
+            (partial(raise_, RuntimeError("planted")), "^planted$"),
+            (partial(raise_, Unpicklable("planted")), r"^Unpicklable\('planted'\)$"),
+            (partial(raise_, TwoArguments("planted", 7)), r"^TwoArguments\('planted'\)$"),
+            (partial(os._exit, 3), "^a run worker ended with exit status 3 and no result$"),
+        ],
+        ids=["runtime-error", "unpicklable", "not-unpicklable", "worker-died"],
+    )
+    def test_a_worker_failure_reaches_the_parent(self, monkeypatch, fail, message, suite):
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "run_suite", fail_in(fail, suite))
+        with pytest.raises(RuntimeError, match=message) as raised:
+            cli.main(["run", "--config", "example-1.6a"])
+        assert type(raised.value) is RuntimeError
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "setup",
@@ -933,10 +994,12 @@ class TestScenarioWorkers:
             "argv = ['run', '--config', 'spectrum-demo', '--suite', 'spectrum']",
             "os.sched_getaffinity = lambda _pid: {0}\n"
             "argv = ['run', '--config', CONFIG, '--suite', 'spectrum']",
+            "os.sched_getaffinity = lambda _pid: {0, 1}\n"
+            "argv = ['run', '--config', CONFIG, '--suite', 'spectrum', '--suite', 'jensen']",
         ],
-        ids=["one-scenario", "one-cpu"],
+        ids=["one-scenario", "one-cpu", "two-cpus"],
     )
-    def test_a_serial_run_never_imports_multiprocessing(self, tmp_path, setup):
+    def test_no_run_imports_multiprocessing(self, tmp_path, setup):
         code = (
             "import os, sys\n"
             f"CONFIG = {three_scenarios(tmp_path)!r}\n"
