@@ -14,8 +14,7 @@ The timing block holds total_seconds, workers (W) and, per scenario, each suite'
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
 Reports are deterministic for a fixed config and seed, except the timing block,
 and strict JSON: a non-finite float is written as "NaN", "Infinity" or "-Infinity".
-The only environment override is ORLICZLAB_OUT_DIR, which prefixes relative
---out paths; OPENBLAS_NUM_THREADS is set to 1 when the caller leaves it unset.
+OPENBLAS_NUM_THREADS is set to 1 when the caller leaves it unset.
 """
 
 from __future__ import annotations
@@ -235,10 +234,7 @@ def _render_table(report: dict) -> str:
 
 
 def _write_out(path: str | None, write) -> bool:
-    """Call write(fh) on the --out file, under ORLICZLAB_OUT_DIR if relative; False if there is none."""
-    prefix = os.environ.get("ORLICZLAB_OUT_DIR")
-    if prefix and path is not None and not os.path.isabs(path):
-        path = os.path.join(prefix, path)
+    """Call write(fh) on the --out file; False if there is none."""
     if not path:
         return False
     try:

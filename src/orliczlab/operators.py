@@ -317,8 +317,8 @@ class RefinementFamily:
 
     @cached_property
     def members(self) -> tuple[tuple[int, WeightedConditionalExpectation], ...]:
-        """(m, operator) for each size, built once, so every reader shares the
-        operators and the levels and norm brackets solved on them."""
+        """(m, operator) for each size, built once and shared by every reader in a
+        process; each forked worker of `run` solves their levels and brackets itself."""
         return tuple((m, self.member(m)) for m in self.sizes)
 
 

@@ -223,8 +223,8 @@ class Materialized:
     `operator` holds the space, partition and u the single-space suites read.
     A family scenario also has `family`, and its `operator` is the family's
     own middle member, so the classifier, the essential-norm trend and every
-    single-space suite share one set of operators and the levels and norm
-    brackets solved on them.
+    single-space suite share one set of operators, built here.  Each forked
+    worker of `run` solves their levels and norm brackets once for itself.
     """
 
     scenario: Scenario
@@ -239,7 +239,7 @@ class Materialized:
 
     @cached_property
     def trend_verdict(self) -> dict:
-        """The family's classifier verdict, shared by the suites that report it."""
+        """The family's classifier verdict, solved once in each process that reads it."""
         return boundedness_classifier(self.family, self.phi, self.psi)
 
 

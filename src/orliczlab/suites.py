@@ -5,10 +5,10 @@ per check.  Every check is judged here and nowhere else: its record names a
 rule of the one verdict table, _RULES, and carries every number that rule
 reads, so every number in a report is auditable and every verdict can be
 re-judged from its record alone.  Where a rule holds per row or per case, the
-record's value is the worst case's normalised margin.  Every single-space
-suite reads `mat.operator`, which for a family scenario is the family's own
-middle member; the trend checks read the family's members, so all suites
-share one set of operators and the levels and norm brackets solved on them.
+record's value is the worst case's normalised margin.  The suites share the
+operators built at materialize: `mat.operator` (a family's middle member)
+and the family's members.  Each forked worker of `run` solves their levels,
+norm brackets and classifier verdict once for itself.
 """
 
 from __future__ import annotations

@@ -1,53 +1,50 @@
 """Every builtin scenario through every suite, in process.
 
 Each check's verdict is asserted, and the values no search produces
-(predicted spectra, certified constants C0**2, level counts and sups, betas,
-classifier verdicts and sample counts) are compared against
+(predicted spectra, certified constants C0**2 and bounds, level counts and
+sups, betas, classifier verdicts and sample counts) are compared against
 `builtin_matrix.json`, frozen from a run at the builtin seeds.  Search outputs
 (norm estimates, empirical Hölder constants) enter only through verdicts.
+Which fields are pinned (`frozen_values`) and which failures are known
+(`known_defects`) are the benchmark gate's own definitions, read from
+`perfbench/`.
 
 Refreeze, only when a change is meant to alter pinned values:
     PYTHONPATH=src python3 tests/test_builtin_matrix.py
 """
 
+import importlib.util
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
+from orliczlab import suites
 from orliczlab.operators import WeightedConditionalExpectation
 from orliczlab.scenarios import BUILTIN_ORDER, builtin_scenario, materialize
 from orliczlab.suites import SUITE_ORDER, run_suite
 
 FROZEN_PATH = pathlib.Path(__file__).parent / "builtin_matrix.json"
-PINNED = (
-    "predicted", "constant", "counts", "level_counts", "level_sups", "eps_grid",
-    "betas", "beta", "verdict", "expected", "flags", "samples", "cases",
-    "certificate_present", "expected_present",
-)
-# Checks whose bound is certified in advance (C0**2, 1, or f(C0)), not searched.
-PINNED_BOUNDS = (
-    "ratio_within_domination_constant", "homogeneous_pair_unit_constant",
-    "norm_nonexpansive", "normalized_average_first_factor",
-    "normalized_average_second_factor",
-)
-# A program defect kept as it stands: with exp_type, an overflowing block
-# average makes phi(E|f|) - E(phi f) NaN, so this check fails, with value NaN,
-# at some seeds (it passes at the builtin seed).
-ALLOWED_FAILURES = {("example-1.6b", "jensen", "convexity_inequality")}
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str, filename: str):
+    # Registered before it runs: a dataclass looks its module up in sys.modules.
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+frozen_values = _load("perfbench_run", "run.py").frozen_values
+KNOWN_DEFECTS = set(_load("perfbench_workloads", "workloads.py").WORKLOADS["builtin-matrix"].known_defects)
 
 
 def run_builtin(name: str) -> dict[str, dict]:
     mat = materialize(builtin_scenario(name))
     return {f"{suite}/{check['name']}": check for suite in SUITE_ORDER for check in run_suite(suite, mat)["checks"]}
-
-
-def pinned(check: dict) -> dict:
-    keep = {k: check[k] for k in PINNED if k in check}
-    if check["name"] in PINNED_BOUNDS:
-        keep["bound"] = check["bound"]
-    return keep
 
 
 def same(a, b) -> bool:
@@ -67,6 +64,16 @@ def frozen():
     return json.loads(FROZEN_PATH.read_text())
 
 
+def assert_matches_frozen(name: str, frozen: dict) -> None:
+    checks = run_builtin(name)
+    assert checks.keys() == frozen[name].keys()
+    for key, check in checks.items():
+        suite, check_name = key.split("/")
+        if (name, suite, check_name) not in KNOWN_DEFECTS:
+            assert check["passed"], (key, check)
+        assert same(frozen_values(check), frozen[name][key]), (key, frozen_values(check), frozen[name][key])
+
+
 @pytest.mark.parametrize("name", BUILTIN_ORDER)
 def test_builtin_through_every_suite(name, frozen, monkeypatch):
     def refuse(_op):
@@ -74,18 +81,21 @@ def test_builtin_through_every_suite(name, frozen, monkeypatch):
 
     # No suite builds the dense matrix: the spectrum oracle reads block_rows.
     monkeypatch.setattr(WeightedConditionalExpectation, "matrix", property(refuse))
-    checks = run_builtin(name)
-    assert checks.keys() == frozen[name].keys()
-    for key, check in checks.items():
-        suite, check_name = key.split("/")
-        if (name, suite, check_name) not in ALLOWED_FAILURES:
-            assert check["passed"], (key, check)
-        assert same(pinned(check), frozen[name][key]), (key, pinned(check), frozen[name][key])
+    assert_matches_frozen(name, frozen)
+
+
+def test_a_bound_moved_by_1e_10_fails(frozen, monkeypatch):
+    # The certified norm bound is pinned to 1e-12: a move far inside every
+    # check's tolerance still fails against the frozen value.
+    true_bound = suites.norm_upper_bound
+    monkeypatch.setattr(suites, "norm_upper_bound", lambda *args: true_bound(*args) * (1 + 1e-10))
+    with pytest.raises(AssertionError, match="norm_sandwich"):
+        assert_matches_frozen("spectrum-demo", frozen)
 
 
 if __name__ == "__main__":
     table = {
-        name: {key: pinned(check) for key, check in run_builtin(name).items()}
+        name: {key: frozen_values(check) for key, check in run_builtin(name).items()}
         for name in BUILTIN_ORDER
     }
     FROZEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -17,7 +17,7 @@ from orliczlab import measure, suites
 from orliczlab.scenarios import BUILTIN_ORDER, builtin_scenario, from_config, materialize
 from orliczlab.suites import SUITE_ORDER, run_suite
 
-from test_builtin_matrix import ALLOWED_FAILURES
+from test_builtin_matrix import KNOWN_DEFECTS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
@@ -79,11 +79,11 @@ def report_checks(names=None) -> dict[str, dict]:
 
 def assert_rejudged(checks: dict[str, dict]) -> None:
     """The property: each record's `passed` is what rejudge() gives, and every
-    check passes (bar the builtin matrix's allowed failures); and on each
+    check passes (bar the builtin matrix's known defects); and on each
     side of every rule's edge, the suites' table and rejudge() agree."""
     for key, check in checks.items():
         assert rejudge(check) is check["passed"], (key, check)
-        if tuple(key.split("/")) not in ALLOWED_FAILURES:
+        if tuple(key.split("/")) not in KNOWN_DEFECTS:
             assert check["passed"], (key, check)
     assert {rule for rule, _, _ in EDGES} == set(suites._RULES)
     for rule, fields, verdict in EDGES:

@@ -792,24 +792,18 @@ class TestCli:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "unrecognized arguments: --seed 1" in proc.stderr
 
-    def test_out_dir_override_prefixes_relative_paths(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ORLICZLAB_OUT_DIR", str(tmp_path))
-        assert (
-            cli.main(
-                [
-                    "run",
-                    "--config",
-                    "spectrum-demo",
-                    "--suite",
-                    "spectrum",
-                    "--out",
-                    "nested-report.json",
-                ]
-            )
-            == 0
-        )
+    def test_relative_out_is_under_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        # The environment has no say in where a relative --out lands.
+        env_dir, work_dir = tmp_path / "env", tmp_path / "work"
+        env_dir.mkdir()
+        work_dir.mkdir()
+        monkeypatch.setenv("ORLICZLAB_OUT_DIR", str(env_dir))
+        monkeypatch.chdir(work_dir)
+        assert cli.main(["run", "--config", "spectrum-demo", "--suite", "spectrum", "--out", "r.json"]) == 0
+        assert cli.main(["export-matrix", "--config", "spectrum-demo", "--out", "m.csv"]) == 0
         capsys.readouterr()
-        assert (tmp_path / "nested-report.json").exists()
+        assert sorted(p.name for p in work_dir.iterdir()) == ["m.csv", "r.json"]
+        assert list(env_dir.iterdir()) == []
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["default", "preset-2"])
     def test_openblas_gets_one_thread_unless_the_caller_chose(self, preset, want):

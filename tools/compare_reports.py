@@ -136,7 +136,6 @@ json.dump({"builtins": list(BUILTIN_ORDER),
 
 def _python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
-    env.pop("ORLICZLAB_OUT_DIR", None)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=False
     )

@@ -9,17 +9,19 @@ the run exits with a code outside {0, 1}, when its report is not strict JSON
 `WORKLOADS["builtin-matrix"].known_defects`.  One line is printed per offset,
 and a last line gives the failed offsets and how many offsets each known
 defect failed at.  The exit code is 1 if any offset failed, else 0.  Standard
-library only; it reads `perfbench/` and runs one child at a time.
+library only; it reads `perfbench/` and runs one child at a time through
+`tools/compare_reports.py`'s child runner.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import compare_reports
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = "builtin-matrix"
@@ -32,12 +34,6 @@ name, k = sys.argv[1], int(sys.argv[2])
 json.dump({"known_defects": WORKLOADS[name].known_defects,
            "configs": [config(name, s) for s in range(k + 1)]}, sys.stdout)
 """
-
-
-def _python(args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    env.pop("ORLICZLAB_OUT_DIR", None)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=False)
 
 
 def _refuse(constant: str):
@@ -66,7 +62,7 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
         return 2
     last = int(argv[0]) if argv else 39
-    proc = _python(["-c", _CASES, WORKLOAD, str(last)])
+    proc = compare_reports._python(ROOT / "src", ["-c", _CASES, WORKLOAD, str(last)])
     if proc.returncode != 0:
         raise SystemExit(f"cannot build the {WORKLOAD} configs:\n{proc.stderr}")
     cases = json.loads(proc.stdout)
@@ -76,8 +72,9 @@ def main(argv: list[str]) -> int:
         for k, cfg in enumerate(cases["configs"]):
             path = Path(tmp) / f"{WORKLOAD}-{k}.json"
             path.write_text(json.dumps(cfg), encoding="utf-8")
+            proc = compare_reports._python(ROOT / "src", ["-m", "orliczlab", "run", "--config", str(path)])
             try:
-                failed = _failed_checks(_python(["-m", "orliczlab", "run", "--config", str(path)]))
+                failed = _failed_checks(proc)
             except ValueError as exc:
                 bad.append(k)
                 print(f"FAIL offset {k}: {exc}")
