@@ -6,10 +6,12 @@ Verbs:
   export-matrix   write the operator matrix as CSV for external cross-checks
 
 A `run` materializes every scenario first, so a config error exits 2 before any suite
-runs.  Each (scenario, suite) pair is one task.  W = min(CPUs, 2, tasks) forked workers take
-them from one pipe, gcthi first and the largest search first, and the parent, which only
-coordinates, gathers them in config order; with W = 1 they run in process, in the same order.
-The timing block holds total_seconds, workers (W) and, per scenario, each suite's seconds and their sum.
+runs.  Each (scenario, suite, part) is one task: gcthi's parts are its searches, and every
+other suite is one part.  W = min(CPUs, 2, tasks) forked workers take them from one pipe,
+the searches first and the largest first, and the parent, which only coordinates, judges
+each suite from its parts' values in config order; with W = 1 they run in process, in the
+same order.  The timing block holds total_seconds, workers (W) and, per scenario, each
+suite's seconds (the sum of its parts') and their sum.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
 Reports are deterministic for a fixed config and seed, except the timing block,
@@ -39,11 +41,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .holder import _worker_count
 from .scenarios import BUILTIN_ORDER, as_seed, builtin_scenario, from_config, materialize, to_config
-from .suites import SUITE_ORDER, run_suite
+from .suites import SUITE_ORDER, judge, part_samples, run_part
 
 __all__ = ["main"]
+
+# Most tasks a `run` runs in parallel (_build_report); only 2 CPUs have been measured.
+_MAX_WORKERS = 2
 
 
 def _load_scenarios(config: str, seed_override: int | None = None) -> list:
@@ -89,17 +93,29 @@ def _validate_suites(names) -> tuple:
     return tuple(names)
 
 
-def _run_task(mat, suite: str) -> tuple:
-    """One (scenario, suite) task: the suite's record and its seconds."""
+def _worker_count(tasks: int) -> int:
+    """Workers for `tasks` run tasks: min(CPUs this process may run on, _MAX_WORKERS, tasks)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, _MAX_WORKERS, tasks)
+
+
+def _tasks(mats, suite_names) -> list:
+    """The (mat, suite, part index, samples x atoms) tasks in config order: scenario, suite, part."""
+    return [(mat, suite, k, samples * mat.operator.n_atoms) for mat in mats for suite in suite_names
+            for k, samples in enumerate(part_samples(suite, mat))]
+
+
+def _run_task(task) -> tuple:
+    """One (scenario, suite, part) task: the part's value (an error it returns too) and its seconds."""
+    mat, suite, k, _ = task
     start = time.perf_counter()
-    return run_suite(suite, mat), time.perf_counter() - start
+    return run_part(suite, mat, k), time.perf_counter() - start
 
 
-def _task_order(mats, suite_names) -> list:
-    """Indices of the config-order (scenario, suite) tasks in the order workers take them: gcthi, the one
-    suite whose work grows with the budget, first, largest budget x atoms first; the rest in config order."""
-    per, sizes = len(suite_names), [m.scenario.budget * m.operator.n_atoms for m in mats]
-    return sorted(range(len(mats) * per), key=lambda i: -sizes[i // per] if suite_names[i % per] == "gcthi" else 0)
+def _task_order(tasks) -> list:
+    """Indices of the config-order tasks in the order workers take them: the searches first, the
+    largest samples x atoms first, then every other part; ties in config order."""
+    return sorted(range(len(tasks)), key=lambda i: -tasks[i][3])
 
 
 def _serve(tasks, task_r, result_w):
@@ -111,7 +127,7 @@ def _serve(tasks, task_r, result_w):
             done = []
             while record := task_r.read(4):
                 index = int.from_bytes(record, "little")
-                done.append((index, _run_task(*tasks[index])))
+                done.append((index, _run_task(tasks[index])))
             payload = pickle.dumps(done)
         except BaseException as exc:  # raised again in the parent; its repr if it does not round-trip
             try:
@@ -140,7 +156,7 @@ def _fan_out(tasks, order, workers: int) -> dict:
     try:
         for _ in range(workers):
             result_r, result_w = pipe()
-            if (pid := os.fork()) == 0:  # safe: the parent runs no suite, so no search thread
+            if (pid := os.fork()) == 0:  # safe: src/ starts no thread
                 task_w.close()  # else the task pipe never reads EOF
                 _serve(tasks, task_r, result_w)
             result_w.close()
@@ -175,16 +191,20 @@ def _fan_out(tasks, order, workers: int) -> dict:
 def _build_report(scenarios, suite_names) -> dict:
     t0 = time.perf_counter()
     mats = [materialize(s) for s in scenarios]  # a ConfigError exits 2 before any fork
-    tasks = [(mat, suite) for mat in mats for suite in suite_names]
-    order = _task_order(mats, suite_names)
+    tasks = _tasks(mats, suite_names)
+    order = _task_order(tasks)
     workers = _worker_count(len(tasks)) if hasattr(os, "fork") else 1
-    results = {i: _run_task(*tasks[i]) for i in order} if workers == 1 else _fan_out(tasks, order, workers)
-    sections, timings, per = [], [], len(suite_names)
-    for i, mat in enumerate(mats):
-        records, seconds = zip(*(results[i * per + j] for j in range(per)))
-        suites = dict(zip(suite_names, records))
-        sections.append({"scenario": to_config(mat.scenario), "suites": suites, "passed": all(r["passed"] for r in records)})
-        timings.append({"seconds": sum(seconds), "suites": dict(zip(suite_names, seconds))})
+    results = {i: _run_task(tasks[i]) for i in order} if workers == 1 else _fan_out(tasks, order, workers)
+    parts = {}  # (id(mat), suite) -> the (value, seconds) of each of its parts, in part order
+    for i, (mat, suite, _, _) in enumerate(tasks):
+        parts.setdefault((id(mat), suite), []).append(results[i])
+    sections, timings = [], []
+    for mat in mats:
+        suites = {suite: judge(suite, mat, [v for v, _ in parts[id(mat), suite]]) for suite in suite_names}
+        seconds = {suite: sum(s for _, s in parts[id(mat), suite]) for suite in suite_names}
+        passed = all(record["passed"] for record in suites.values())
+        sections.append({"scenario": to_config(mat.scenario), "suites": suites, "passed": passed})
+        timings.append({"seconds": sum(seconds.values()), "suites": seconds})
     return {
         "schema": "orliczlab-report/1",
         "versions": {"orliczlab": __version__, "numpy": np.__version__, "python": platform.python_version()},

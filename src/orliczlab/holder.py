@@ -15,31 +15,29 @@ The pair is taken as given and never conjugated here: the CLI builds psi by
 young.conjugate_closed_form, and the young-calculus suite's
 conjugate_consistency is the one check of psi against the numeric conjugate.
 
-Both searches split their seeded sample batches into W = min(CPUs, 2, rows)
-contiguous row ranges that run on parallel threads, each drawing its rows
-from the same PCG64 positions as the one-shot batches.  Each range folds its
-chunks' scores into a running maximum, and the ranges' maxima are combined by
-np.maximum.reduce.  The maximum propagates NaN and does not depend on the
-order it is taken in, so every result is bit for bit np.max over the one-shot
-batch, whatever W and the chunk size.  Every score reads a sample only
-through |f| and |g|, so the ranges draw the magnitudes alone and no sign is drawn.
-Each range scores its chunks in one young.Workspace of its own: the
-evaluations, block means, levels and Newton passes write into its arrays,
-allocated at the range's first chunk and reused by the rest.
+Both searches stream their seeded sample batches chunk by chunk on the
+calling thread, drawing each chunk's rows from the same PCG64 positions as
+the one-shot batches, and fold the chunks' scores into a running maximum.
+The maximum propagates NaN and does not depend on the order it is taken in,
+so every result is bit for bit np.max over the one-shot batch, whatever the
+chunk size.  Every score reads a sample only through |f| and |g|, so the
+searches draw the magnitudes alone and no sign is drawn.  A search scores
+its chunks in one young.Workspace: the evaluations, block means, levels and
+Newton passes write into its arrays, allocated at the first chunk and
+reused by the rest.  A `run` spreads the searches themselves over its
+forked workers (cli), so no search starts a thread.
 
 The ratio search of a pair with a Newton kind solves few of its levels: each
-score is given its range's running maximum, and _holder_ratios leaves out the
-entries that the conditional Jensen inequality phi(E|f|) <= E phi(|f|), on
-which the Hölder inequality rests, proves below it, about 88 % of them on the
-exp-pair workload.  The result is bit for bit the same, while each range,
-holding its own maximum, drops different entries for each W.
+score is given the search's running maximum, and _holder_ratios leaves out
+the entries that the conditional Jensen inequality phi(E|f|) <= E phi(|f|),
+on which the Hölder inequality rests, proves below it, about 88 % of them
+on the exp-pair workload.  The result is bit for bit the same, while a
+different chunk size drops different entries.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -59,11 +57,7 @@ __all__ = [
 # space; the block means' own temporaries are no larger, whatever the chunk's
 # length (the gather's two rows x n_blocks arrays, or _BLOCK_MEAN_CHUNK values).
 _SEARCH_CHUNK = 1 << 18
-# Most row ranges a search runs in parallel (see _search_max), and most
-# (scenario, suite) tasks a `run` runs in parallel (cli._build_report); only
-# 2 CPUs have been measured.
-_MAX_WORKERS = 2
-# Rows of a range's first chunk scored exactly to seed its running maximum,
+# Rows of a search's first chunk scored exactly to seed its running maximum,
 # and the relative slack below that maximum at which _holder_ratios drops an
 # entry: far above the rounding of its bound (below 1e-12 of it).
 _SEED_ROWS = 8
@@ -85,10 +79,10 @@ def _holder_ratios(
     Each factor is constant on blocks, so the inverses run once per block mean;
     broadcasting the result through `partition.labels` gives the atomwise ratios.
 
-    best: a search range's running maximum, given only with the magnitudes
-    that _search_max draws.  When a kind of the pair has no power formula,
-    the result is then flat and holds only the entries not proved below
-    best, in order, and may be empty; a best of -inf (a range's first chunk)
+    best: a search's running maximum, given only with the magnitudes that
+    _search_max draws.  When a kind of the pair has no power formula, the
+    result is then flat and holds only the entries not proved below best,
+    in order, and may be empty; a best of -inf (a search's first chunk)
     is first raised to the exact maximum of the leading _SEED_ROWS rows.  By
     the conditional Jensen inequality phi(E|f|) <= E phi(|f|), each level is
     at least E|f|, and at least phi.row.floor(E phi|f|) when phi has a floor;
@@ -100,7 +94,7 @@ def _holder_ratios(
     by _ratio_atoms, not bounded by lo) is kept.  Each kept root and ratio is
     bit for bit the one solved without best.
 
-    Workspace contract: every pass writes into `work` (a search range's, else
+    Workspace contract: every pass writes into `work` (a search's, else
     one made for this call), reading f and g and writing neither.  The block
     means of phi|f|, psi|g| and |fg| go into the three rows of its
     (3, ..., n_blocks) array "holder.levels", each taken in its (..., n)
@@ -150,70 +144,33 @@ def _ratio_atoms(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def _worker_count(tasks: int) -> int:
-    """Workers for `tasks` rows or run tasks: min(CPUs this process may run on, _MAX_WORKERS, tasks)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, _MAX_WORKERS, tasks)
-
-
 def _search_max(space: MeasureSpace, budget: int, seed: int, *scores) -> np.ndarray:
     """For each score, np.max of score(|f|, |g|, work, best) over the search's samples, NaN propagating.
 
     The samples are the two (budget, n) batches that signed_log_uniform draws
-    in turn from default_rng(seed), as magnitudes, split into W contiguous row
-    ranges.  Range 0 runs on the calling thread and each other range on its
-    own thread; numpy releases the GIL in the draws and kernels, so the ranges
-    run in parallel.  Each range streams _SEARCH_CHUNK // W elements at a
-    time, so as many elements are in flight as with one range, drawn in place
-    into one pair of buffers that the range owns (a chunk is valid until the
-    next is drawn, so each is scored before the next), and folds
+    in turn from default_rng(seed), as magnitudes, streamed _SEARCH_CHUNK // n
+    rows (at least one) at a time into one pair of draw buffers (a chunk is
+    valid until the next is drawn, so each is scored before the next), and
+    folded as
     best = np.maximum(best, np.max(score(f, g, work, best), initial=-inf))
-    from -inf, one score after the other, under the caller's np.geterr().
-    Each score is given its own running maximum `best` (-inf at the range's
-    first chunk) and may leave out of its result any entry that it proves
-    below `best`, or return no entry at all; the fold is then what it would
-    be on every entry.  The ranges then combine by np.maximum.reduce.  Every
-    thread is joined before this returns, and the first range's exception (a
-    helper's BracketFailure, say) is raised here.
+    from -inf, one score after the other.  Each score is given its own
+    running maximum `best` (-inf at the first chunk) and may leave out of its
+    result any entry that it proves below `best`, or return no entry at all;
+    the fold is then what it would be on every entry.
 
-    Workspace contract: each range makes one Workspace, `work`, and passes it
+    Workspace contract: the search makes one Workspace, `work`, and passes it
     to every score, chunk after chunk, largest chunk first, so a score that
-    borrows its arrays from `work` allocates them at the range's first chunk
-    and reuses them for the rest.  A score's result is read (np.max) before
-    the next score or chunk runs, so it may be a view into `work`.
+    borrows its arrays from `work` allocates them at the first chunk and
+    reuses them for the rest.  A score's result is read (np.max) before the
+    next score or chunk runs, so it may be a view into `work`.
     """
     if budget < 1:
         raise PreconditionViolated(f"need a budget of at least 1 sample, got {budget}")
     n = space.n_atoms
-    workers = _worker_count(budget)
-    chunk_rows = max(1, _SEARCH_CHUNK // workers // n)
-    bounds = [budget * k // workers for k in range(workers + 1)]
-    results: list = [None] * workers
-    errors: list = [None] * workers
-    errstate = np.geterr()  # numpy's error state is per thread (per context from numpy 2)
-
-    def run(k: int) -> None:
-        try:
-            best, work = np.full(len(scores), -math.inf), Workspace()
-            with np.errstate(**errstate):
-                for f, g in log_uniform_chunks(seed, (budget, n), chunk_rows, bounds[k], bounds[k + 1]):
-                    best = np.maximum(
-                        best, [np.max(score(f, g, work, b), initial=-math.inf) for score, b in zip(scores, best)]
-                    )
-            results[k] = best
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[k] = exc
-
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    for thread in helpers:
-        thread.start()
-    run(0)
-    for thread in helpers:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return np.maximum.reduce(results)
+    best, work = np.full(len(scores), -math.inf), Workspace()
+    for f, g in log_uniform_chunks(seed, (budget, n), max(1, _SEARCH_CHUNK // n)):
+        best = np.maximum(best, [np.max(score(f, g, work, b), initial=-math.inf) for score, b in zip(scores, best)])
+    return best
 
 
 def empirical_holder_constant(
@@ -229,15 +186,14 @@ def empirical_holder_constant(
     Magnitudes are log-uniform over [1e-3, 1e3] with random signs, so the
     search reaches both scale extremes where non-homogeneous kinds misbehave.
     The samples are the two (budget, n) batches that signed_log_uniform draws
-    in turn from default_rng(seed), scored in W contiguous row ranges in
-    parallel (_search_max), chunk by chunk, each range drawing its chunks into
-    draw buffers it owns, so memory stays bounded whatever the budget.  The
-    ratio reads only |f|, |g| and |fg| = |f|*|g| (exact in IEEE arithmetic),
-    so the ranges score the magnitudes alone, each chunk in its range's
-    workspace (_holder_ratios), solving for a pair with a Newton kind only
-    the entries not proved below the range's maximum.  The result is the
-    largest ratio over every (sample, block), NaN if any is NaN: bit for bit
-    np.max over the whole batch, whatever W and the chunk size.
+    in turn from default_rng(seed), scored chunk by chunk (_search_max), each
+    chunk drawn into the search's draw buffers, so memory stays bounded
+    whatever the budget.  The ratio reads only |f|, |g| and |fg| = |f|*|g|
+    (exact in IEEE arithmetic), so the search scores the magnitudes alone,
+    each chunk in its workspace (_holder_ratios), solving for a pair with a
+    Newton kind only the entries not proved below its running maximum.  The
+    result is the largest ratio over every (sample, block), NaN if any is
+    NaN: bit for bit np.max over the whole batch, whatever the chunk size.
     """
     (best,) = _search_max(
         space, budget, seed, lambda f, g, work, best: _holder_ratios(space, partition, phi, psi, f, g, work, best)
@@ -262,12 +218,12 @@ def normalization_constants(
     normalized factors; these sampled suprema only bound them from below, so
     their sum is an estimate, not a certificate.  The f and g samples are the
     two (sample_budget, n) batches that signed_log_uniform draws in turn from
-    default_rng(seed), split into row ranges and chunks as in
-    empirical_holder_constant; each constant is bit for bit np.max over the
-    one-shot batch, NaN if any value is NaN, whatever W and the chunk size.
+    default_rng(seed), streamed in chunks as in empirical_holder_constant;
+    each constant is bit for bit np.max over the one-shot batch, NaN if any
+    value is NaN, whatever the chunk size.
     No sign is drawn: theta(x/d) = theta(|x|/d) for the block factor d >= 0.
 
-    Workspace contract: each range scores its chunks in one Workspace, as
+    Workspace contract: the search scores its chunks in one Workspace, as
     _holder_ratios does.  The level goes into the first row of its
     "holder.levels" (block_level solves it there in place), is spread over
     the atoms into its "atoms" array, divides the batch there and is

@@ -1,9 +1,11 @@
 """The nine check suites the CLI can run against a scenario.
 
 Each suite is a pure function of a materialized scenario returning one record
-per check.  Every check is judged here and nowhere else: its record names a
-rule of the one verdict table, _RULES, and carries every number that rule
-reads, so every number in a report is auditable and every verdict can be
+per check.  It runs as one or more independent parts, whose values one judge
+turns into its checks: gcthi's parts are its random searches, and every other
+suite is one part.  Every check is judged here and nowhere else: its record
+names a rule of the one verdict table, _RULES, and carries every number that
+rule reads, so every number in a report is auditable and every verdict can be
 re-judged from its record alone.  Where a rule holds per row or per case, the
 record's value is the worst case's normalised margin.  The suites share the
 operators built at materialize: `mat.operator` (a family's middle member)
@@ -14,6 +16,7 @@ norm brackets and classifier verdict once for itself.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .sampling import signed_log_uniform
 from .scenarios import Materialized
 from .young import evaluate
 
-__all__ = ["SUITE_ORDER", "run_suite"]
+__all__ = ["SUITE_ORDER", "judge", "part_samples", "run_part", "run_suite"]
 
 # The verdict tolerances of the checks whose value is a normalised margin (README, "Reports").
 JENSEN_TOL = 1e-12  # both Jensen checks: the worst row's gap over max(1, max|rhs|) of that row
@@ -182,23 +185,27 @@ def _suite_contraction(mat: Materialized) -> list[dict]:
     ]
 
 
-def _suite_gcthi(mat: Materialized) -> list[dict]:
+def _gcthi_parts(mat: Materialized) -> list:
+    """gcthi's independent searches, in suite order, each a (samples, search) pair."""
     op = mat.operator
-    space, part = op.space, op.partition
-    phi, psi = mat.phi, mat.psi
+    args = (op.space, op.partition, mat.phi, mat.psi)
+    budget, seed = mat.scenario.budget, mat.scenario.seed
+    parts = [(budget, partial(empirical_holder_constant, *args, budget, seed + 17))]
+    if mat.phi.row.takes_p:  # a pair of the homogeneous kinds has unit constant
+        parts.append((budget, partial(empirical_holder_constant, *args, budget, seed + 18)))
+    return parts + [(2_000, partial(normalization_constants, *args, 2_000, seed + 19))]
+
+
+def _judge_gcthi(mat: Materialized, values: list) -> list[dict]:
+    searched, *unit, (c1, c2) = values
+    space, part = mat.operator.space, mat.operator.partition
     budget = mat.scenario.budget
-    seed = mat.scenario.seed + 17
-    claimed = domination_holder_constant(space, part)
-    searched = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed)
     c0 = domination_constant(space, part)
-    checks = [("ratio_within_domination_constant", searched, claimed, {"samples": budget})]
-    if phi.row.takes_p:  # a pair of the homogeneous kinds has unit constant
-        unit = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed + 1)
-        checks.append(("homogeneous_pair_unit_constant", unit, 1.0, {"samples": budget}))
-    c1, c2 = normalization_constants(space, part, phi, psi, sample_budget=2_000, seed=seed + 2)
+    checks = [("ratio_within_domination_constant", searched, domination_holder_constant(space, part), {"samples": budget})]
+    checks += [("homogeneous_pair_unit_constant", u, 1.0, {"samples": budget}) for u in unit]
     checks += [
-        ("normalized_average_first_factor", c1, float(evaluate(phi, c0)), {}),
-        ("normalized_average_second_factor", c2, float(evaluate(psi, c0)), {}),
+        ("normalized_average_first_factor", c1, float(evaluate(mat.phi, c0)), {}),
+        ("normalized_average_second_factor", c2, float(evaluate(mat.psi, c0)), {}),
         ("sum_constant_dominates_search", searched, c1 + c2, {}),
     ]
     return [_check(name, "at_most_bound", value=v, bound=b, tolerance=1e-9, **more) for name, v, b, more in checks]
@@ -318,36 +325,60 @@ def _suite_essential_norm(mat: Materialized) -> list[dict]:
     ]
 
 
+def _one_part(suite):
+    """The parts and the judge of a suite that runs as one part whose value is its checks."""
+    return lambda mat: [(0, partial(suite, mat))], lambda mat, values: values[0]
+
+
+# Each suite's parts(mat), its (samples, run) pairs in suite order (samples > 0
+# for a random search of that many samples, 0 otherwise; run() takes no argument),
+# and its judge(mat, values), the checks from the parts' values in that order.
 _SUITES = {
-    "young-calculus": _suite_young_calculus,
-    "jensen": _suite_jensen,
-    "contraction": _suite_contraction,
-    "gcthi": _suite_gcthi,
-    "boundedness": _suite_boundedness,
-    "compactness-trend": _suite_compactness,
-    "spectrum": _suite_spectrum,
-    "resolvent": _suite_resolvent,
-    "essential-norm": _suite_essential_norm,
+    "young-calculus": _one_part(_suite_young_calculus),
+    "jensen": _one_part(_suite_jensen),
+    "contraction": _one_part(_suite_contraction),
+    "gcthi": (_gcthi_parts, _judge_gcthi),
+    "boundedness": _one_part(_suite_boundedness),
+    "compactness-trend": _one_part(_suite_compactness),
+    "spectrum": _one_part(_suite_spectrum),
+    "resolvent": _one_part(_suite_resolvent),
+    "essential-norm": _one_part(_suite_essential_norm),
 }
 
 SUITE_ORDER = tuple(_SUITES)
 
 
-def run_suite(name: str, mat: Materialized) -> dict:
-    """Run one suite.  A solver that runs out of budget fails the suite with one
-    `solver_budget_exhausted` check carrying the solver's message, and a
-    spectrum oracle that rejects its own output with one `oracle_rejected`
-    check carrying the oracle's.  The CLI rejects an unknown name before any
-    work, so `name` is one of SUITE_ORDER."""
-    try:
-        checks = _SUITES[name](mat)
-    except BracketFailure as exc:
-        checks = [_check("solver_budget_exhausted", "raised", error=str(exc))]
-    except SpectralOracleError as exc:
-        checks = [_check("oracle_rejected", "raised", error=str(exc))]
-    return {
-        "suite": name,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+def part_samples(name: str, mat: Materialized) -> list[int]:
+    """The samples of each part of suite `name` on mat, in suite order: a random search's
+    sample count, 0 for a part that is not a search.  Every suite has at least one part."""
+    return [samples for samples, _ in _SUITES[name][0](mat)]
 
+
+def run_part(name: str, mat: Materialized, k: int):
+    """The value of part k of suite `name` on mat, or the BracketFailure or
+    SpectralOracleError it raised, returned to be judged (judge)."""
+    try:
+        return _SUITES[name][0](mat)[k][1]()
+    except (BracketFailure, SpectralOracleError) as exc:
+        return exc
+
+
+def judge(name: str, mat: Materialized, values: list) -> dict:
+    """The record of suite `name` from its parts' values in suite order.  A
+    part that raised fails the suite with one check, from the first such part:
+    `solver_budget_exhausted` for a solver that ran out of budget and
+    `oracle_rejected` for a spectrum oracle that rejected its own output, each
+    carrying the error's message."""
+    raised = next((v for v in values if isinstance(v, Exception)), None)
+    if raised is None:
+        checks = _SUITES[name][1](mat, values)
+    else:
+        failed = "solver_budget_exhausted" if isinstance(raised, BracketFailure) else "oracle_rejected"
+        checks = [_check(failed, "raised", error=str(raised))]
+    return {"suite": name, "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def run_suite(name: str, mat: Materialized) -> dict:
+    """Run one suite in process, its parts in order, and judge it.  The CLI
+    rejects an unknown name before any work, so `name` is one of SUITE_ORDER."""
+    return judge(name, mat, [run_part(name, mat, k) for k in range(len(part_samples(name, mat)))])

@@ -77,14 +77,14 @@ class Workspace:
 
     array(name, shape) returns the named array at that shape, allocated the
     first time the name is asked for and reused after, so a caller whose
-    first batch is its largest (a search's row range, whose first chunk is
-    its largest) allocates nothing after it; a larger request allocates
-    again.  The passes that borrow one are sequential and each name is held
-    by one pass at a time: a caller's own names ("atoms" for its (..., n)
-    values, say) are free while a kernel it calls runs.  The kernels share
-    the name "scratch" (evaluate's blocks, the block means' products,
-    inverse's Newton passes), each only while it runs, so a caller may
-    borrow it between kernel calls.  Not thread-safe: one per thread.
+    first batch is its largest (a search, whose first chunk is its largest)
+    allocates nothing after it; a larger request allocates again.  The
+    passes that borrow one are sequential and each name is held by one pass
+    at a time: a caller's own names ("atoms" for its (..., n) values, say)
+    are free while a kernel it calls runs.  The kernels share the name
+    "scratch" (evaluate's blocks, the block means' products, inverse's Newton
+    passes), each only while it runs, so a caller may borrow it between
+    kernel calls.
     """
 
     def __init__(self) -> None:
@@ -213,8 +213,8 @@ def from_config(fragment: dict) -> YoungFunction:
 # Values per batch of inverse's Newton passes, and per block of evaluate's
 # Newton kinds' passes into a given array: their scratch is a few
 # arrays of that many values, not arrays the size of the batch.  Each Newton
-# pass is some forty numpy calls, and two search ranges contend for the
-# interpreter at every call, so the batches are large.
+# pass is some forty numpy calls, each with a fixed cost, so the batches are
+# large.
 _BATCH = 1 << 16
 
 

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import holder, measure, sampling, young
-from orliczlab.errors import BracketFailure, PreconditionViolated
+from orliczlab.errors import PreconditionViolated
 from orliczlab.holder import (
     _holder_ratios,
     _ratio_atoms,
@@ -202,9 +201,9 @@ def plant_in_row(monkeypatch, row, edit):
     """Make the searches' draws pass the f and g of sample `row` through edit(f_row, g_row)."""
     chunks = holder.log_uniform_chunks
 
-    def planted(seed, shape, chunk_rows, start=0, stop=None):
-        lo = start
-        for f, g in chunks(seed, shape, chunk_rows, start, stop):
+    def planted(seed, shape, chunk_rows):
+        lo = 0
+        for f, g in chunks(seed, shape, chunk_rows):
             if lo <= row < lo + len(f):
                 edit(f[row - lo], g[row - lo])
             lo += len(f)
@@ -221,11 +220,9 @@ CASES = {
     "rotation-exp": (build_rotation_space(3, 3), (young.exp_type(), young.log_type()), 501, 14),
 }
 # (case, rows per chunk), rows being 1, a count dividing no budget above, or one chunk for
-# the whole budget.  One-row chunks run on the two 37-row budgets only: the generator range
-# test covers them on every range, and the fold takes a maximum, whatever the chunking.
+# the whole budget.  One-row chunks run on the two 37-row budgets only: the generator test
+# covers them, and the fold takes a maximum, whatever the chunking.
 CHUNK_GRID = [(case, rows) for case in sorted(CASES) for rows in (1, 7, None) if rows != 1 or CASES[case][2] == 37]
-# Row ranges forced on the searches, whatever the CPU count: one, the cap of 2, and one more.
-WORKERS = (1, 2, 3)
 
 
 class TestStreamedSearch:
@@ -233,6 +230,8 @@ class TestStreamedSearch:
         "rows, n, chunk_rows", [(37, 127, 5), (37, 127, 37), (3, 1, 2), (64, 8, 64), (9, 3, 4), (9, 3, 1), (6, 4, 1)]
     )
     def test_chunks_are_the_one_shot_rows(self, rows, n, chunk_rows):
+        # N = rows * n is odd in five cases, where the first batch's N one-half-word signs end
+        # inside a word, and the second batch's magnitudes start at the next whole word.
         rng = np.random.default_rng(rows + n)
         first = np.abs(signed_log_uniform(rng, (rows, n)))
         second = np.abs(signed_log_uniform(rng, (rows, n)))
@@ -240,15 +239,6 @@ class TestStreamedSearch:
         assert [len(f) for f, _ in chunks][:-1] == [chunk_rows] * (len(chunks) - 1)
         assert bits(np.concatenate([f for f, _ in chunks])) == bits(first)
         assert bits(np.concatenate([g for _, g in chunks])) == bits(second)
-        # Every row range, as the split searches draw it.  N = rows * n is odd in five cases,
-        # where the first batch's N one-half-word signs end inside a word.
-        for start in range(rows):
-            for stop in range(start + 1, rows + 1):
-                chunks = drawn_chunks(rows + n, (rows, n), chunk_rows, start, stop)
-                sizes = [min(chunk_rows, stop - lo) for lo in range(start, stop, chunk_rows)]
-                assert [len(f) for f, _ in chunks] == sizes
-                assert bits(np.concatenate([f for f, _ in chunks])) == bits(first[start:stop])
-                assert bits(np.concatenate([g for _, g in chunks])) == bits(second[start:stop])
 
     @pytest.mark.parametrize("case, chunk_rows", CHUNK_GRID)
     def test_streamed_search_equals_one_shot(self, monkeypatch, case, chunk_rows):
@@ -257,25 +247,19 @@ class TestStreamedSearch:
             monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
         else:
             assert holder._SEARCH_CHUNK // space.n_atoms >= budget
-        want = one_shot_search(space, part, phi, psi, budget, seed)
-        for workers in WORKERS:
-            monkeypatch.setattr(holder, "_worker_count", lambda rows, w=workers: min(w, rows))
-            got = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed)
-            assert bits(got) == bits(want)
+        got = empirical_holder_constant(space, part, phi, psi, budget=budget, seed=seed)
+        assert bits(got) == bits(one_shot_search(space, part, phi, psi, budget, seed))
 
     @pytest.mark.parametrize("case, chunk_rows", CHUNK_GRID)
     def test_streamed_normalization_equals_one_shot(self, monkeypatch, case, chunk_rows):
         (space, part), (phi, psi), budget, seed = CASES[case]
         if chunk_rows is not None:
             monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
-        want = one_shot_normalization(space, part, phi, psi, budget, seed)
-        for workers in WORKERS:
-            monkeypatch.setattr(holder, "_worker_count", lambda rows, w=workers: min(w, rows))
-            got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
-            assert bits(got) == bits(want)
+        got = normalization_constants(space, part, phi, psi, sample_budget=budget, seed=seed)
+        assert bits(got) == bits(one_shot_normalization(space, part, phi, psi, budget, seed))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_neither_search_draws_a_sign(self, monkeypatch, workers):
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_neither_search_draws_a_sign(self, monkeypatch, chunks):
         drawn, signs = [], sampling._signs
 
         def counted_signs(rng, size):
@@ -284,40 +268,20 @@ class TestStreamedSearch:
             return out
 
         monkeypatch.setattr(sampling, "_signs", counted_signs)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
         space, part = build_symmetric_space(4)
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 300 // chunks * space.n_atoms)
         empirical_holder_constant(space, part, *scaled_pair(2.0), budget=300, seed=3)
         normalization_constants(space, part, *scaled_pair(2.0), sample_budget=300, seed=3)
         assert drawn == []
 
-    @pytest.mark.parametrize("where", ["helper", "caller"])
-    def test_a_range_failure_reaches_the_caller_after_every_join(self, monkeypatch, where):
-        inverse = young.inverse
-
-        def failing_inverse(theta, t, work=None):
-            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
-                raise BracketFailure(f"planted in the {where} thread")
-            return inverse(theta, t, work)
-
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
-        # Every level is inverted through YoungFunction.inverse, which calls young.inverse.
-        monkeypatch.setattr(young, "inverse", failing_inverse)
-        space, part = build_symmetric_space(4)
-        before = threading.active_count()
-        for search in (empirical_holder_constant, normalization_constants):
-            with pytest.raises(BracketFailure, match=where):
-                search(space, part, *scaled_pair(2.0), 100, 0)
-            assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @pytest.mark.parametrize("where", ["first", "last"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_a_nan_in_one_chunk_wins(self, monkeypatch, where, workers):
+    def test_a_nan_in_one_chunk_wins(self, monkeypatch, where, chunk_rows):
         # An infinite |f| and |g| on one atom of one row makes that row score NaN in both
         # searches: inf/inf in the ratio, and inf/inf in each normalized factor.  The first row
-        # is in range 0, on the calling thread, with finite chunks after it; the last row is in
-        # the last range, a helper thread's when W > 1, with finite chunks and ranges before
-        # it.  Two rows per chunk give every range more than one chunk.
+        # is in the first chunk, with finite chunks after it; the last row is in the last chunk,
+        # with finite chunks before it.
         space, part = build_symmetric_space(4)
         budget = 9
 
@@ -325,19 +289,18 @@ class TestStreamedSearch:
             f[0] = g[0] = math.inf
 
         plant_in_row(monkeypatch, 0 if where == "first" else budget - 1, infinite)
-        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
         searched = empirical_holder_constant(space, part, *scaled_pair(2.0), budget=budget, seed=3)
         c1, c2 = normalization_constants(space, part, *scaled_pair(2.0), sample_budget=budget, seed=3)
         assert math.isnan(searched) and math.isnan(c1) and math.isnan(c2)
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @pytest.mark.parametrize("where", ["first", "last"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_a_nan_in_one_chunk_wins_on_the_exp_pair(self, monkeypatch, where, workers):
+    def test_a_nan_in_one_chunk_wins_on_the_exp_pair(self, monkeypatch, where, chunk_rows):
         # The ratio search of test_a_nan_in_one_chunk_wins on the exp pair, whose search drops
-        # ratios against each range's maximum.  The first row is scored exactly, to seed that
-        # maximum, and the last row is bounded against one.  evaluate maps an infinite |f| to
+        # ratios against its running maximum.  The first row is scored exactly, to seed that
+        # maximum, and the last row is bounded against it.  evaluate maps an infinite |f| to
         # NaN for these kinds, which no inverse takes, so the largest double is planted: both
         # levels of its block are then +inf, and so is E|fg|, so the ratio is inf/inf.
         space, part = build_symmetric_space(4)
@@ -347,17 +310,16 @@ class TestStreamedSearch:
             f[0] = g[0] = sys.float_info.max
 
         plant_in_row(monkeypatch, 0 if where == "first" else budget - 1, largest)
-        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
         with np.errstate(over="ignore"):
             searched = empirical_holder_constant(space, part, young.exp_type(), young.log_type(), budget=budget, seed=3)
         assert math.isnan(searched)
 
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_a_zero_target_is_never_dropped(self, monkeypatch, workers):
-        # |f| = 1e-170 on block 0 (atoms 0 and 7) of the last row, in a range's last chunk:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_a_zero_target_is_never_dropped(self, monkeypatch, chunk_rows):
+        # |f| = 1e-170 on block 0 (atoms 0 and 7) of the last row, in the last chunk:
         # exp_type(1e-170) cancels to 0, so the level of f is 0 and the ratio +inf by convention,
-        # while the Jensen bound E|fg| / (E|f| * lo_g) is near 1, below the range's maximum.
+        # while the Jensen bound E|fg| / (E|f| * lo_g) is near 1, below the running maximum.
         space, part = build_symmetric_space(4)
         budget = 9
 
@@ -365,20 +327,9 @@ class TestStreamedSearch:
             f[[0, 7]] = 1e-170
 
         plant_in_row(monkeypatch, budget - 1, tiny)
-        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * workers * space.n_atoms)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", chunk_rows * space.n_atoms)
         searched = empirical_holder_constant(space, part, young.exp_type(), young.log_type(), budget=budget, seed=3)
         assert searched == math.inf
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_the_callers_errstate_reaches_every_range(self, monkeypatch):
-        # numpy's error state is per thread (per context from numpy 2), so the
-        # helper thread's range must be run under the caller's.
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(2, rows))
-        space, _ = build_symmetric_space(2)
-        with np.errstate(divide="ignore"):
-            (best,) = holder._search_max(space, 4, 0, lambda f, g, work, best: np.divide(f, 0.0))
-        assert best == math.inf
 
     def test_empty_budget_is_refused(self):
         space, part = build_symmetric_space(2)
@@ -400,7 +351,7 @@ class TestStreamedSearch:
 
 
 class TestRangeWorkspace:
-    """Each row range scores its chunks in one workspace, made at its first chunk."""
+    """A search scores all its rows, chunk by chunk, in one workspace, made at its first chunk."""
 
     PAIRS = {"power": scaled_pair(3.0), "exp": (young.exp_type(), young.log_type())}
     SEARCHES = {
@@ -411,9 +362,8 @@ class TestRangeWorkspace:
     }
 
     def later_chunk_allocations(self, monkeypatch, space, part, pair, search):
-        """Bytes allocated while each later chunk of a one-range search of four chunks is
-        scored, and the bytes of one chunk."""
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: 1)
+        """Bytes allocated while each later chunk of a search of four chunks is scored, and
+        the bytes of one chunk."""
         budget = 4 * (holder._SEARCH_CHUNK // space.n_atoms)
         chunks, transient, sizes = holder.log_uniform_chunks, [], []
 
@@ -438,10 +388,10 @@ class TestRangeWorkspace:
     @pytest.mark.parametrize("search", sorted(SEARCHES))
     @pytest.mark.parametrize("pair", sorted(PAIRS))
     def test_later_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
-        # The exp-pair workload's space, one range of four chunks of the size the
-        # searches draw on one CPU.  A later chunk still allocates numpy's ufunc
-        # buffer (8192 values, for the block means' broadcast weights and masses)
-        # and Newton's index arrays (one integer per series row or kept row).
+        # The exp-pair workload's space, four chunks of the size the searches
+        # draw.  A later chunk still allocates numpy's ufunc buffer (8192
+        # values, for the block means' broadcast weights and masses) and
+        # Newton's index arrays (one integer per series row or kept row).
         transient, chunk = self.later_chunk_allocations(monkeypatch, *build_symmetric_space(64), pair, search)
         assert max(transient) < chunk / 8, (transient, chunk)
 
@@ -450,42 +400,11 @@ class TestRangeWorkspace:
     def test_bincount_chunks_allocate_under_an_eighth_of_a_chunk(self, monkeypatch, pair, search):
         # 128 atoms in 4 blocks of 32 members: more ranks than the member gather takes, so
         # every block mean goes through bincount, whose chunk products and row-offset labels
-        # come from the range's workspace.  Only bincount's counts are allocated.
+        # come from the search's workspace.  Only bincount's counts are allocated.
         space, part = build_rotation_space(32, 4)
         assert len(part._ranks) > measure._GATHER_RANKS
         transient, chunk = self.later_chunk_allocations(monkeypatch, space, part, pair, search)
         assert max(transient) < chunk / 8, (transient, chunk)
-
-    @pytest.mark.parametrize("search", sorted(SEARCHES))
-    def test_every_range_has_its_own_workspace(self, monkeypatch, search):
-        # More ranges than CPUs, switching threads as often as the interpreter
-        # allows: two ranges sharing a workspace would overwrite each other's
-        # levels and move the result off the one-shot bits.
-        (space, part), pair, budget, seed = CASES["odd-exp"]
-        want = (one_shot_search if search == "ratio" else one_shot_normalization)(space, part, *pair, budget, seed)
-        made = []
-
-        class Counted(young.Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-        monkeypatch.setattr(holder, "Workspace", Counted)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(4, rows))
-        monkeypatch.setattr(holder, "_SEARCH_CHUNK", 2 * space.n_atoms)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                made.clear()
-                if search == "ratio":
-                    got = empirical_holder_constant(space, part, *pair, budget=budget, seed=seed)
-                else:
-                    got = normalization_constants(space, part, *pair, sample_budget=budget, seed=seed)
-                assert bits(got) == bits(want)
-                assert len(made) == 4
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestPruning:
@@ -512,10 +431,10 @@ class TestPruning:
                 assert bits(np.sort(kept[kept >= against])) == bits(np.sort(exact[exact >= against]))
             best = max(best, exact.max())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_exp_pair_search_solves_at_most_a_quarter_of_its_targets(self, monkeypatch, workers):
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_the_exp_pair_search_solves_at_most_a_quarter_of_its_targets(self, monkeypatch, split):
         # The exp-pair workload's gcthi ratio search at seed 0: 10,000 samples on 64 blocks,
-        # two block means per (sample, block).
+        # two block means per (sample, block), in chunks of the searches' size and of half of it.
         space, part = build_symmetric_space(64)
         solved, newton = [], young._newton_inverse
 
@@ -524,7 +443,7 @@ class TestPruning:
             return newton(phi, x, work)
 
         monkeypatch.setattr(young, "_newton_inverse", counted)
-        monkeypatch.setattr(holder, "_worker_count", lambda rows: min(workers, rows))
+        monkeypatch.setattr(holder, "_SEARCH_CHUNK", holder._SEARCH_CHUNK // split)
         empirical_holder_constant(space, part, *self.PAIR, budget=10_000, seed=22)
         assert sum(solved) <= 2 * 10_000 * part.n_blocks / 4
 

@@ -47,7 +47,3 @@ def test_log_uniform_stays_in_its_range_up_to_two_ulps(lo, hi):
     for values in (drawn, ends):
         assert np.all((below <= values) & (values <= above))
 
-
-@pytest.mark.parametrize("start, stop", [(0, 0), (3, 3), (5, 2)])
-def test_an_empty_row_range_yields_nothing(start, stop):
-    assert list(sampling.log_uniform_chunks(0, (6, 4), 2, start, stop)) == []

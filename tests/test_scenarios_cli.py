@@ -1,20 +1,21 @@
 """Scenario schema round-trips, builtin catalog, CLI verbs and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from orliczlab import cli, operators, scenarios, young
 from orliczlab import suites as suites_mod
-from orliczlab.errors import ConfigError
+from orliczlab.errors import BracketFailure, ConfigError
 from orliczlab.holder import domination_holder_constant
 from orliczlab.scenarios import (
     BUILTIN_ORDER,
@@ -23,7 +24,7 @@ from orliczlab.scenarios import (
     materialize,
     to_config,
 )
-from orliczlab.suites import run_suite
+from orliczlab.suites import run_part, run_suite
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -440,11 +441,13 @@ class TestCli:
         assert "unknown suite" in capsys.readouterr().err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        def failing(name, _mat):
-            check = {"name": "forced_failure", "passed": False, "value": 1.0, "bound": 0.0, "tolerance": 0.0}
-            return {"suite": name, "passed": False, "checks": [check]}
+        def failing(name, mat, k):
+            if name != "spectrum":
+                return run_part(name, mat, k)
+            # spectrum is one part, whose value is its checks.
+            return [{"name": "forced_failure", "passed": False, "value": 1.0, "bound": 0.0, "tolerance": 0.0}]
 
-        monkeypatch.setattr(cli, "run_suite", failing)  # the forked workers inherit the patch
+        monkeypatch.setattr(cli, "run_part", failing)  # the forked workers inherit the patch
         code = cli.main(["run", "--config", "spectrum-demo", "--format", "table"])
         assert code == 1
         out = capsys.readouterr().out
@@ -853,15 +856,15 @@ def assert_no_child_left():
 
 
 def fail_in(fail, suite=None, scenario=None):
-    """A stand-in for cli.run_suite (the forked workers inherit it) that calls fail() on the tasks
+    """A stand-in for cli.run_part (the forked workers inherit it) that calls fail() on the tasks
     of `suite` on `scenario` (every one where None), but only in a forked worker, and runs the rest."""
     parent = os.getpid()
 
-    def run(name, mat):
+    def run(name, mat, k):
         if suite in (None, name) and scenario in (None, mat.scenario.name):
             assert os.getpid() != parent, "a planted failure ran in the parent"
             fail()
-        return run_suite(name, mat)
+        return run_part(name, mat, k)
 
     return run
 
@@ -883,8 +886,18 @@ class TwoArguments(Exception):
         self.code = code
 
 
+def workload_scenarios(name):
+    """The scenarios of perfbench/workloads.py's workload `name` at seed 0."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:  # registered before it runs: a dataclass looks its module up in sys.modules
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+        module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.scenarios(name, 0)
+
+
 class TestScenarioWorkers:
-    """A `run` forks min(CPUs, 2, tasks) workers over its (scenario, suite) tasks; one worker forks none."""
+    """A `run` forks min(CPUs, 2, tasks) workers over its (scenario, suite, part) tasks; one worker forks none."""
 
     def test_report_does_not_depend_on_the_worker_count(self, capsys, monkeypatch, tmp_path):
         config = three_scenarios(tmp_path)
@@ -918,15 +931,34 @@ class TestScenarioWorkers:
         assert_no_child_left()
 
     def test_searches_go_first_largest_first_then_config_order(self):
-        mats = [
-            SimpleNamespace(scenario=SimpleNamespace(budget=budget), operator=SimpleNamespace(n_atoms=n))
-            for budget, n in ((300, 4), (300, 4), (100, 16), (10, 1))
+        # The symmetric-sweep workload: scaled_power on 128, 512 and 2048 atoms at the default
+        # budget of 10,000, so each gcthi has a ratio and a unit search of 10,000 samples and a
+        # normalization search of 2,000; samples x atoms orders them, ties in config order.
+        mats = [materialize(s) for s in workload_scenarios("symmetric-sweep")]
+        assert [(m.scenario.name, m.scenario.budget) for m in mats] == [
+            ("symmetric-128", 10_000),
+            ("symmetric-512", 10_000),
+            ("symmetric-2048", 10_000),
         ]
-        names = ("spectrum", "gcthi", "jensen")
-        order = [(i // 3, names[i % 3]) for i in cli._task_order(mats, names)]
-        searches = [(2, "gcthi"), (0, "gcthi"), (1, "gcthi"), (3, "gcthi")]
-        assert order == searches + [(i, name) for i in range(4) for name in ("spectrum", "jensen")]
-        assert cli._task_order(mats, ("spectrum", "jensen")) == list(range(8))
+        tasks = cli._tasks(mats, suites_mod.SUITE_ORDER)
+        order = [(mat.scenario.name, suite, k) for mat, suite, k, _ in (tasks[i] for i in cli._task_order(tasks))]
+        searches = [
+            ("symmetric-2048", "gcthi", 0),
+            ("symmetric-2048", "gcthi", 1),
+            ("symmetric-512", "gcthi", 0),
+            ("symmetric-512", "gcthi", 1),
+            ("symmetric-2048", "gcthi", 2),
+            ("symmetric-128", "gcthi", 0),
+            ("symmetric-128", "gcthi", 1),
+            ("symmetric-512", "gcthi", 2),
+            ("symmetric-128", "gcthi", 2),
+        ]
+        rest = [(m.scenario.name, suite, 0) for m in mats for suite in suites_mod.SUITE_ORDER if suite != "gcthi"]
+        assert order == searches + rest
+        assert cli._task_order(cli._tasks(mats, ("spectrum", "jensen"))) == list(range(6))
+        # The exp pair has no unit search: a ratio and a normalization search.
+        (exp,) = [materialize(s) for s in workload_scenarios("exp-pair")]
+        assert [(k, size) for _, _, k, size in cli._tasks([exp], ("gcthi",))] == [(0, 10_000 * 128), (1, 2_000 * 128)]
 
     def test_first_bad_scenario_exits_two_before_any_worker(self, capsys, monkeypatch, tmp_path):
         config = three_scenarios(
@@ -940,7 +972,7 @@ class TestScenarioWorkers:
         def never(*_args):
             raise AssertionError("a suite ran although a scenario failed to materialize")
 
-        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setattr(cli, "run_part", never)
         errors = []
         for cpus in (1, 2):
             with_cpus(monkeypatch, cpus)
@@ -955,7 +987,7 @@ class TestScenarioWorkers:
         with_cpus(monkeypatch, 2)
         if expected == 2:
             planted = ConfigError("scenario.young: planted failure")
-            monkeypatch.setattr(cli, "run_suite", fail_in(partial(raise_, planted), "spectrum", "b"))
+            monkeypatch.setattr(cli, "run_part", fail_in(partial(raise_, planted), "spectrum", "b"))
         with np.errstate(all="ignore"):
             assert cli.main(["run", "--config", three_scenarios(tmp_path), "--suite", "spectrum"]) == expected
         assert ("planted failure" in capsys.readouterr().err) == (expected == 2)
@@ -976,7 +1008,7 @@ class TestScenarioWorkers:
     )
     def test_a_worker_failure_reaches_the_parent(self, monkeypatch, fail, message, suite):
         with_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "run_suite", fail_in(fail, suite))
+        monkeypatch.setattr(cli, "run_part", fail_in(fail, suite))
         with pytest.raises(RuntimeError, match=message) as raised:
             cli.main(["run", "--config", "example-1.6a"])
         assert type(raised.value) is RuntimeError
@@ -1004,3 +1036,65 @@ class TestScenarioWorkers:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSearchParts:
+    """gcthi runs as its searches, each its own task; the parent judges the suite from their values."""
+
+    @pytest.mark.parametrize("failing", [("normalization",), ("ratio", "normalization")], ids="-and-".join)
+    def test_a_failing_search_part_gives_the_serial_record(self, capsys, monkeypatch, tmp_path, failing):
+        # A scaled_power pair: a ratio, a unit and a normalization search.  However the parts
+        # are spread over workers and whichever ends first, the record must carry the first
+        # failure in suite order, the ratio search's when it fails.
+        config = minimal_config(budget=300, seed=4)
+        search = suites_mod.empirical_holder_constant
+
+        def ratio_search(*args):
+            if "ratio" in failing and args[-1] == config["seed"] + 17:
+                raise BracketFailure("planted in the ratio search")
+            return search(*args)
+
+        def normalization_search(*_args):
+            raise BracketFailure("planted in the normalization search")
+
+        monkeypatch.setattr(suites_mod, "empirical_holder_constant", ratio_search)
+        monkeypatch.setattr(suites_mod, "normalization_constants", normalization_search)
+        mat = materialize(from_config(config))
+        assert suites_mod.part_samples("gcthi", mat) == [300, 300, 2_000]
+        want = run_suite("gcthi", mat)
+        error = f"planted in the {failing[0]} search"
+        assert want == {
+            "suite": "gcthi",
+            "passed": False,
+            "checks": [{"name": "solver_budget_exhausted", "rule": "raised", "error": error, "passed": False}],
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(config))
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            assert cli.main(["run", "--config", str(path), "--suite", "gcthi"]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["timing"]["workers"] == cpus
+            assert report["scenarios"][0]["suites"]["gcthi"] == want
+        assert_no_child_left()
+
+    def test_no_run_starts_a_thread(self, capsys, monkeypatch, tmp_path):
+        # The exp-pair workload's scenario and its sweep's 2048-atom power scenario (budget cut
+        # to 1,000, eight chunks a search), in process and through `run` on two workers, which
+        # inherit the patch: a search that started a thread would raise in either.
+        def refuse(_thread):
+            raise AssertionError("a thread was started")
+
+        (exp,) = workload_scenarios("exp-pair")
+        power = replace(workload_scenarios("symmetric-sweep")[-1], budget=1_000)
+        assert materialize(power).operator.n_atoms == 2048
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with_cpus(monkeypatch, 2)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"scenarios": [to_config(exp), to_config(power)]}))
+        records = [run_suite("gcthi", materialize(scenario)) for scenario in (exp, power)]
+        assert cli.main(["run", "--config", str(path), "--suite", "gcthi"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["timing"]["workers"] == 2
+        assert [section["suites"]["gcthi"] for section in report["scenarios"]] == records
+        assert_no_child_left()

@@ -7,7 +7,7 @@ as the `src/` of two checkouts.  Each tree runs every builtin scenario, the
 config of every workload in `perfbench/workloads.py` (built by that tree's
 own `orliczlab`), UNEQUAL_BLOCKS, a search on a partition of unequal
 blocks, UNEQUAL_EXP, the same on the exp pair, WIDE_BLOCKS, a member gather
-over 8 ranks whose chunk boundaries differ between 1 and 2 CPUs, SYMMETRIC_2048,
+over 8 ranks whose search ends on a short chunk, SYMMETRIC_2048,
 the largest search, KIND_CONFIGS, one scenario for each Young kind that no
 other case takes as phi, and SCHEMA_CONFIGS, one for each row and default of
 the scenario schema tables that no other case takes, each at seeds 0, 1 and
@@ -53,12 +53,12 @@ UNEQUAL_BLOCKS = {
     "budget": 12000,
 }
 # UNEQUAL_BLOCKS with phi = exp_type: the exp pair's ratio search, which drops
-# the ratios that a Jensen bound proves below its range's maximum, on unequal
+# the ratios that a Jensen bound proves below its running maximum, on unequal
 # weights and blocks.
 UNEQUAL_EXP = {**UNEQUAL_BLOCKS, "name": "unequal-exp", "young": {"kind": "exp_type"}}
 # 16 rotation blocks of 8 members on 128 atoms, budget 8200: every block mean is
-# a member gather over 8 ranks, and one search range reads 2048-row chunks and
-# ends on 8 rows, two ranges read 1024-row chunks and end on 4.
+# a member gather over 8 ranks, and each search reads 2048-row chunks and ends
+# on 8 rows.
 WIDE_BLOCKS = {
     "name": "wide-blocks",
     "space": {"type": "rotation", "n": 8, "cells_per_block_orbit": 16},
@@ -67,8 +67,8 @@ WIDE_BLOCKS = {
     "budget": 8200,
 }
 # The 2048-atom scenario of the symmetric-sweep workload at its default budget
-# of 10000: one search range reads 128-row chunks from one buffer pair and ends
-# on 16 rows, two ranges read 64-row chunks and end on 8.
+# of 10000, the largest search: each search reads 128-row chunks from one
+# buffer pair and ends on 16 rows.
 SYMMETRIC_2048 = {
     "name": "symmetric-2048",
     "space": {"type": "symmetric", "n_half": 1024},
